@@ -181,10 +181,14 @@ def cmd_split(args) -> int:
     draws = rep.sample(rng, args.samples)
     direct = dist.sample(rng, args.samples)
     ks = stats.ks_2samp(draws, direct)
+    acceptance = "".join(
+        f" accept_{k}={c.accepted / c.proposed:.4f}"
+        for k, c in rep.counters.items() if c.proposed
+    )
     print(
         f"# v0={harness.fmt(float(np.atleast_1d(rep.v0)[0]))} r0={harness.fmt(rep.r0)} "
         f"eps0={harness.fmt(rep.eps0)} m0={harness.fmt(rep.m0)} "
-        f"reconstruction_sup_error={rec:.3e} ks_p={ks.pvalue:.4f}",
+        f"reconstruction_sup_error={rec:.3e} ks_p={ks.pvalue:.4f}{acceptance}",
         file=sys.stderr,
     )
     err = np.abs(

@@ -51,6 +51,10 @@ __all__ = [
 ]
 
 
+#: Most summands ``ibp_battery`` draws per chunk (``chunk * n``).
+SUMMAND_BUDGET = 1 << 21
+
+
 class DegenerateSigma(Exception):
     """Nonzero localizer met a draw with no active smooth noise."""
 
@@ -225,7 +229,10 @@ def ibp_battery(rep: SplitRep, n: int, funcs, samples: int, rng,
     The two sides are estimated from independent sample streams (fresh
     states for the left side and for the right side), shared across the
     battery; per-function means and standard errors accumulate streamingly.
+    A chunk of samples holds at most ``SUMMAND_BUDGET`` summands, so memory
+    stays bounded for large ``n``.
     """
+    chunk = max(1, min(chunk, SUMMAND_BUDGET // n))
     rng_l, rng_r = rng.spawn(2)
     nf = len(funcs)
     sums = np.zeros((2, nf))

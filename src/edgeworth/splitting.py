@@ -27,8 +27,9 @@ largest radius keeping the ball infimum above half the peak, and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy import integrate
@@ -45,7 +46,14 @@ __all__ = [
     "split",
     "sample_split",
     "SplitRep",
+    "SamplerCounts",
+    "ROUND_CAP",
 ]
+
+#: Largest number of proposals one rejection round may draw.  Sized so that
+#: a 2^21-summand Monte Carlo chunk finishes each sampler in one round; a
+#: broken representation (acceptance near zero) hits it and then stalls.
+ROUND_CAP = 1 << 22
 
 
 class NoLowerBoundFound(Exception):
@@ -60,13 +68,20 @@ def psi_loc(a: float, x):
     """Plateau localizer ``psi_a`` evaluated at (arrays of) real ``x``."""
     if a <= 0:
         raise ValueError("a must be > 0")
-    u = np.abs(np.asarray(x, dtype=float))
-    out = np.zeros_like(u)
-    out[u <= a] = 1.0
-    band = (u > a) & (u < 2 * a)
-    ub = u[band] - a
-    out[band] = np.exp(1.0 - a * a / (a * a - ub * ub))
-    return out if out.shape else float(out)
+    x = np.asarray(x, dtype=float)
+    u = np.abs(x.reshape(-1))
+    out = (u <= a).astype(float)
+    band = np.flatnonzero((u > a) & (u < 2 * a))
+    if band.size:
+        # exp(1 - a^2 / (a^2 - (u - a)^2)), in place on the band gather
+        g = u[band]
+        g -= a
+        np.square(g, out=g)
+        np.subtract(a * a, g, out=g)
+        np.divide(-a * a, g, out=g)
+        g += 1.0
+        out[band] = np.exp(g, out=g)
+    return out.reshape(x.shape) if x.ndim else float(out[0])
 
 
 def log_psi_radial_derivative(a: float, u):
@@ -124,6 +139,13 @@ def _ball_infimum(dist: Distribution, v0, r: float, probes: int = 513) -> float:
     return float(np.min(dist.pdf(pts)))
 
 
+def _first_run_middle(idx: np.ndarray) -> int:
+    """Middle of the first run of consecutive integers in sorted ``idx``."""
+    gaps = np.flatnonzero(np.diff(idx) != 1)
+    run_end = idx[gaps[0]] if gaps.size else idx[-1]
+    return int(idx[0] + run_end) // 2
+
+
 def find_lower_bound(dist: Distribution, scan_points: int = 4096):
     """Locate ``(v0, r0, eps0)`` with ``inf_{B_{r0}(v0)} density >= eps0 > 0``.
 
@@ -147,11 +169,7 @@ def find_lower_bound(dist: Distribution, scan_points: int = 4096):
         if peak < 1e-12:
             raise NoLowerBoundFound(f"no stable ball for {dist.label}")
         on_peak = np.flatnonzero(filt >= peak * (1 - 1e-9))
-        i0 = on_peak[0]
-        run_end = i0
-        while run_end + 1 in set(on_peak):
-            run_end += 1
-        v0 = float(xs[(i0 + run_end) // 2])
+        v0 = float(xs[_first_run_middle(on_peak)])
         peak_val = float(dist.pdf(np.array([v0]))[0])
     else:
         g = int(math.sqrt(scan_points))
@@ -206,6 +224,28 @@ def find_lower_bound(dist: Distribution, scan_points: int = 4096):
     return v0, r0, eps0
 
 
+class SamplerCounts(NamedTuple):
+    """Rejection-sampler tallies: proposals, accepted proposals, returned draws."""
+
+    proposed: int
+    accepted: int
+    drawn: int
+
+
+def _round_size(missing: int, rate: float) -> int:
+    """Proposals for one rejection round at acceptance probability ``rate``.
+
+    ``(missing + 4 sqrt(missing)) / rate`` proposals accept on average
+    ``4 sqrt(missing)`` more than needed, about four binomial standard
+    deviations or more, so a second round is rare.  At least 64, at most
+    :data:`ROUND_CAP`.
+    """
+    if not rate > 0:
+        return ROUND_CAP
+    m = math.ceil((missing + 4.0 * math.sqrt(missing)) / rate)
+    return min(max(m, 64), ROUND_CAP)
+
+
 @dataclass
 class SplitRep:
     """Realized splitting ``F = chi V + (1 - chi) W`` of a base law."""
@@ -215,6 +255,11 @@ class SplitRep:
     r0: float
     eps0: float
     m0: float
+    # [proposed, accepted, drawn] per sampler; read through ``counters``
+    _tally: dict = field(
+        default_factory=lambda: {"v": [0, 0, 0], "w": [0, 0, 0]},
+        init=False, repr=False, compare=False,
+    )
 
     @property
     def dim(self) -> int:
@@ -252,52 +297,84 @@ class SplitRep:
         return rad[..., None] * unit
 
     # -- samplers ------------------------------------------------------------
-    def sample_v(self, rng, size: int) -> np.ndarray:
-        """Draws from the bump law by rejection from a uniform proposal."""
-        out = np.empty(size if self.dim == 1 else (size, self.dim))
+    @property
+    def counters(self) -> dict:
+        """Cumulative proposed/accepted/drawn counts of the ``"v"`` and ``"w"`` samplers."""
+        return {k: SamplerCounts(*t) for k, t in self._tally.items()}
+
+    def _reject(self, rng, size: int, rate: float, propose, which: str) -> np.ndarray:
+        """Rejection rounds: ``propose(rng, m)`` returns ``(proposals, keep)``.
+
+        Each round draws enough proposals to finish with high probability at
+        the closed-form acceptance ``rate`` (Devroye 1986, II.3) and keeps the
+        first accepted ones still missing.
+        """
+        parts = []
+        tally = self._tally[which]
         got, proposed, accepted = 0, 0, 0
         while got < size:
-            m = max(2 * (size - got), 64)
+            m = _round_size(size - got, rate)
+            prop, keep = propose(rng, m)
+            acc = prop[keep]
+            take = acc[: size - got]
+            parts.append(take)
+            got += len(take)
+            proposed += m
+            accepted += len(acc)
+            tally[0] += m
+            tally[1] += len(acc)
+            tally[2] += len(take)
+            if proposed > 1_000_000 and accepted / proposed < 1e-4:
+                name = "bump" if which == "v" else "residual"
+                raise RejectionStall(f"{name} sampler acceptance below 1e-4")
+        if len(parts) == 1:
+            return parts[0]
+        if not parts:
+            return np.empty((0,) if self.dim == 1 else (0, self.dim))
+        return np.concatenate(parts)
+
+    def sample_v(self, rng, size: int) -> np.ndarray:
+        """Draws from the bump law by rejection from a uniform proposal.
+
+        The proposal is uniform on the cube ``v0 + [-r0, r0]^N``, so the
+        acceptance rate is ``int psi / (2 r0)^N``.
+        """
+        rate = psi_integral(self.r0 / 2, self.dim) / (2 * self.r0) ** self.dim
+
+        def propose(rng, m):
             if self.dim == 1:
                 prop = rng.uniform(self.v0 - self.r0, self.v0 + self.r0, m)
             else:
                 prop = rng.uniform(-self.r0, self.r0, (m, self.dim)) + np.asarray(self.v0)
-            keep = rng.random(m) < self.psi_bump(prop)
-            acc = prop[keep][: size - got]
-            out[got : got + len(acc)] = acc
-            got += len(acc)
-            proposed += m
-            accepted += int(keep.sum())
-            if proposed > 1_000_000 and accepted / proposed < 1e-4:
-                raise RejectionStall("bump sampler acceptance below 1e-4")
-        return out
+            return prop, rng.random(m) < self.psi_bump(prop)
+
+        return self._reject(rng, size, rate, propose, "v")
 
     def sample_w(self, rng, size: int) -> np.ndarray:
         """Draws from W by thinning draws of the base law.
 
         A base draw at ``v`` is kept with probability
-        ``1 - eps0 psi(v) / pdf(v)``; atomic draws are always kept (the
-        bump is carved from the absolutely continuous component only).
+        ``1 - eps0 psi(v) / pdf(v)``, which is 1 off the bump's support; so
+        only the non-atomic draws with ``psi(v) > 0`` are thinned (atomic
+        draws are always kept: the bump is carved from the absolutely
+        continuous component only).  The acceptance rate is ``1 - m0``.
         """
-        out = np.empty(size if self.dim == 1 else (size, self.dim))
-        got, proposed, accepted = 0, 0, 0
-        while got < size:
-            m = max(2 * (size - got), 64)
+
+        def propose(rng, m):
             prop, atomic = self.base.sample_parts(rng, m)
-            dens = self.base.pdf(prop)
-            bump = self.eps0 * self.psi_bump(prop)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                p_acc = 1.0 - np.where(dens > 0, bump / np.maximum(dens, 1e-300), 0.0)
-            p_acc = np.where(atomic, 1.0, np.clip(p_acc, 0.0, 1.0))
-            keep = rng.random(m) < p_acc
-            acc = prop[keep][: size - got]
-            out[got : got + len(acc)] = acc
-            got += len(acc)
-            proposed += m
-            accepted += int(keep.sum())
-            if proposed > 1_000_000 and accepted / proposed < 1e-4:
-                raise RejectionStall("residual sampler acceptance below 1e-4")
-        return out
+            psi = self.psi_bump(prop)
+            thin = np.flatnonzero((psi > 0) & ~atomic)
+            keep = np.ones(m, dtype=bool)
+            if thin.size:
+                dens = self.base.pdf(prop[thin])
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    ratio = np.where(
+                        dens > 0, self.eps0 * psi[thin] / np.maximum(dens, 1e-300), 0.0
+                    )
+                keep[thin] = rng.random(thin.size) < 1.0 - ratio
+            return prop, keep
+
+        return self._reject(rng, size, 1.0 - self.m0, propose, "w")
 
     def sample(self, rng, size: int) -> np.ndarray:
         """Draws of ``chi V + (1 - chi) W``; distributed as the base law."""

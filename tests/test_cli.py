@@ -126,6 +126,7 @@ def test_split_command(capsys):
                          "--samples", "20000", "--seed", "1")
     assert code == 0
     assert "m0=" in err and "ks_p=" in err
+    assert "accept_v=" in err and "accept_w=" in err
     assert out.splitlines()[0] == "x,reconstruction_error"
 
 

@@ -6,7 +6,9 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from edgeworth import malliavin
 from edgeworth.malliavin import (
+    SUMMAND_BUDGET,
     DegenerateSigma,
     MalliavinState,
     backward_taylor_check,
@@ -167,6 +169,22 @@ def test_ibp_battery_smoke(urep):
     for r in reports:
         assert r.z_score < 4.0, (r.label, r.z_score)
         assert r.lhs_se > 0 and r.rhs_se > 0 and np.isfinite(r.z_score)
+
+
+@pytest.mark.parametrize("n,samples", [(64, 25_000), (4096, 25_000), (1 << 22, 20)])
+def test_ibp_battery_chunk_bounded_in_n(urep, n, samples, monkeypatch):
+    sizes = []
+
+    def fake_sn_batch(rep, n, size, rng, want_ls=True):
+        sizes.append(size)
+        return np.zeros(size), np.full(size, n), np.zeros(size)
+
+    monkeypatch.setattr(malliavin, "sn_batch", fake_sn_batch)
+    ibp_battery(urep, n, default_test_functions(), samples, np.random.default_rng(28))
+    assert sum(sizes) == 2 * samples  # left and right streams
+    assert max(sizes) * n <= max(SUMMAND_BUDGET, n)
+    if samples * n <= SUMMAND_BUDGET:
+        assert len(sizes) == 2  # a battery within the budget stays one chunk
 
 
 def test_ibp_linear_function_identity(urep):

@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from edgeworth import splitting
 from edgeworth.moments import AtomMixture, make_distribution, shipped_labels
 from edgeworth.splitting import (
+    ROUND_CAP,
     NoLowerBoundFound,
+    RejectionStall,
     SplitRep,
     find_lower_bound,
     psi_integral,
@@ -101,6 +104,31 @@ def test_lower_bound_atom_mixture():
     assert eps0 > 0
 
 
+def _walked_run_middle(on_peak):
+    # the original one-cell-at-a-time plateau walk, kept as the oracle
+    i0 = on_peak[0]
+    run_end = i0
+    while run_end + 1 in set(on_peak):
+        run_end += 1
+    return (i0 + run_end) // 2
+
+
+@pytest.mark.parametrize("name", shipped_labels() + ["uniform*uniform"])
+def test_lower_bound_identical_to_walked_plateau(name, monkeypatch):
+    d = make_distribution(name)
+    fast = find_lower_bound(d)
+    monkeypatch.setattr(splitting, "_first_run_middle", _walked_run_middle)
+    walked = find_lower_bound(d)
+    assert np.array_equal(np.asarray(fast[0]), np.asarray(walked[0]))
+    assert fast[1:] == walked[1:]
+
+
+def test_first_run_middle_stops_at_first_gap():
+    assert splitting._first_run_middle(np.array([3, 4, 5, 9, 10])) == 4
+    assert splitting._first_run_middle(np.array([7])) == 7
+    assert splitting._first_run_middle(np.array([2, 3, 4, 5])) == 3
+
+
 def test_lower_bound_fails_for_flat_zero():
     with pytest.raises(NoLowerBoundFound):
         find_lower_bound(AtomMixture(p=0))  # a.c. density identically zero
@@ -179,9 +207,81 @@ def test_split_2d_product():
     assert w.shape == (5000, 2)
 
 
-def test_rejection_stall_signals_broken_rep():
-    from edgeworth.splitting import RejectionStall
+def test_w_mean_exponential():
+    # E F = 0 and E V = v0, so E W = -m0 v0 / (1 - m0)
+    rep = split(make_distribution("exponential"))
+    w = rep.sample_w(np.random.default_rng(23), 400_000)
+    expected = -rep.m0 * rep.v0 / (1.0 - rep.m0)
+    se = w.std() / math.sqrt(len(w))
+    assert abs(w.mean() - expected) < 4 * se, (w.mean(), expected, se)
 
+
+@pytest.mark.parametrize("spec", ["atom_mixture", "atom_mixture(atom=0)"])
+def test_w_atom_share(spec):
+    # the bump is carved from the a.c. part only, so W keeps the whole atom,
+    # also when the atom sits inside the bump's support (atom=0)
+    rep = split(make_distribution(spec))
+    (loc, mass), = rep.base.atoms
+    w = rep.sample_w(np.random.default_rng(24), 200_000)
+    share = float(np.mean(w == loc))
+    p = mass / (1.0 - rep.m0)
+    assert abs(share - p) < 4 * math.sqrt(p * (1 - p) / len(w)), (share, p)
+
+
+@pytest.mark.parametrize("name", ["uniform", "exponential"])
+def test_sampler_counters(name):
+    rep = split(make_distribution(name))
+    assert rep.counters["v"] == rep.counters["w"] == (0, 0, 0)
+    rng = np.random.default_rng(25)
+    v = rep.sample_v(rng, 20_000)
+    w = rep.sample_w(rng, 20_000)
+    rates = {"v": psi_integral(rep.r0 / 2, 1) / (2 * rep.r0), "w": 1.0 - rep.m0}
+    for which, draws in (("v", v), ("w", w)):
+        c = rep.counters[which]
+        assert c.drawn == len(draws)
+        assert c.proposed >= c.accepted >= c.drawn
+        # rounds are sized from the closed-form acceptance: few accepted
+        # proposals are thrown away (a round of twice the missing draws
+        # would keep only about 1 / (2 rate) of them)
+        assert c.drawn / c.accepted >= 0.9, (which, c)
+        assert c.drawn / (rates[which] * c.proposed) >= 0.9, (which, c)
+    with pytest.raises(AttributeError):
+        rep.counters = {}
+
+
+def test_sample_v_stall_signals_broken_bump():
+    class FlatBump(SplitRep):
+        def psi_bump(self, x):
+            return np.zeros(len(x))
+
+    good = split(make_distribution("uniform"))
+    bad = FlatBump(good.base, good.v0, good.r0, good.eps0, good.m0)
+    with pytest.raises(RejectionStall):
+        bad.sample_v(np.random.default_rng(26), 1000)
+    assert bad.counters["v"].accepted == 0
+
+
+def test_w_stall_round_is_capped():
+    class Recorder:
+        def __init__(self, base):
+            self.base, self.sizes = base, []
+
+        def __getattr__(self, attr):
+            return getattr(self.base, attr)
+
+        def sample_parts(self, rng, size):
+            self.sizes.append(size)
+            return self.base.sample_parts(rng, size)
+
+    d = Recorder(make_distribution("uniform"))
+    # declared acceptance 1e-9: the closed-form round size would be ~1e12
+    bad = SplitRep(d, 0.0, 4.0, 1.0 / (2.0 * math.sqrt(3.0)), 1.0 - 1e-9)
+    with pytest.raises(RejectionStall):
+        bad.sample_w(np.random.default_rng(27), 1000)
+    assert d.sizes and max(d.sizes) <= ROUND_CAP
+
+
+def test_rejection_stall_signals_broken_rep():
     d = make_distribution("uniform")
     # sabotage: the bump plateau swallows the whole support at full density
     # height, so the residual thinning accepts (almost) nothing
