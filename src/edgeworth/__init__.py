@@ -11,6 +11,8 @@ from .exactmath import (
     a_coeffs,
     b_coeffs,
     bernoulli,
+    multisets,
+    orderings,
     p_value,
     power_sum,
     prefix_splits,

@@ -67,6 +67,11 @@ def _coeff_cells(value):
     return harness.fmt(float(value))
 
 
+def _print_cache_sizes(table) -> None:
+    sizes = " ".join(f"{k}={v}" for k, v in table.cache_sizes().items())
+    print(f"# table cache entries: {sizes}", file=sys.stderr)
+
+
 def cmd_rate(args) -> int:
     if args.config:
         with open(args.config) as fh:
@@ -102,6 +107,7 @@ def cmd_kpoly(args) -> int:
         cell = str(c) if isinstance(c, Fraction) else harness.fmt(float(c))
         lines.append("|".join(str(p) for p in e) + "," + cell)
     _emit(args, lines)
+    _print_cache_sizes(table)
     return 0
 
 
@@ -168,6 +174,7 @@ def cmd_ops(args) -> int:
         cell = "|".join(str(i) for i in key)
         lines.append(f"{cell},{_coeff_cells(val)}")
     _emit(args, lines)
+    _print_cache_sizes(table)
     return 0
 
 

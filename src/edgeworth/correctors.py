@@ -27,14 +27,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product as iproduct
 
 import numpy as np
 
 from .exactmath import MultiIndex, a_coeffs
 from .moments import Distribution, MomentTable, double_factorial
 from .numerics import GridDensity, _axis, gauss_hermite
-from .opalg import MultiPoly, a_op, c_coeff
+from .opalg import MultiPoly, a_op
 
 __all__ = [
     "QuadratureNotConverged",
@@ -96,21 +95,19 @@ def hermite_multi(alpha: MultiIndex, dim: int) -> MultiPoly:
 
 
 def h_poly(table: MomentTable, i: int, t: int) -> MultiPoly:
-    """``H^i_t = sum_{|alpha|=t} c^i_alpha H_alpha``; zero when ``t < 3i``."""
+    """``H^i_t = sum_{|alpha|=t} c^i_alpha H_alpha``; zero when ``t < 3i``.
+
+    ``H_alpha`` depends on ``alpha`` only through its multiset, so this is
+    the Hermite image of ``a_op(table, i, t, "direct")``: each sorted key
+    ``S`` contributes ``C^i_S H_S``, with ``C^i_S`` the sum of ``c^i`` over
+    the orderings of ``S``.
+    """
     def build():
-        if t < 3 * i:
-            return MultiPoly.zero(table.dim)
-        by_counts: dict = {}
-        for alpha in iproduct(range(1, table.dim + 1), repeat=t):
-            c = c_coeff(table, i, alpha)
-            if c == 0:
-                continue
-            key = tuple(sorted(alpha))
-            by_counts[key] = by_counts.get(key, 0) + c
-        out = MultiPoly.zero(table.dim)
-        for key, c in by_counts.items():
-            out = out + c * hermite_multi(key, table.dim)
-        return out
+        terms: dict = {}
+        for key, c in a_op(table, i, t, "direct").terms.items():
+            for e, h in hermite_multi(key, table.dim).terms.items():
+                terms[e] = terms.get(e, 0) + c * h
+        return MultiPoly(table.dim, terms)
 
     return table.cache_get_or_build(("hpoly", i, t), build)
 

@@ -13,7 +13,11 @@ point.  The module provides
 * the iterated counting polynomials ``Q_l(k)`` (``Q_0 = 1``,
   ``Q_l(k) = sum_{j=l+1}^k Q_{l-1}(j-1)``),
 * the pairing indicator ``theta`` on multiindices and the prefix/suffix
-  split enumeration used by the operator-coefficient recursion.
+  split enumeration behind the per-ordering coefficients ``c^i_gamma``,
+* the one multiindex enumeration of the package: ``multisets`` lists the
+  sorted multiindices of a length and ``orderings`` counts the ordered
+  tuples each one stands for.  Moments are symmetric, so every operator is
+  keyed by sorted multiindex and weighted by that multinomial count.
 
 Tables are memoized lazily (``functools.lru_cache`` is thread safe), so
 concurrent callers are fine.
@@ -21,9 +25,11 @@ concurrent callers are fine.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from itertools import combinations_with_replacement
+from math import comb, factorial, prod
 
 #: A multiindex is an ordered tuple of coordinate indices in {1..N}.
 #: The empty tuple is the null multiindex.
@@ -174,3 +180,22 @@ def prefix_splits(gamma: MultiIndex) -> list[tuple[MultiIndex, MultiIndex]]:
 def psi_scale(p: int, q: int) -> Fraction:
     """The scalar ``(-1)^q / (2^q p! q!)`` shared by the operator sums."""
     return Fraction((-1) ** q, (2**q) * factorial(p) * factorial(q))
+
+
+def multisets(dim: int, length: int):
+    """Sorted multiindices of ``length`` over the coordinates ``1..dim``.
+
+    Each multiset of coordinates appears once, as its sorted tuple, in
+    lexicographic order; there are ``C(length + dim - 1, length)`` of them.
+    """
+    return combinations_with_replacement(range(1, dim + 1), length)
+
+
+def orderings(key: MultiIndex) -> int:
+    """Number of distinct ordered tuples with the multiset of ``key``.
+
+    The multinomial ``|key|! / prod_c m_c!`` with ``m_c`` the count of
+    coordinate ``c``; ``orderings(()) == 1``.
+    """
+    return factorial(len(key)) // prod(factorial(m) for m in Counter(key).values())
+

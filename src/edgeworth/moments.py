@@ -19,13 +19,13 @@ from __future__ import annotations
 import math
 import re
 import threading
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement
 
 import numpy as np
 from scipy import integrate
 
-from .exactmath import MultiIndex, ZERO
+from .exactmath import MultiIndex, ZERO, multisets
 
 __all__ = [
     "OrderExceeded",
@@ -660,7 +660,7 @@ class MomentTable:
             )
         deltas = {}
         for t in range(3, max_order + 1):
-            for alpha in combinations_with_replacement(range(1, dist.dim + 1), t):
+            for alpha in multisets(dist.dim, t):
                 deltas[alpha] = delta(dist, alpha)
         ell = {}
         if dist.dim == 1:
@@ -695,6 +695,16 @@ class MomentTable:
         """``sup_{|alpha| <= r} |delta_alpha|``."""
         vals = [abs(float(v)) for k, v in self._deltas.items() if len(k) <= r]
         return max(vals, default=0.0)
+
+    def cache_sizes(self) -> dict[str, int]:
+        """Entry count per cache family, read without side effects.
+
+        A family is the first element of the cache keys its builder uses
+        (``psi``, ``a``, ``c``, ``hpoly``, ``kpoly``, ``psik``, ``t``);
+        families with no entries are absent.
+        """
+        with self._lock:
+            return dict(Counter(key[0] for key in self._cache))
 
     def cache_get_or_build(self, key, builder):
         with self._lock:
@@ -761,7 +771,7 @@ def fixture_deltas(dim: int, max_order: int = 9) -> dict:
     """
     deltas = {}
     for t in range(3, max_order + 1):
-        for alpha in combinations_with_replacement(range(1, dim + 1), t):
+        for alpha in multisets(dim, t):
             num = (-1) ** t * (1 + sum(alpha) + t)
             den = 2 + (t + sum(alpha)) % 5
             deltas[alpha] = Fraction(num, den)

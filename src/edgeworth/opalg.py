@@ -4,30 +4,35 @@ The expansion machinery is driven by four operator families built from a
 moment table:
 
 * ``psi_op(table, t)``      -- the basic operators, one per total order t,
-* ``a_op(table, i, t)``     -- their i-fold products (two constructions:
-  the convolution recursion and the direct coefficient form, which must
-  produce identical operators),
+* ``a_op(table, i, t)``     -- their i-fold products, built by the
+  convolution recursion, which is also the paper's coefficient form
+  summed per sorted key (so its two modes share one construction),
 * ``psi_k_op(table, k, t)`` -- the summand-indexed operators obtained by
   repeated convolution,
 * ``t_op(table, n, t)``     -- their partial sums over k = 1..n, which
   collapse to polynomial-in-n combinations of the ``a_op`` family.
 
-Multiindex keys are canonicalized by sorting: all operators here have
-constant coefficients, so mixed partials commute and operator equality
-becomes a dictionary comparison.  When the moment table is rational the
-whole algebra stays in ``Fraction`` and the identities are exact.
+Operators are keyed by sorted multiindex: they have constant coefficients,
+so mixed partials commute, and moments are symmetric, so a coefficient
+depends on an index only through its multiset.  The builders therefore
+enumerate sorted multiindices (``exactmath.multisets``) and weight each by
+the number of orderings it stands for (``exactmath.orderings``) instead of
+summing over all ``dim^t`` ordered tuples; operator equality is a
+dictionary comparison.  When the moment table is rational the whole
+algebra stays in ``Fraction`` and the identities are exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product as iproduct
 
 import numpy as np
 
 from .exactmath import (
     MultiIndex,
     ZERO,
+    multisets,
+    orderings,
     p_value,
     prefix_splits,
     psi_scale,
@@ -274,16 +279,14 @@ class DiffOperator:
         return "DiffOperator<" + " + ".join(bits) + ">"
 
 
-def _all_indices(dim: int, length: int):
-    return iproduct(range(1, dim + 1), repeat=length)
-
-
 def psi_op(table: MomentTable, t: int) -> DiffOperator:
     """Basic operator of total order ``t``.
 
     ``sum_{p=3}^{t} (-1)^q / (2^q p! q!) sum_{|alpha|=p, |beta|=t-p}
     theta_beta Delta_alpha d_beta d_alpha`` with ``q = (t-p)/2``; the zero
     operator for ``t <= 2``, and zero whenever every ``Delta`` vanishes.
+    The sums run over sorted ``alpha`` and sorted pair multisets, each
+    weighted by its number of orderings.
     """
 
     def build():
@@ -294,28 +297,30 @@ def psi_op(table: MomentTable, t: int) -> DiffOperator:
                 continue
             q = (t - p) // 2
             scale = psi_scale(p, q)
-            for alpha in _all_indices(N, p):
+            for alpha in multisets(N, p):
                 da = table.delta(alpha)
                 if da == 0:
                     continue
-                coeff = scale * da
-                for pair_coords in _all_indices(N, q):
-                    beta = tuple(c for c in pair_coords for _ in (0, 1))
-                    key = tuple(sorted(beta + alpha))
-                    terms[key] = terms.get(key, 0) + coeff
+                coeff = scale * da * orderings(alpha)
+                for pairs in multisets(N, q):
+                    key = tuple(sorted(alpha + tuple(c for c in pairs for _ in (0, 1))))
+                    terms[key] = terms.get(key, 0) + coeff * orderings(pairs)
         return DiffOperator(table.dim, terms)
 
     return table.cache_get_or_build(("psi", t), build)
 
 
 def c_coeff(table: MomentTable, i: int, gamma: MultiIndex):
-    """Coefficient ``c^i_gamma`` of the direct operator construction.
+    """Coefficient ``c^i_gamma`` of one ordering ``gamma`` (the paper's form).
 
     ``c^1`` sums ``Delta_alpha theta_beta`` over the prefix/suffix splits of
     ``gamma`` with the same scalar weights as ``psi_op``; higher orders
     convolve: ``c^{i+1}_gamma = sum c^1_alpha c^i_beta``.  Vanishes whenever
-    ``|gamma| < 3i``.
+    ``|gamma| < 3i``.  The operator builders never call this; summed over
+    the orderings of a sorted key it gives the coefficients of ``a_op``.
     """
+    if i < 1:
+        raise ValueError("i must be >= 1")
     gamma = tuple(gamma)
     if len(gamma) < 3 * i:
         return ZERO
@@ -349,33 +354,34 @@ def c_coeff(table: MomentTable, i: int, gamma: MultiIndex):
 def a_op(table: MomentTable, i: int, t: int, mode: str = "direct") -> DiffOperator:
     """i-fold product operator of total order ``t``; zero when ``t < 3i``.
 
-    ``mode="recursive"`` builds it through the convolution recursion on the
-    basic operators; ``mode="direct"`` assembles ``sum_{|gamma|=t}
-    c^i_gamma d_gamma``.  The two must coincide exactly.
+    The paper gives it two ways: the convolution recursion ``A^i_t =
+    sum_p psi_p A^{i-1}_{t-p}`` (``mode="recursive"``) and the coefficient
+    form ``sum_{|gamma|=t} c^i_gamma d_gamma`` (``mode="direct"``).  Keyed
+    by sorted ``S``, the coefficient form reads ``sum_S C^i_S d_S`` with
+    ``C^i_S`` the sum of ``c^i`` over the orderings of ``S``.  An ordering
+    with a split point is one sub-multiset ``A`` of ``S`` with one ordering
+    of ``A`` and one of the rest, so ``C^i_S = sum_A C^1_A C^{i-1}_{S-A}``
+    with ``C^1`` the coefficients of ``psi_op``: exactly what composing
+    ``psi_p`` with ``A^{i-1}_{t-p}`` adds up.  Both modes therefore share
+    this one construction; the tests check it against the per-ordering
+    sums of :func:`c_coeff`.
     """
+    if i < 1:
+        raise ValueError("i must be >= 1")
     if mode not in ("direct", "recursive"):
         raise ValueError("mode must be 'direct' or 'recursive'")
     if t < 3 * i:
         return DiffOperator.zero(table.dim)
+    if i == 1:
+        return psi_op(table, t)
 
     def build():
-        if i == 1 and mode == "recursive":
-            return psi_op(table, t)
-        if mode == "recursive":
-            acc = DiffOperator.zero(table.dim)
-            for p in range(3, t - 3 * (i - 1) + 1):
-                acc = acc + psi_op(table, p).compose(a_op(table, i - 1, t - p, mode))
-            return acc
-        terms: dict = {}
-        for gamma in _all_indices(table.dim, t):
-            c = c_coeff(table, i, gamma)
-            if c == 0:
-                continue
-            key = tuple(sorted(gamma))
-            terms[key] = terms.get(key, 0) + c
-        return DiffOperator(table.dim, terms)
+        acc = DiffOperator.zero(table.dim)
+        for p in range(3, t - 3 * (i - 1) + 1):
+            acc = acc + psi_op(table, p).compose(a_op(table, i - 1, t - p))
+        return acc
 
-    return table.cache_get_or_build(("a", mode, i, t), build)
+    return table.cache_get_or_build(("a", i, t), build)
 
 
 def psi_k_op(table: MomentTable, k: int, t: int) -> DiffOperator:

@@ -24,6 +24,7 @@ from edgeworth.moments import MomentTable, fixture_table, make_distribution, shi
 from edgeworth.numerics import gauss_hermite
 from edgeworth.opalg import DiffOperator, MultiPoly, a_op, psi_k_op, t_op
 from edgeworth.splitting import sample_split, split
+from ordered_oracle import a_ordered
 
 
 def _verdict(num, ok, detail):
@@ -33,13 +34,19 @@ def _verdict(num, ok, detail):
 
 
 def test_criterion_01_operator_collapse_identity():
-    """Psi^(k)_t == sum_i Q_{i-1}(k) A^i_t exactly, t <= 9, k <= 20, 1-D and 2-D."""
+    """Psi^(k)_t == sum_i Q_{i-1}(k) A^i_t exactly, t <= 9, k <= 20, 1-D and 2-D.
+
+    Each A^i_t is also checked against the ordered dim^t coefficient sum.
+    """
     t0 = time.perf_counter()
     checked = 0
     for dim in (1, 2):
         table = fixture_table(dim, 9)
         for order in range(0, 10):
             base = [a_op(table, i, order, "direct") for i in range(1, order // 3 + 1)]
+            for i, op in enumerate(base, start=1):
+                assert op == a_ordered(table, i, order), (dim, order, i)
+                checked += 1
             for k in range(1, 21):
                 rhs = DiffOperator.zero(dim)
                 for i, op in enumerate(base, start=1):
@@ -52,12 +59,19 @@ def test_criterion_01_operator_collapse_identity():
 
 
 def test_criterion_02_partial_sum_identity_and_a_table():
-    """T^n_t collapse exact (t <= 9, n <= 30); a-table matches the summation oracle."""
+    """T^n_t collapse exact (t <= 9, n <= 30); a-table matches the summation oracle.
+
+    The A^i_t behind T^n_t are also checked against the ordered dim^t sum.
+    """
     t0 = time.perf_counter()
     checked = 0
     for dim in (1, 2):
         table = fixture_table(dim, 9)
         for order in range(0, 10):
+            for i in range(1, order // 3 + 1):
+                assert a_op(table, i, order, "direct") == a_ordered(table, i, order), (
+                    dim, order, i)
+                checked += 1
             running = DiffOperator.zero(dim)
             for n in range(1, 31):
                 running = running + psi_k_op(table, n, order)

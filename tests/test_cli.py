@@ -51,9 +51,16 @@ def test_rate_missing_args_exit_2(capsys):
     assert run(capsys, "rate")[0] == 2
 
 
+def cache_sizes_from(err):
+    line = next(l for l in err.splitlines() if l.startswith("# table cache entries:"))
+    fields = dict(f.split("=") for f in line.split(":", 1)[1].split())
+    return {k: int(v) for k, v in fields.items()}
+
+
 def test_kpoly_matches_library(capsys):
-    code, out, _ = run(capsys, "kpoly", "--dist", "fixture1d", "--m", "2")
+    code, out, err = run(capsys, "kpoly", "--dist", "fixture1d", "--m", "2")
     assert code == 0
+    assert cache_sizes_from(err) == {"psi": 2, "hpoly": 2, "a": 1, "kpoly": 1}
     lines = out.strip().splitlines()
     assert lines[0] == "exponents,coefficient"
     got = {}
@@ -65,14 +72,23 @@ def test_kpoly_matches_library(capsys):
 
 
 def test_ops_fixture_table_exact(capsys):
-    code, out, _ = run(capsys, "ops", "--dist", "fixture2d", "--family", "a",
-                       "--t", "6", "--i", "2")
+    code, out, err = run(capsys, "ops", "--dist", "fixture2d", "--family", "a",
+                         "--t", "6", "--i", "2")
     assert code == 0
+    assert cache_sizes_from(err) == {"psi": 1, "a": 1}
     lines = out.strip().splitlines()
     assert lines[0] == "multiindex,numerator,denominator"
     assert len(lines) > 1
     key, num, den = lines[1].split(",")
     assert den.lstrip("-").isdigit() and num.lstrip("-").isdigit()
+
+
+def test_ops_operator_order_below_one_exit_2(capsys):
+    code, out, err = run(capsys, "ops", "--dist", "fixture2d", "--family", "a",
+                         "--t", "6", "--i", "0")
+    assert code == 2
+    assert out == ""
+    assert "error:" in err and "i must be >= 1" in err
 
 
 def test_ops_float_table(capsys):

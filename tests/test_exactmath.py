@@ -2,6 +2,8 @@
 
 from fractions import Fraction as F
 from functools import cache
+from itertools import permutations, product
+from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,6 +12,8 @@ from edgeworth.exactmath import (
     a_coeffs,
     b_coeffs,
     bernoulli,
+    multisets,
+    orderings,
     p_value,
     power_sum,
     prefix_splits,
@@ -183,3 +187,27 @@ def test_prefix_splits_concatenate_back(entries):
     pairs = prefix_splits(gamma)
     assert len(pairs) == len(gamma) + 1
     assert all(a + b == gamma for a, b in pairs)
+
+
+# --- sorted multiindices -------------------------------------------------------
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("length", [0, 1, 4, 7])
+def test_multisets_stand_for_every_ordered_tuple(dim, length):
+    keys = list(multisets(dim, length))
+    assert len(keys) == len(set(keys)) == comb(length + dim - 1, length)
+    assert all(list(k) == sorted(k) for k in keys)
+    assert sum(orderings(k) for k in keys) == dim**length
+    counts = {}
+    for gamma in product(range(1, dim + 1), repeat=length):
+        key = tuple(sorted(gamma))
+        counts[key] = counts.get(key, 0) + 1
+    assert counts == {k: orderings(k) for k in keys}
+
+
+def test_orderings_examples():
+    assert orderings(()) == 1
+    assert orderings((1, 1, 1)) == 1
+    assert orderings((1, 2, 2, 3)) == 12
+    assert orderings((1, 1, 2, 2)) == len(set(permutations((1, 1, 2, 2)))) == 6
+

@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from edgeworth.exactmath import q_value
 from edgeworth.moments import MomentTable, fixture_table, make_distribution
 from edgeworth.opalg import DiffOperator, MultiPoly, a_op, c_coeff, psi_k_op, psi_op, t_op
+from edgeworth.correctors import h_poly
+from ordered_oracle import a_ordered, h_ordered, psi_ordered
 
 
 @pytest.fixture(scope="module")
@@ -177,6 +179,57 @@ def test_a2_6_exponential_is_psi3_squared(exp_table):
     assert a_op(exp_table, 2, 6, "direct") == DiffOperator.partial(
         1, tuple([1] * 6), F(1, 9)
     )
+
+
+def test_operator_order_below_one_rejected(rational_table):
+    for i in (0, -1):
+        with pytest.raises(ValueError, match="i must be >= 1"):
+            c_coeff(rational_table, i, (1, 1, 1))
+        for mode in ("direct", "recursive"):
+            with pytest.raises(ValueError, match="i must be >= 1"):
+                a_op(rational_table, i, 6, mode)
+        with pytest.raises(ValueError, match="i must be >= 1"):
+            h_poly(rational_table, i, 6)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_operators_match_ordered_oracle(dim):
+    # the sorted-multiset builders (and h_poly on top of them) against the
+    # dim^t ordered sums, exactly
+    table = fixture_table(dim, 9)
+    for t in range(0, 10):
+        assert psi_op(table, t) == psi_ordered(table, t), t
+        for i in range(1, t // 3 + 1):
+            want = a_ordered(table, i, t)
+            assert a_op(table, i, t, "direct") == want, (i, t)
+            assert a_op(table, i, t, "recursive") == want, (i, t)
+            assert h_poly(table, i, t) == h_ordered(table, i, t), (i, t)
+
+
+@pytest.mark.parametrize("spec", ["gauss_mixture", "gauss_mixture*exponential"])
+def test_operators_match_ordered_oracle_float_table(spec):
+    # float deltas: the summation order differs, so only rounding may differ
+    table = MomentTable.from_distribution(make_distribution(spec), 9)
+    for t in range(0, 10):
+        assert psi_op(table, t).max_coeff_diff(psi_ordered(table, t)) < 1e-12, t
+        for i in range(1, t // 3 + 1):
+            want = a_ordered(table, i, t)
+            for mode in ("direct", "recursive"):
+                assert a_op(table, i, t, mode).max_coeff_diff(want) < 1e-12, (i, t, mode)
+            assert h_poly(table, i, t).max_coeff_diff(h_ordered(table, i, t)) < 1e-12
+
+
+def test_cache_sizes_count_each_family():
+    table = fixture_table(2, 9)
+    assert table.cache_sizes() == {}
+    # A^2_7 = psi_3 A^1_4 + psi_4 A^1_3, and A^1 is psi itself
+    a_op(table, 2, 7, "direct")
+    assert table.cache_sizes() == {"psi": 2, "a": 1}
+    a_op(table, 2, 7, "recursive")  # both modes share the entry
+    psi_op(table, 4)
+    c_coeff(table, 1, (1, 2, 1))
+    assert table.cache_sizes() == {"psi": 2, "a": 1, "c": 1}
+    assert table.cache_sizes() == {"psi": 2, "a": 1, "c": 1}  # reading adds nothing
 
 
 def test_a_modes_agree(rational_table):
