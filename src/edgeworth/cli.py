@@ -72,6 +72,16 @@ def _print_cache_sizes(table) -> None:
     print(f"# table cache entries: {sizes}", file=sys.stderr)
 
 
+def _print_negativity(grid) -> None:
+    # signed measure: negativity is a diagnostic, not an error
+    neg = float(grid.values.min())
+    if neg < 0:
+        print(f"# corrected density min value {neg:.3e} (signed measure)",
+              file=sys.stderr)
+    print(f"# corrected density negative mass {grid.negative_mass():.3e}",
+          file=sys.stderr)
+
+
 def cmd_rate(args) -> int:
     if args.config:
         with open(args.config) as fh:
@@ -123,10 +133,7 @@ def cmd_density(args) -> int:
         model = correctors.EdgeworthModel.build(dist, args.r)
         ge = correctors.edgeworth_grid(model, args.n, args.points, args.halfwidth)
         xs, ed_vals = ge.axes[0], ge.values
-        neg = float(ed_vals.min())
-        if neg < 0:  # signed measure: negativity is a diagnostic, not an error
-            print(f"# corrected density min value {neg:.3e} (signed measure)",
-                  file=sys.stderr)
+        _print_negativity(ge)
     if args.kind == "sn":
         lines = ["x,density"] + [
             f"{harness.fmt(float(x))},{harness.fmt(float(v))}"
@@ -151,6 +158,7 @@ def cmd_tv(args) -> int:
     model = correctors.EdgeworthModel.build(dist, args.r)
     mu = numerics.law_of_sn(dist, args.n, args.points, args.halfwidth)
     gam = correctors.edgeworth_grid(model, args.n, args.points, args.halfwidth)
+    _print_negativity(gam)
     tv = numerics.tv_distance(mu, gam)
     _emit(args, [
         "n,r,tv_raw,tv_lo,tv_hi",

@@ -23,6 +23,7 @@ The correctors are always built from this generic machinery; the classical
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -213,23 +214,41 @@ def _corrector_tail_bound(model: EdgeworthModel, n: int, L: float) -> float:
     return bound
 
 
+def _poly_on_grid(poly: MultiPoly, x: np.ndarray) -> np.ndarray:
+    """``poly`` on the tensor grid with axis ``x`` in every coordinate.
+
+    This is ``V C V^T`` in 2-D, with ``V`` the Vandermonde matrix of the
+    axis and ``C`` the coefficients, summed one rank-one term
+    ``c_e V[:, e_1] (x) V[:, e_2] (x) ...`` per monomial; no grid of points
+    is built.  Terms are added in the polynomial's own order, so on a 1-D
+    grid the values are exactly those of ``poly(x)``.
+    """
+    powers = {p: x ** p for e in poly.terms for p in e}
+    out = 0.0
+    for e, c in poly.terms.items():
+        monomial = functools.reduce(np.multiply.outer, [powers[p] for p in e])
+        out = out + float(c) * monomial
+    return out
+
+
 def edgeworth_grid(model: EdgeworthModel, n: int, points: int = 2**14,
                    halfwidth: float = 16.0) -> GridDensity:
-    """``Gamma_{n,r}`` evaluated on the same grid layout as ``law_of_sn``."""
-    if model.dim == 1:
-        x = _axis(-halfwidth, halfwidth, points)
-        vals = edgeworth_density(model, n, x)
-        axes = (x,)
-    elif model.dim == 2:
-        x0 = _axis(-halfwidth, halfwidth, points)
-        x1 = _axis(-halfwidth, halfwidth, points)
-        pts = np.stack(np.meshgrid(x0, x1, indexing="ij"), axis=-1)
-        vals = edgeworth_density(model, n, pts)
-        axes = (x0, x1)
-    else:
-        raise NotImplementedError("grids support N <= 2")
+    """``Gamma_{n,r}`` evaluated on the same grid layout as ``law_of_sn``.
+
+    Every factor is separable on the tensor grid: the Gaussian is the outer
+    product of its 1-D densities, and each corrector is evaluated from its
+    coefficients and the axes alone.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    x = _axis(-halfwidth, halfwidth, points)
+    factor = np.ones((points,) * model.dim)
+    for m, km in enumerate(model.k_polys, start=1):
+        if not km.is_zero():
+            factor = factor + n ** (-m / 2.0) * _poly_on_grid(km, x)
+    gauss = functools.reduce(np.multiply.outer, [gaussian_pdf(x)] * model.dim)
     return GridDensity(
-        axes, vals,
+        (x,) * model.dim, gauss * factor,
         tail_mass_bound=_corrector_tail_bound(model, n, halfwidth),
         label=f"Gamma_{n},r={model.r}[{model.dist.label}]",
     )

@@ -17,7 +17,6 @@ identical config and seed produce byte-identical CSV.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .correctors import EdgeworthModel, edgeworth_grid
@@ -49,6 +48,9 @@ def fmt(v) -> str:
 
 @dataclass
 class RateConfig:
+    """One rate experiment.  ``workers`` is accepted but ignored: the
+    ``n`` values run serially in the calling thread."""
+
     dist: str
     r: int
     n_list: tuple
@@ -77,7 +79,8 @@ def parse_config(text: str) -> RateConfig:
     """Parse the plain ``key = value`` config format (one pair per line).
 
     Keys: dist, r, n_list (comma separated), seed, grid_points,
-    grid_halfwidth, out, slope_tol, workers.  ``#`` starts a comment.
+    grid_halfwidth, out, slope_tol, workers.  ``workers`` is accepted for
+    old config files and ignored.  ``#`` starts a comment.
     """
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -176,10 +179,7 @@ def run_rate(config: RateConfig) -> RateReport:
         gam = edgeworth_grid(model, n, config.grid_points, config.grid_halfwidth)
         return tv_distance(mu_n, gam)
 
-    # merge deterministically by sorted key, not completion order
-    with ThreadPoolExecutor(max_workers=max(1, config.workers)) as pool:
-        futures = {n: pool.submit(one, n) for n in config.n_list}
-        tvs = [futures[n].result() for n in sorted(futures)]
+    tvs = [one(n) for n in config.n_list]
 
     ns = list(config.n_list)
     fit_ns, fit_tvs = ns, tvs

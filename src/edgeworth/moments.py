@@ -255,6 +255,7 @@ class _Standardized1D(Distribution):
             ((float(a) - self._mu_f) / self._sd_f, m) for a, m in base.atoms
         )
         self.is_standardized = True
+        self._raw_moments: dict = {}
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -267,6 +268,12 @@ class _Standardized1D(Distribution):
         )
 
     def raw_moment(self, k: int):
+        """Exact where the base law allows; each order is computed once per law."""
+        if k not in self._raw_moments:
+            self._raw_moments[k] = self._standardized_moment(k)
+        return self._raw_moments[k]
+
+    def _standardized_moment(self, k: int):
         if k == 0:
             return Fraction(1)
         c = self.base.central_moment(k)
@@ -525,6 +532,11 @@ class AtomMixture(Distribution):
         return vals, atomic
 
 
+#: Frequencies per block of the kernel that ``UserDensity.char_fn`` builds:
+#: 64 rows of 8193 values, about 4 MB per real array.
+CHAR_FN_BLOCK = 64
+
+
 class UserDensity(Distribution):
     """User-supplied 1-D density; moments by adaptive quadrature (1e-12)."""
 
@@ -549,13 +561,24 @@ class UserDensity(Distribution):
         return self._moment_cache[k]
 
     def char_fn(self, t):
+        """Trapezoid rule over 8193 support points, as a matrix-vector product.
+
+        The kernel ``cos(t x) + i sin(t x)`` is built ``CHAR_FN_BLOCK``
+        frequencies at a time, so memory does not grow with the number of
+        frequencies.
+        """
         lo, hi = self._support
         xs = np.linspace(lo, hi, 8193)
-        fx = self.pdf(xs)
+        half = 0.5 * np.diff(xs)
+        weights = np.append(half, 0.0) + np.insert(half, 0, 0.0)
+        wf = weights * self.pdf(xs)
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        ker = np.exp(1j * np.outer(t, xs))
-        out = np.trapezoid(ker * fx, xs, axis=-1)
-        return out
+        flat = t.ravel()
+        out = np.empty(flat.size, dtype=complex)
+        for s in range(0, flat.size, CHAR_FN_BLOCK):
+            theta = np.outer(flat[s:s + CHAR_FN_BLOCK], xs)
+            out[s:s + CHAR_FN_BLOCK] = np.cos(theta) @ wf + 1j * (np.sin(theta) @ wf)
+        return out.reshape(t.shape)
 
     def sample(self, rng, size):
         # rejection from a uniform envelope over the support

@@ -11,6 +11,7 @@ are at distance 2.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -79,6 +80,10 @@ class GridDensity:
     def mass(self) -> float:
         return float(self.values.sum() * self.cell_volume)
 
+    def negative_mass(self) -> float:
+        """``int v^-``: the mass of the negative part of signed values."""
+        return float(np.maximum(-self.values, 0.0).sum() * self.cell_volume)
+
     def mass_defect(self) -> float:
         """``1 - grid mass - singular mass``; should lie in [0, tail bound]."""
         return 1.0 - self.mass() - self.singular_mass
@@ -111,27 +116,22 @@ def _axis(lo: float, hi: float, m: int) -> np.ndarray:
     return lo + (hi - lo) / m * np.arange(m)
 
 
-def _invert_charfn_1d(char, lo, hi, m):
-    """Density on ``lo + j*dx`` from a vectorized characteristic function."""
+def _invert_charfn(chars, lo, hi, m):
+    """Density on the tensor grid with axis ``lo + j*dx`` in every coordinate.
+
+    ``chars[k]`` is the factor of a separable characteristic function on
+    coordinate k, vectorized over the 1-D frequency axis.  Each factor, the
+    phase shift and the FFT signs are computed on the axis and combined by
+    outer product before one ``fftn``; a 1-D grid is the case of one factor.
+    """
     dx = (hi - lo) / m
     dt = 2 * math.pi / (m * dx)
     t = (np.arange(m) - m // 2) * dt
-    psi = char(t) * np.exp(-1j * t * lo)
+    shift = np.exp(-1j * t * lo)
+    psi = functools.reduce(np.multiply.outer, [char(t) * shift for char in chars])
     signs = np.where(np.arange(m) % 2, -1.0, 1.0)
-    vals = (dt / (2 * math.pi)) * signs * np.fft.fft(psi)
-    return vals.real
-
-
-def _invert_charfn_2d(char, lo, hi, m):
-    dx = [(hi[i] - lo[i]) / m[i] for i in range(2)]
-    dt = [2 * math.pi / (m[i] * dx[i]) for i in range(2)]
-    t0 = (np.arange(m[0]) - m[0] // 2) * dt[0]
-    t1 = (np.arange(m[1]) - m[1] // 2) * dt[1]
-    tt = np.stack(np.meshgrid(t0, t1, indexing="ij"), axis=-1)
-    psi = char(tt) * np.exp(-1j * (tt[..., 0] * lo[0] + tt[..., 1] * lo[1]))
-    s0 = np.where(np.arange(m[0]) % 2, -1.0, 1.0)
-    s1 = np.where(np.arange(m[1]) % 2, -1.0, 1.0)
-    vals = (dt[0] * dt[1] / (2 * math.pi) ** 2) * np.outer(s0, s1) * np.fft.fft2(psi)
+    signs = functools.reduce(np.multiply.outer, [signs] * len(chars))
+    vals = (dt / (2 * math.pi)) ** len(chars) * signs * np.fft.fftn(psi)
     return vals.real
 
 
@@ -165,63 +165,47 @@ def sn_tail_bound(dist: Distribution, n: int, L: float) -> float:
     return best
 
 
+def _sn_char_fn(law: Distribution, n: int, t):
+    """``phi(t/sqrt(n))^n`` of a 1-D law, less its purely atomic part."""
+    rt = math.sqrt(n)
+    phi = law.char_fn(t / rt) ** n
+    if law.atoms:
+        atomic = np.zeros_like(t, dtype=complex)
+        for a, mass in law.atoms:
+            atomic += mass * np.exp(1j * a * t / rt)
+        phi = phi - atomic**n
+    return phi
+
+
 def law_of_sn(dist: Distribution, n: int, points: int = 2**14,
               halfwidth: float = 16.0, check: bool = True) -> GridDensity:
     """Density of ``S_n = n^{-1/2} sum_k F_k`` on a centered grid.
 
-    ``dist`` must be standardized.  For laws with atoms the inversion is
-    applied to the a.c. part of ``mu_n`` only: the purely atomic
-    contribution (every summand on an atom) has characteristic function
-    ``A(t/sqrt(n))^n`` and is subtracted in closed form, with its total
-    weight recorded as ``singular_mass``.
+    ``dist`` must be standardized, and a 1-D law or a product law; the
+    grid has the same axis in every coordinate.  For laws with atoms the
+    inversion is applied to the a.c. part of ``mu_n`` only: the purely
+    atomic contribution (every summand on an atom) has characteristic
+    function ``A(t/sqrt(n))^n`` and is subtracted in closed form, with its
+    total weight recorded as ``singular_mass``.
     """
     if not dist.is_standardized:
         raise ValueError("law_of_sn expects a standardized distribution")
     if n < 1:
         raise ValueError("n must be >= 1")
-    rt = math.sqrt(n)
     atoms = dist.atoms
     singular = float(sum(m for _, m in atoms)) ** n if atoms else 0.0
-
-    if dist.dim == 1:
-        def char(t):
-            phi = dist.char_fn(t / rt) ** n
-            if atoms:
-                atomic = np.zeros_like(t, dtype=complex)
-                for a, mass in atoms:
-                    atomic += mass * np.exp(1j * a * t / rt)
-                phi = phi - atomic**n
-            return phi
-
-        lo, hi = -halfwidth, halfwidth
-        x = _axis(lo, hi, points)
-        vals = _invert_charfn_1d(char, lo, hi, points)
-        g = GridDensity(
-            (x,), vals,
-            tail_mass_bound=sn_tail_bound(dist, n, halfwidth),
-            singular_mass=singular,
-            label=f"S_{n}[{dist.label}]",
-        )
-    elif dist.dim == 2:
-        if atoms:
-            raise NotImplementedError("2-D inversion supports a.c. laws only")
-
-        def char(tt):
-            return dist.char_fn(tt / rt) ** n
-
-        lo = (-halfwidth, -halfwidth)
-        hi = (halfwidth, halfwidth)
-        m = (points, points)
-        x0 = _axis(lo[0], hi[0], points)
-        x1 = _axis(lo[1], hi[1], points)
-        vals = _invert_charfn_2d(char, lo, hi, m)
-        g = GridDensity(
-            (x0, x1), vals,
-            tail_mass_bound=sn_tail_bound(dist, n, halfwidth),
-            label=f"S_{n}[{dist.label}]",
-        )
-    else:
-        raise NotImplementedError("grids support N <= 2")
+    # a product law's coordinates are independent: phi factors over the axes
+    laws = getattr(dist, "children", [dist])
+    if len(laws) != dist.dim:
+        raise NotImplementedError("grids beyond 1-D support product laws only")
+    vals = _invert_charfn([functools.partial(_sn_char_fn, law, n) for law in laws],
+                          -halfwidth, halfwidth, points)
+    g = GridDensity(
+        (_axis(-halfwidth, halfwidth, points),) * len(laws), vals,
+        tail_mass_bound=sn_tail_bound(dist, n, halfwidth),
+        singular_mass=singular,
+        label=f"S_{n}[{dist.label}]",
+    )
     if check:
         g.check_mass()
     return g
@@ -233,7 +217,7 @@ def law_of_sum(dist: Distribution, n: int, lo: float, hi: float,
     if dist.atoms:
         raise NotImplementedError("plain-sum helper supports a.c. laws only")
     x = _axis(lo, hi, points)
-    vals = _invert_charfn_1d(lambda t: dist.char_fn(t) ** n, lo, hi, points)
+    vals = _invert_charfn([lambda t: dist.char_fn(t) ** n], lo, hi, points)
     mu = n * float(dist.moment((1,)))
     var = n * (float(dist.moment((1, 1))) - float(dist.moment((1,))) ** 2)
     margin = min(mu - lo, hi - mu)

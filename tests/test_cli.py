@@ -126,11 +126,13 @@ def test_density_negativity_diagnostic(capsys):
                        "--halfwidth", "12")
     assert code == 0
     assert "min value" in err
+    assert "negative mass" in err
 
 
 def test_tv_row(capsys):
-    code, out, _ = run(capsys, "tv", "--dist", "uniform", "--n", "64", "--r", "3")
+    code, out, err = run(capsys, "tv", "--dist", "uniform", "--n", "64", "--r", "3")
     assert code == 0
+    assert "# corrected density negative mass " in err
     header, row = out.strip().splitlines()
     assert header == "n,r,tv_raw,tv_lo,tv_hi"
     n, r, raw, lo, hi = row.split(",")

@@ -14,6 +14,7 @@ from edgeworth.correctors import (
     QuadratureNotConverged,
     d_m_functional,
     edgeworth_density,
+    edgeworth_grid,
     gaussian_expect_poly,
     gaussian_pdf,
     h_poly,
@@ -24,6 +25,7 @@ from edgeworth.correctors import (
 from edgeworth.moments import MomentTable, fixture_table, make_distribution, shipped_labels
 from edgeworth.numerics import gauss_hermite
 from edgeworth.opalg import MultiPoly
+from grid_oracle import edgeworth_grid_2d
 
 
 @pytest.fixture(scope="module")
@@ -284,3 +286,29 @@ def test_gaussian_expect_poly():
     assert gaussian_expect_poly(p) == 3 + 2 - 1
     q = MultiPoly(2, {(2, 2): F(1), (1, 0): F(7)})
     assert gaussian_expect_poly(q) == 1
+
+
+# --- tensor-grid evaluation ------------------------------------------------------
+
+@pytest.mark.parametrize("name", shipped_labels())
+def test_1d_edgeworth_grid_is_pointwise_density(name):
+    model = EdgeworthModel.build(make_distribution(name), 8)
+    g = edgeworth_grid(model, 32, 2**10)
+    assert np.array_equal(g.values, edgeworth_density(model, 32, g.axes[0]))
+
+
+@pytest.mark.parametrize("spec", ["exponential*uniform", "laplace*gamma"])
+@pytest.mark.parametrize("n", [1, 32, 1024])
+@pytest.mark.parametrize("points", [64, 512])
+def test_2d_edgeworth_grid_matches_meshgrid_oracle(spec, n, points):
+    model = EdgeworthModel.build(make_distribution(spec), 6)
+    g = edgeworth_grid(model, n, points)
+    assert np.max(np.abs(g.values - edgeworth_grid_2d(model, n, points, 16.0))) <= 1e-12
+
+
+def test_3d_edgeworth_grid_matches_pointwise_density():
+    model = EdgeworthModel.build(make_distribution("exponential*uniform*laplace"), 3)
+    g = edgeworth_grid(model, 8, 32, 8.0)
+    pts = np.stack(np.meshgrid(*g.axes, indexing="ij"), axis=-1)
+    assert g.values.shape == (32, 32, 32)
+    assert np.max(np.abs(g.values - edgeworth_density(model, 8, pts))) <= 1e-12

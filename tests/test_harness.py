@@ -132,3 +132,15 @@ def test_fmt_stability():
     assert fmt(0.1) == "0.1"
     assert fmt(float("nan")) == "nan"
     assert fmt(123) == "123"
+
+
+def test_workers_key_is_accepted_and_ignored():
+    text = "dist = exponential\nr = 3\nn_list = 32, 64, 128, 256\ngrid_points = 4096\n"
+    csvs = []
+    for workers in (1, 8):
+        cfg = parse_config(text + f"workers = {workers}\n")
+        assert cfg.workers == workers
+        buf = io.StringIO()
+        emit_report(run_rate(cfg), buf)
+        csvs.append(buf.getvalue().encode())
+    assert csvs[0] == csvs[1]

@@ -26,6 +26,7 @@ from edgeworth.moments import (
     shipped_labels,
     standardize,
 )
+from grid_oracle import user_char_fn
 
 
 # --- gaussian moments ---------------------------------------------------------
@@ -258,3 +259,30 @@ def test_user_density_quadrature_moments():
     rng = np.random.default_rng(77)
     x = s.sample(rng, 50_000)
     assert abs(x.mean()) < 0.02 and abs(x.var() - 1) < 0.05
+
+
+def _triangle(x):
+    return np.where((x >= 0) & (x <= 2), np.where(x <= 1, x, 2 - x), 0.0)
+
+
+def test_user_char_fn_matches_dense_trapezoid():
+    from edgeworth.moments import UserDensity
+
+    d = UserDensity(_triangle, (0, 2), label="triangle", max_order=6)
+    t = np.linspace(-400.0, 400.0, 1001)
+    assert np.max(np.abs(d.char_fn(t) - user_char_fn(d, t))) <= 1e-12
+    assert d.char_fn(0.0).shape == (1,)
+    assert d.char_fn(t.reshape(7, 143)).shape == (7, 143)
+
+
+@pytest.mark.parametrize("name", shipped_labels())
+def test_standardized_moments_memoized(name):
+    d = make_distribution(name)
+    calls = []
+    central = d.base.central_moment
+    d.base.central_moment = lambda k: calls.append(k) or central(k)
+    first = [d.raw_moment(k) for k in range(17)]
+    assert [d.raw_moment(k) for k in range(17)] == first
+    assert sorted(calls) == list(range(1, 17))  # k = 0 needs no central moment
+    fresh = standardize(d.base)
+    assert all(fresh.raw_moment(k) == first[k] for k in range(17))

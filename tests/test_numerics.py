@@ -1,13 +1,21 @@
 """FFT inversion, grid densities, total variation, quadrature."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from edgeworth.correctors import hermite_1d
-from edgeworth.moments import GaussianMixture, Uniform, make_distribution, shipped_labels, standardize
+from edgeworth.moments import (
+    GaussianMixture,
+    Uniform,
+    UserDensity,
+    make_distribution,
+    shipped_labels,
+    standardize,
+)
 from edgeworth.numerics import (
     AliasingDetected,
     GridDensity,
@@ -17,6 +25,7 @@ from edgeworth.numerics import (
     law_of_sum,
     tv_distance,
 )
+from grid_oracle import law_of_sn_2d
 
 
 def normal_pdf(x, mu=0.0, s=1.0):
@@ -214,3 +223,54 @@ def test_2d_gaussian_fixed_point():
     xx = np.stack(np.meshgrid(g.axes[0], g.axes[1], indexing="ij"), axis=-1)
     want = np.exp(-0.5 * np.sum(xx * xx, axis=-1)) / (2 * math.pi)
     assert np.max(np.abs(g.values - want)) < 1e-8
+
+
+@pytest.mark.parametrize("spec", ["exponential*uniform", "laplace*gamma"])
+@pytest.mark.parametrize("n", [1, 32, 1024])
+@pytest.mark.parametrize("points", [64, 512])
+def test_2d_law_of_sn_matches_meshgrid_oracle(spec, n, points):
+    d = make_distribution(spec)
+    g = law_of_sn(d, n, points, check=False)
+    assert np.max(np.abs(g.values - law_of_sn_2d(d, n, points, 16.0))) <= 1e-12
+
+
+@pytest.mark.parametrize("spec", ["exponential*uniform", "exponential*uniform*laplace"])
+def test_product_law_of_sn_is_outer_product_of_marginals(spec):
+    # S_n of a product law has independent coordinates
+    d = make_distribution(spec)
+    g = law_of_sn(d, 16, points=64, halfwidth=12.0)
+    assert g.values.shape == (64,) * d.dim
+    assert -1e-6 <= g.mass_defect() <= g.tail_mass_bound + 1e-6
+    marginals = [law_of_sn(c, 16, points=64, halfwidth=12.0).values for c in d.children]
+    want = marginals[0]
+    for m in marginals[1:]:
+        want = np.multiply.outer(want, m)
+    assert np.max(np.abs(g.values - want)) < 1e-12
+
+
+# --- observability and memory ------------------------------------------------------
+
+def test_negative_mass():
+    xs = -16.0 + 32.0 / 8 * np.arange(8)
+    g = GridDensity((xs,), np.array([0.0, -0.25, 0.5, 0.0, -0.5, 0.25, 0.0, 0.0]))
+    assert g.negative_mass() == pytest.approx(4.0 * 0.75)
+    assert _grid_from(normal_pdf).negative_mass() == 0.0
+
+
+def _triangle(x):
+    return np.where((x >= 0) & (x <= 2), np.where(x <= 1, x, 2 - x), 0.0)
+
+
+def test_user_density_law_of_sn_memory_is_bounded():
+    # the dense char_fn kernel at 2^12 points was 4096 x 8193 complex (537 MB)
+    tri = standardize(UserDensity(_triangle, (0, 2), label="triangle", max_order=6))
+    tracemalloc.start()
+    try:
+        g = law_of_sn(tri, 64, points=2**12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    # the standardized triangle is the law of two standardized uniform summands
+    reference = law_of_sn(make_distribution("uniform"), 128, points=2**12)
+    assert tv_distance(g, reference).raw < 1e-6
