@@ -82,6 +82,13 @@ def _print_negativity(grid) -> None:
           file=sys.stderr)
 
 
+def _points(args, dist) -> int:
+    # explicit --points stay as given; the default depends on the dimension
+    if args.points is None:
+        return numerics.default_grid_points(dist.dim)
+    return args.points
+
+
 def cmd_rate(args) -> int:
     if args.config:
         with open(args.config) as fh:
@@ -126,12 +133,13 @@ def cmd_density(args) -> int:
     if dist.dim != 1:
         raise harness.ConfigError("density grids are 1-D in the CLI")
     lines = None
+    points = _points(args, dist)
     if args.kind in ("sn", "both"):
-        g = numerics.law_of_sn(dist, args.n, args.points, args.halfwidth)
+        g = numerics.law_of_sn(dist, args.n, points, args.halfwidth)
         xs, sn_vals = g.axes[0], g.values
     if args.kind in ("edgeworth", "both"):
         model = correctors.EdgeworthModel.build(dist, args.r)
-        ge = correctors.edgeworth_grid(model, args.n, args.points, args.halfwidth)
+        ge = correctors.edgeworth_grid(model, args.n, points, args.halfwidth)
         xs, ed_vals = ge.axes[0], ge.values
         _print_negativity(ge)
     if args.kind == "sn":
@@ -156,8 +164,9 @@ def cmd_density(args) -> int:
 def cmd_tv(args) -> int:
     dist = make_distribution(args.dist)
     model = correctors.EdgeworthModel.build(dist, args.r)
-    mu = numerics.law_of_sn(dist, args.n, args.points, args.halfwidth)
-    gam = correctors.edgeworth_grid(model, args.n, args.points, args.halfwidth)
+    points = _points(args, dist)
+    mu = numerics.law_of_sn(dist, args.n, points, args.halfwidth)
+    gam = correctors.edgeworth_grid(model, args.n, points, args.halfwidth)
     _print_negativity(gam)
     tv = numerics.tv_distance(mu, gam)
     _emit(args, [
@@ -300,7 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--r", type=int, default=3)
     sp.add_argument("--kind", choices=["sn", "edgeworth", "both"], default="both")
-    sp.add_argument("--points", type=int, default=2**14)
+    sp.add_argument("--points", type=int, default=None,
+                    help="grid points (default 2^14)")
     sp.add_argument("--halfwidth", type=float, default=16.0)
     sp.set_defaults(func=cmd_density)
 
@@ -308,7 +318,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--dist", required=True)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--r", type=int, default=3)
-    sp.add_argument("--points", type=int, default=2**14)
+    sp.add_argument("--points", type=int, default=None,
+                    help="points per axis (default 2^14 in 1-D, 2^10 in 2-D, "
+                    "2^7 in 3-D)")
     sp.add_argument("--halfwidth", type=float, default=16.0)
     sp.set_defaults(func=cmd_tv)
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -164,12 +164,22 @@ def gaussian_expect_poly(poly: MultiPoly):
 
 @dataclass
 class EdgeworthModel:
-    """A standardized law together with its correctors up to order r."""
+    """A standardized law together with its correctors up to order r.
+
+    The correctors do not depend on ``n``, so the model keeps what the
+    grid path derives from them alone: the exact ``E K_m(G)^2`` of the
+    tail bound, and the axis, Gaussian and ``K_m`` values of the last grid
+    layout ``(points, halfwidth)`` that ``edgeworth_grid`` was asked for.
+    """
 
     dist: Distribution
     r: int
     table: MomentTable
     k_polys: list
+    _second_moments: list | None = field(default=None, init=False, repr=False,
+                                         compare=False)
+    _grid_terms: tuple | None = field(default=None, init=False, repr=False,
+                                      compare=False)
 
     @classmethod
     def build(cls, dist: Distribution, r: int,
@@ -205,11 +215,13 @@ def _corrector_tail_bound(model: EdgeworthModel, n: int, L: float) -> float:
     # integral of |density| beyond the window: Gaussian tail plus a
     # Cauchy-Schwarz bound for each polynomial corrector term
     gtail = min(1.0, model.dim * math.erfc(L / math.sqrt(2)))
+    if model._second_moments is None:  # exact E K_m(G)^2, once per model
+        model._second_moments = [
+            (m, float(gaussian_expect_poly(km * km)))
+            for m, km in enumerate(model.k_polys, start=1) if not km.is_zero()
+        ]
     bound = gtail
-    for m, km in enumerate(model.k_polys, start=1):
-        if km.is_zero():
-            continue
-        second = float(gaussian_expect_poly(km * km))
+    for m, second in model._second_moments:
         bound += n ** (-m / 2.0) * math.sqrt(max(second, 0.0) * gtail)
     return bound
 
@@ -237,16 +249,25 @@ def edgeworth_grid(model: EdgeworthModel, n: int, points: int = 2**14,
 
     Every factor is separable on the tensor grid: the Gaussian is the outer
     product of its 1-D densities, and each corrector is evaluated from its
-    coefficients and the axes alone.
+    coefficients and the axes alone.  Neither depends on ``n``: the model
+    keeps them for the last ``(points, halfwidth)``, so a call for another
+    ``n`` only weights and adds them.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    x = _axis(-halfwidth, halfwidth, points)
+    key = (points, halfwidth)
+    terms = model._grid_terms  # read once: another thread may replace it
+    if terms is None or terms[0] != key:
+        x = _axis(-halfwidth, halfwidth, points)
+        x.flags.writeable = False  # shared by every grid of this layout
+        gauss = functools.reduce(np.multiply.outer, [gaussian_pdf(x)] * model.dim)
+        ks = [(m, _poly_on_grid(km, x))
+              for m, km in enumerate(model.k_polys, start=1) if not km.is_zero()]
+        terms = model._grid_terms = (key, (x, gauss, ks))
+    x, gauss, ks = terms[1]
     factor = np.ones((points,) * model.dim)
-    for m, km in enumerate(model.k_polys, start=1):
-        if not km.is_zero():
-            factor = factor + n ** (-m / 2.0) * _poly_on_grid(km, x)
-    gauss = functools.reduce(np.multiply.outer, [gaussian_pdf(x)] * model.dim)
+    for m, km in ks:
+        factor = factor + n ** (-m / 2.0) * km
     return GridDensity(
         (x,) * model.dim, gauss * factor,
         tail_mass_bound=_corrector_tail_bound(model, n, halfwidth),

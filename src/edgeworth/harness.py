@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from .correctors import EdgeworthModel, edgeworth_grid
 from .moments import make_distribution
-from .numerics import TVInterval, law_of_sn, tv_distance
+from .numerics import TVInterval, default_grid_points, law_of_sn, tv_distance
 
 __all__ = [
     "ConfigError",
@@ -49,17 +49,23 @@ def fmt(v) -> str:
 @dataclass
 class RateConfig:
     """One rate experiment.  ``workers`` is accepted but ignored: the
-    ``n`` values run serially in the calling thread."""
+    ``n`` values run serially in the calling thread.  ``grid_points``
+    left unset becomes ``default_grid_points`` of the law's dimension
+    (the number of ``*``-joined factors in ``dist``)."""
 
     dist: str
     r: int
     n_list: tuple
     seed: int = 0
-    grid_points: int = 2**14
+    grid_points: int | None = None
     grid_halfwidth: float = 16.0
     out: str | None = None
     slope_tol: float = 0.2
     workers: int = 4
+
+    def __post_init__(self):
+        if self.grid_points is None:
+            self.grid_points = default_grid_points(len(self.dist.split("*")))
 
 
 _CONFIG_KEYS = {
@@ -80,7 +86,9 @@ def parse_config(text: str) -> RateConfig:
 
     Keys: dist, r, n_list (comma separated), seed, grid_points,
     grid_halfwidth, out, slope_tol, workers.  ``workers`` is accepted for
-    old config files and ignored.  ``#`` starts a comment.
+    old config files and ignored; without ``grid_points`` the grid has
+    ``default_grid_points`` of the law's dimension per axis.  ``#`` starts
+    a comment.
     """
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -197,11 +197,19 @@ class Distribution:
         return c
 
     def central_moment(self, k: int):
-        """1-D central moment, exact when raw moments and mean are exact."""
-        mu = self.raw_moment(1)
+        """1-D central moment, exact when raw moments and mean are exact.
+
+        The raw moments are memoized per instance, so order k costs the
+        O(k) binomial sum once the lower orders are known.
+        """
+        ms = self.__dict__.setdefault("_central_raw", {})
+        for j in range(max(k, 1) + 1):
+            if j not in ms:
+                ms[j] = self.raw_moment(j)
+        mu = ms[1]
         acc = 0
         for j in range(k + 1):
-            acc += math.comb(k, j) * self.raw_moment(j) * (-mu) ** (k - j)
+            acc += math.comb(k, j) * ms[j] * (-mu) ** (k - j)
         return acc
 
     def standardize(self):
@@ -467,9 +475,11 @@ class GaussianMixture(Distribution):
         return comp @ self._wf
 
     def char_fn(self, t):
-        t = np.asarray(t, dtype=float)[..., None]
-        comp = np.exp(1j * self._mf * t - 0.5 * (self._sf * t) ** 2)
-        return comp @ self._wf.astype(complex)
+        t = np.asarray(t, dtype=float)
+        out = 0.0
+        for w, m, s in zip(self._wf, self._mf, self._sf):
+            out = out + w * np.exp(1j * m * t - 0.5 * (s * t) ** 2)
+        return out
 
     def raw_moment(self, k):
         acc = ZERO
@@ -546,6 +556,7 @@ class UserDensity(Distribution):
         self.label = label
         self.max_order = max_order
         self._moment_cache: dict[int, float] = {}
+        self._nodes = None
 
     def pdf(self, x):
         return np.asarray(self._pdf(np.asarray(x, dtype=float)), dtype=float)
@@ -565,13 +576,16 @@ class UserDensity(Distribution):
 
         The kernel ``cos(t x) + i sin(t x)`` is built ``CHAR_FN_BLOCK``
         frequencies at a time, so memory does not grow with the number of
-        frequencies.
+        frequencies.  The nodes and the weighted density values are computed
+        once per instance.
         """
-        lo, hi = self._support
-        xs = np.linspace(lo, hi, 8193)
-        half = 0.5 * np.diff(xs)
-        weights = np.append(half, 0.0) + np.insert(half, 0, 0.0)
-        wf = weights * self.pdf(xs)
+        if self._nodes is None:
+            lo, hi = self._support
+            xs = np.linspace(lo, hi, 8193)
+            half = 0.5 * np.diff(xs)
+            weights = np.append(half, 0.0) + np.insert(half, 0, 0.0)
+            self._nodes = (xs, weights * self.pdf(xs))
+        xs, wf = self._nodes
         t = np.atleast_1d(np.asarray(t, dtype=float))
         flat = t.ravel()
         out = np.empty(flat.size, dtype=complex)

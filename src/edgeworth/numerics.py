@@ -24,6 +24,7 @@ __all__ = [
     "GridMismatch",
     "GridDensity",
     "TVInterval",
+    "default_grid_points",
     "gauss_hermite",
     "law_of_sn",
     "law_of_sum",
@@ -111,6 +112,15 @@ class GridDensity:
             )
 
 
+def default_grid_points(dim: int) -> int:
+    """Default points per axis: 2^14 in 1-D, at most about 2^21 in total.
+
+    That is 2^10 per axis in 2-D and 2^7 in 3-D, so a default grid needs
+    arrays of a few tens of MB in every dimension, not 2^14 per axis.
+    """
+    return 2 ** min(14, 21 // dim)
+
+
 def _axis(lo: float, hi: float, m: int) -> np.ndarray:
     _check_power_of_two(m)
     return lo + (hi - lo) / m * np.arange(m)
@@ -120,19 +130,50 @@ def _invert_charfn(chars, lo, hi, m):
     """Density on the tensor grid with axis ``lo + j*dx`` in every coordinate.
 
     ``chars[k]`` is the factor of a separable characteristic function on
-    coordinate k, vectorized over the 1-D frequency axis.  Each factor, the
-    phase shift and the FFT signs are computed on the axis and combined by
-    outer product before one ``fftn``; a 1-D grid is the case of one factor.
+    coordinate k, vectorized over the 1-D frequency axis.  Every factor is
+    the characteristic function of a real law, so ``phi(-t) = conj phi(t)``:
+    each factor and its phase shift are computed on the ``m/2 + 1``
+    nonnegative frequencies ``k*dt`` only, and the negative half
+    ``-k*dt`` is filled with the conjugates.  The factors and the FFT signs
+    are combined by outer product before one ``fftn``; a 1-D grid is the
+    case of one factor.
     """
     dx = (hi - lo) / m
     dt = 2 * math.pi / (m * dx)
-    t = (np.arange(m) - m // 2) * dt
+    half = m // 2
+    t = np.arange(half + 1) * dt
     shift = np.exp(-1j * t * lo)
-    psi = functools.reduce(np.multiply.outer, [char(t) * shift for char in chars])
+    axes = []
+    for char in chars:
+        pos = char(t) * shift
+        full = np.empty(m, dtype=complex)
+        # index j holds frequency (j - m/2)*dt: the mirror of k*dt is at m/2 - k
+        full[half:] = pos[:half]
+        full[:half] = np.conj(pos[:0:-1])
+        axes.append(full)
+    psi = functools.reduce(np.multiply.outer, axes)
     signs = np.where(np.arange(m) % 2, -1.0, 1.0)
     signs = functools.reduce(np.multiply.outer, [signs] * len(chars))
     vals = (dt / (2 * math.pi)) ** len(chars) * signs * np.fft.fftn(psi)
     return vals.real
+
+
+def _int_power(z, n: int):
+    """``z ** n`` for an integer ``n >= 1`` by binary squaring.
+
+    At most ``2 log2(n)`` complex multiplies.  numpy's ``**`` takes the
+    ``exp(n log z)`` route for large ``n``, which is slower and, against a
+    60-digit reference, less accurate: up to about ``1.2 n eps`` relative,
+    against about ``0.3 n eps`` for squaring.
+    """
+    out = None
+    while True:
+        if n & 1:
+            out = z if out is None else out * z
+        n >>= 1
+        if not n:
+            return out
+        z = z * z
 
 
 def _sn_even_moment(dist: Distribution, n: int, order: int):
@@ -168,12 +209,12 @@ def sn_tail_bound(dist: Distribution, n: int, L: float) -> float:
 def _sn_char_fn(law: Distribution, n: int, t):
     """``phi(t/sqrt(n))^n`` of a 1-D law, less its purely atomic part."""
     rt = math.sqrt(n)
-    phi = law.char_fn(t / rt) ** n
+    phi = _int_power(law.char_fn(t / rt), n)
     if law.atoms:
         atomic = np.zeros_like(t, dtype=complex)
         for a, mass in law.atoms:
             atomic += mass * np.exp(1j * a * t / rt)
-        phi = phi - atomic**n
+        phi = phi - _int_power(atomic, n)
     return phi
 
 
@@ -217,7 +258,7 @@ def law_of_sum(dist: Distribution, n: int, lo: float, hi: float,
     if dist.atoms:
         raise NotImplementedError("plain-sum helper supports a.c. laws only")
     x = _axis(lo, hi, points)
-    vals = _invert_charfn([lambda t: dist.char_fn(t) ** n], lo, hi, points)
+    vals = _invert_charfn([lambda t: _int_power(dist.char_fn(t), n)], lo, hi, points)
     mu = n * float(dist.moment((1,)))
     var = n * (float(dist.moment((1, 1))) - float(dist.moment((1,))) ** 2)
     margin = min(mu - lo, hi - mu)

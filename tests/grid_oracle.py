@@ -4,12 +4,15 @@ The library evaluates every separable factor on the 1-D axes and combines
 the axes by outer product.  These are the older constructions, kept only
 as references for the tests:
 
+* the inverter that evaluates every factor on the full frequency axis,
+  negative half included, with ``z ** n`` for the n-th power;
 * the 2-D characteristic-function inverter over a meshgrid of frequencies;
 * the 2-D corrected density evaluated point by point on a meshgrid;
 * the dense trapezoid characteristic function of a user density, which
   builds the whole ``frequencies x 8193`` kernel at once.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -19,6 +22,35 @@ from edgeworth.numerics import _axis
 
 # numpy < 2.0 has only the older name
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
+
+
+def invert_charfn_full(chars, lo, hi, m):
+    """Tensor-grid density from factors evaluated on all ``m`` frequencies."""
+    dx = (hi - lo) / m
+    dt = 2 * math.pi / (m * dx)
+    t = (np.arange(m) - m // 2) * dt
+    shift = np.exp(-1j * t * lo)
+    psi = functools.reduce(np.multiply.outer, [char(t) * shift for char in chars])
+    signs = np.where(np.arange(m) % 2, -1.0, 1.0)
+    signs = functools.reduce(np.multiply.outer, [signs] * len(chars))
+    vals = (dt / (2 * math.pi)) ** len(chars) * signs * np.fft.fftn(psi)
+    return vals.real
+
+
+def _sn_char_fn_pow(law, n, t):
+    rt = math.sqrt(n)
+    phi = law.char_fn(t / rt) ** n
+    if law.atoms:
+        atomic = sum(mass * np.exp(1j * a * t / rt) for a, mass in law.atoms)
+        phi = phi - atomic**n
+    return phi
+
+
+def law_of_sn_full(dist, n, points, halfwidth):
+    """Values of ``law_of_sn`` from the full-axis inverter and ``z ** n``."""
+    laws = getattr(dist, "children", [dist])
+    return invert_charfn_full([functools.partial(_sn_char_fn_pow, law, n) for law in laws],
+                              -halfwidth, halfwidth, points)
 
 
 def invert_charfn_2d(char, lo, hi, m):

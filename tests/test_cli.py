@@ -1,5 +1,7 @@
 """CLI surface: schemas, exit codes, determinism."""
 
+import tracemalloc
+
 from edgeworth.cli import main
 from edgeworth.correctors import k_poly
 from edgeworth.moments import fixture_table
@@ -137,6 +139,22 @@ def test_tv_row(capsys):
     assert header == "n,r,tv_raw,tv_lo,tv_hi"
     n, r, raw, lo, hi = row.split(",")
     assert float(lo) <= float(hi)
+
+
+def test_tv_2d_default_grid_memory_is_bounded(capsys):
+    # the default is 2^10 points per axis in 2-D; at 2^14 per axis one
+    # complex grid array alone would take 4 GB
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "tv", "--dist", "exponential*uniform", "--n", "32")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 256 * 2**20
+    _, explicit, _ = run(capsys, "tv", "--dist", "exponential*uniform", "--n", "32",
+                         "--points", "1024")
+    assert out == explicit
 
 
 def test_split_command(capsys):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from edgeworth import correctors
 from edgeworth.correctors import (
     EdgeworthModel,
     QuadratureNotConverged,
@@ -312,3 +313,37 @@ def test_3d_edgeworth_grid_matches_pointwise_density():
     pts = np.stack(np.meshgrid(*g.axes, indexing="ij"), axis=-1)
     assert g.values.shape == (32, 32, 32)
     assert np.max(np.abs(g.values - edgeworth_density(model, 8, pts))) <= 1e-12
+
+
+# --- per-model grid memo ------------------------------------------------------------
+
+@pytest.mark.parametrize("spec,points", [("exponential", 2**10), ("gamma", 2**10),
+                                         ("laplace*gamma", 64)])
+def test_edgeworth_grid_memo_matches_fresh_model(spec, points):
+    d = make_distribution(spec)
+    model = EdgeworthModel.build(d, 6)
+    for n in (32, 1024, 32):
+        got = edgeworth_grid(model, n, points)
+        want = edgeworth_grid(EdgeworthModel.build(d, 6), n, points)
+        assert np.array_equal(got.values, want.values)
+        assert np.array_equal(got.axes[0], want.axes[0])
+        assert got.tail_mass_bound == want.tail_mass_bound
+
+
+def test_edgeworth_grid_memo_holds_last_layout(monkeypatch):
+    model = EdgeworthModel.build(make_distribution("exponential"), 6)
+    calls = []
+    expect = correctors.gaussian_expect_poly
+    monkeypatch.setattr(correctors, "gaussian_expect_poly",
+                        lambda p: calls.append(p) or expect(p))
+    edgeworth_grid(model, 32, 64)
+    edgeworth_grid(model, 64, 128)
+    key, (x, gauss, ks) = model._grid_terms
+    assert key == (128, 16.0)
+    assert x.shape == gauss.shape == (128,)
+    assert [m for m, _ in ks] == [1, 2] and all(k.shape == (128,) for _, k in ks)
+    edgeworth_grid(model, 32, 128, 8.0)
+    assert model._grid_terms[0] == (128, 8.0)
+    # the exact E K_m(G)^2 of the tail bound: once per nonzero corrector
+    assert len(calls) == 2
+    assert not model._grid_terms[1][0].flags.writeable

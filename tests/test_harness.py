@@ -36,6 +36,15 @@ def test_parse_good_config():
     assert cfg.grid_points == 4096
 
 
+def test_default_grid_points_per_dimension():
+    assert RateConfig(dist="exponential", r=3, n_list=(32,)).grid_points == 2**14
+    assert RateConfig(dist="exponential*uniform", r=3, n_list=(32,)).grid_points == 2**10
+    cfg = parse_config("dist = exponential*uniform*laplace\nr = 3\nn_list = 32")
+    assert cfg.grid_points == 2**7
+    assert RateConfig(dist="exponential*uniform", r=3, n_list=(32,),
+                      grid_points=512).grid_points == 512
+
+
 @pytest.mark.parametrize(
     "text",
     [

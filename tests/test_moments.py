@@ -1,6 +1,7 @@
 """Distribution registry, standardization, and moment-table tests."""
 
 import math
+from collections import Counter
 from fractions import Fraction as F
 from itertools import permutations
 
@@ -10,13 +11,16 @@ from hypothesis import given, strategies as st
 
 from edgeworth.moments import (
     AtomMixture,
+    Distribution,
     Exponential,
+    GaussianMixture,
     MomentTable,
     Normal,
     NonInvertibleCovariance,
     OrderExceeded,
     ProductDistribution,
     Uniform,
+    UserDensity,
     cumulants_to_moments,
     delta,
     fixture_table,
@@ -286,3 +290,42 @@ def test_standardized_moments_memoized(name):
     assert sorted(calls) == list(range(1, 17))  # k = 0 needs no central moment
     fresh = standardize(d.base)
     assert all(fresh.raw_moment(k) == first[k] for k in range(17))
+
+
+@pytest.mark.parametrize("name", shipped_labels())
+def test_central_moment_memoizes_raw_moments(name):
+    # the registry builds every law from its defaults; standardizing one
+    # would already fill its memo, so both instances here are new
+    law = type(make_distribution(name).base)
+    base, fresh = law(), law()
+    calls = []
+    raw = base.raw_moment
+    base.raw_moment = lambda j: calls.append(j) or raw(j)
+    got = [base.central_moment(k) for k in range(17)]
+    assert all(count == 1 for count in Counter(calls).values())
+    if type(base).central_moment is Distribution.central_moment:
+        assert sorted(calls) == list(range(17))
+    mu = fresh.raw_moment(1)
+    for k in range(17):
+        plain = sum(math.comb(k, j) * fresh.raw_moment(j) * (-mu) ** (k - j)
+                    for j in range(k + 1))
+        assert got[k] == plain
+
+
+def test_gauss_mixture_char_fn_matches_component_matmul():
+    d = GaussianMixture()
+    t = np.linspace(-30.0, 30.0, 2001)
+    comp = np.exp(1j * d._mf * t[:, None] - 0.5 * (d._sf * t[:, None]) ** 2)
+    assert np.max(np.abs(d.char_fn(t) - comp @ d._wf.astype(complex))) <= 1e-15
+    assert d.char_fn(t.reshape(3, 667)).shape == (3, 667)
+    assert d.char_fn(0.0) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_user_char_fn_nodes_once_per_instance():
+    calls = []
+    d = UserDensity(lambda x: calls.append(np.size(x)) or _triangle(x), (0, 2),
+                    label="triangle", max_order=6)
+    t = np.linspace(-40.0, 40.0, 101)
+    first = d.char_fn(t)
+    assert np.array_equal(d.char_fn(t), first)
+    assert calls == [8193]

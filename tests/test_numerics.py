@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -20,12 +21,14 @@ from edgeworth.numerics import (
     AliasingDetected,
     GridDensity,
     GridMismatch,
+    _int_power,
+    default_grid_points,
     gauss_hermite,
     law_of_sn,
     law_of_sum,
     tv_distance,
 )
-from grid_oracle import law_of_sn_2d
+from grid_oracle import law_of_sn_2d, law_of_sn_full
 
 
 def normal_pdf(x, mu=0.0, s=1.0):
@@ -274,3 +277,69 @@ def test_user_density_law_of_sn_memory_is_bounded():
     # the standardized triangle is the law of two standardized uniform summands
     reference = law_of_sn(make_distribution("uniform"), 128, points=2**12)
     assert tv_distance(g, reference).raw < 1e-6
+
+
+# --- half-axis inversion and integer powers ------------------------------------------
+
+def _user_triangle():
+    return standardize(UserDensity(_triangle, (0, 2), label="triangle", max_order=6))
+
+
+@pytest.mark.parametrize("spec", shipped_labels() + ["exponential*uniform", "triangle"])
+@pytest.mark.parametrize("n", [1, 32, 1024])
+def test_half_axis_law_of_sn_matches_full_axis_oracle(spec, n):
+    d = _user_triangle() if spec == "triangle" else make_distribution(spec)
+    grids = [2, 2**8] if spec == "triangle" or d.dim > 1 else [2, 2**12]
+    for points in grids:  # 2 is the smallest grid the inverter accepts
+        g = law_of_sn(d, n, points, check=False)
+        want = law_of_sn_full(d, n, points, 16.0)
+        assert np.max(np.abs(g.values - want)) <= 1e-12
+
+
+def _decimal_power(z, n):
+    """``z ** n`` in 60-digit decimal arithmetic, rounded to a complex."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        a, b = Decimal(z.real), Decimal(z.imag)
+        re, im = Decimal(1), Decimal(0)
+        while n:
+            if n & 1:
+                re, im = re * a - im * b, re * b + im * a
+            n >>= 1
+            a, b = a * a - b * b, 2 * a * b
+        return complex(float(re), float(im))
+
+
+def _random_unit_disk_edge(size, seed):
+    # |z| in [0.99, 1]: z ** 4096 stays above 1e-18, so no value underflows
+    rng = np.random.default_rng(seed)
+    return rng.uniform(0.99, 1.0, size) * np.exp(1j * rng.uniform(-np.pi, np.pi, size))
+
+
+def test_int_power_matches_numpy_power():
+    z = _random_unit_disk_edge(256, 11)
+    eps = np.finfo(float).eps
+    for n in range(1, 4097):
+        got, want = _int_power(z, n), z**n
+        rel = np.max(np.abs(got - want) / np.abs(want))
+        # numpy takes exp(n log z) for large n, itself up to about 1.2 n eps
+        # off the exact power (squaring: 0.3 n eps), so 1e-13 holds only for
+        # small n; the exact reference below bounds the squaring alone
+        assert rel <= (1e-13 if n <= 128 else 3 * n * eps), n
+
+
+def test_int_power_matches_exact_reference():
+    z = _random_unit_disk_edge(32, 12)
+    eps = np.finfo(float).eps
+    ns = sorted({1, 2, 3, 1000, 3000} | {2**k + d for k in range(1, 13) for d in (-1, 0, 1)})
+    for n in ns:
+        want = np.array([_decimal_power(complex(v), n) for v in z])
+        rel = np.max(np.abs(_int_power(z, n) - want) / np.abs(want))
+        assert rel <= n * eps, n
+    for unit in (1, -1, 1j, -1j):
+        assert _int_power(np.array([unit], dtype=complex), 4095)[0] == _decimal_power(unit, 4095)
+
+
+def test_default_grid_points():
+    assert [default_grid_points(d) for d in (1, 2, 3)] == [2**14, 2**10, 2**7]
+    assert all(default_grid_points(d) ** d <= 2**21 for d in (1, 2, 3))
