@@ -82,11 +82,11 @@ def _print_negativity(grid) -> None:
           file=sys.stderr)
 
 
-def _points(args, dist) -> int:
-    # explicit --points stay as given; the default depends on the dimension
-    if args.points is None:
-        return numerics.default_grid_points(dist.dim)
-    return args.points
+def _dist_1d(args, command: str):
+    dist = make_distribution(args.dist)
+    if dist.dim != 1:
+        raise harness.ConfigError(f"{command} is 1-D in the CLI")
+    return dist
 
 
 def cmd_rate(args) -> int:
@@ -129,17 +129,14 @@ def cmd_kpoly(args) -> int:
 
 
 def cmd_density(args) -> int:
-    dist = make_distribution(args.dist)
-    if dist.dim != 1:
-        raise harness.ConfigError("density grids are 1-D in the CLI")
+    dist = _dist_1d(args, "density")
     lines = None
-    points = _points(args, dist)
     if args.kind in ("sn", "both"):
-        g = numerics.law_of_sn(dist, args.n, points, args.halfwidth)
+        g = numerics.law_of_sn(dist, args.n, args.points, args.halfwidth)
         xs, sn_vals = g.axes[0], g.values
     if args.kind in ("edgeworth", "both"):
         model = correctors.EdgeworthModel.build(dist, args.r)
-        ge = correctors.edgeworth_grid(model, args.n, points, args.halfwidth)
+        ge = correctors.edgeworth_grid(model, args.n, args.points, args.halfwidth)
         xs, ed_vals = ge.axes[0], ge.values
         _print_negativity(ge)
     if args.kind == "sn":
@@ -164,9 +161,8 @@ def cmd_density(args) -> int:
 def cmd_tv(args) -> int:
     dist = make_distribution(args.dist)
     model = correctors.EdgeworthModel.build(dist, args.r)
-    points = _points(args, dist)
-    mu = numerics.law_of_sn(dist, args.n, points, args.halfwidth)
-    gam = correctors.edgeworth_grid(model, args.n, points, args.halfwidth)
+    mu = numerics.law_of_sn(dist, args.n, args.points, args.halfwidth)
+    gam = correctors.edgeworth_grid(model, args.n, args.points, args.halfwidth)
     _print_negativity(gam)
     tv = numerics.tv_distance(mu, gam)
     _emit(args, [
@@ -196,7 +192,7 @@ def cmd_ops(args) -> int:
 
 
 def cmd_split(args) -> int:
-    dist = make_distribution(args.dist)
+    dist = _dist_1d(args, "split")
     rep = splitting.split(dist)
     rng = _rng(args)
     lo, hi = dist.support()
@@ -226,7 +222,7 @@ def cmd_split(args) -> int:
 
 
 def cmd_ibp(args) -> int:
-    dist = make_distribution(args.dist)
+    dist = _dist_1d(args, "ibp")
     rep = splitting.split(dist)
     rng = _rng(args)
     reports = malliavin.ibp_battery(
@@ -310,7 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--r", type=int, default=3)
     sp.add_argument("--kind", choices=["sn", "edgeworth", "both"], default="both")
     sp.add_argument("--points", type=int, default=None,
-                    help="grid points (default 2^14)")
+                    help="points per axis (default 2^14 in 1-D, 2^10 in 2-D, "
+                    "2^7 in 3-D)")
     sp.add_argument("--halfwidth", type=float, default=16.0)
     sp.set_defaults(func=cmd_density)
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from .exactmath import MultiIndex, a_coeffs
 from .moments import Distribution, MomentTable, double_factorial
-from .numerics import GridDensity, _axis, gauss_hermite
+from .numerics import GridDensity, _axis, default_grid_points, gauss_hermite
 from .opalg import MultiPoly, a_op
 
 __all__ = [
@@ -243,11 +243,12 @@ def _poly_on_grid(poly: MultiPoly, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def edgeworth_grid(model: EdgeworthModel, n: int, points: int = 2**14,
+def edgeworth_grid(model: EdgeworthModel, n: int, points: int | None = None,
                    halfwidth: float = 16.0) -> GridDensity:
     """``Gamma_{n,r}`` evaluated on the same grid layout as ``law_of_sn``.
 
-    Every factor is separable on the tensor grid: the Gaussian is the outer
+    ``points`` per axis defaults to ``default_grid_points`` of the model's
+    dimension.  Every factor is separable on the tensor grid: the Gaussian is the outer
     product of its 1-D densities, and each corrector is evaluated from its
     coefficients and the axes alone.  Neither depends on ``n``: the model
     keeps them for the last ``(points, halfwidth)``, so a call for another
@@ -255,6 +256,8 @@ def edgeworth_grid(model: EdgeworthModel, n: int, points: int = 2**14,
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if points is None:
+        points = default_grid_points(model.dim)
     key = (points, halfwidth)
     terms = model._grid_terms  # read once: another thread may replace it
     if terms is None or terms[0] != key:

@@ -48,10 +48,9 @@ def fmt(v) -> str:
 
 @dataclass
 class RateConfig:
-    """One rate experiment.  ``workers`` is accepted but ignored: the
-    ``n`` values run serially in the calling thread.  ``grid_points``
-    left unset becomes ``default_grid_points`` of the law's dimension
-    (the number of ``*``-joined factors in ``dist``)."""
+    """One rate experiment; the ``n`` values run serially in the calling
+    thread.  ``grid_points`` left unset becomes ``default_grid_points`` of
+    the law's dimension (the number of ``*``-joined factors in ``dist``)."""
 
     dist: str
     r: int
@@ -61,7 +60,6 @@ class RateConfig:
     grid_halfwidth: float = 16.0
     out: str | None = None
     slope_tol: float = 0.2
-    workers: int = 4
 
     def __post_init__(self):
         if self.grid_points is None:
@@ -77,7 +75,6 @@ _CONFIG_KEYS = {
     "grid_halfwidth": float,
     "out": str,
     "slope_tol": float,
-    "workers": int,
 }
 
 
@@ -85,8 +82,7 @@ def parse_config(text: str) -> RateConfig:
     """Parse the plain ``key = value`` config format (one pair per line).
 
     Keys: dist, r, n_list (comma separated), seed, grid_points,
-    grid_halfwidth, out, slope_tol, workers.  ``workers`` is accepted for
-    old config files and ignored; without ``grid_points`` the grid has
+    grid_halfwidth, out, slope_tol.  Without ``grid_points`` the grid has
     ``default_grid_points`` of the law's dimension per axis.  ``#`` starts
     a comment.
     """

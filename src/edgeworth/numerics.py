@@ -218,16 +218,17 @@ def _sn_char_fn(law: Distribution, n: int, t):
     return phi
 
 
-def law_of_sn(dist: Distribution, n: int, points: int = 2**14,
+def law_of_sn(dist: Distribution, n: int, points: int | None = None,
               halfwidth: float = 16.0, check: bool = True) -> GridDensity:
     """Density of ``S_n = n^{-1/2} sum_k F_k`` on a centered grid.
 
     ``dist`` must be standardized, and a 1-D law or a product law; the
-    grid has the same axis in every coordinate.  For laws with atoms the
-    inversion is applied to the a.c. part of ``mu_n`` only: the purely
-    atomic contribution (every summand on an atom) has characteristic
-    function ``A(t/sqrt(n))^n`` and is subtracted in closed form, with its
-    total weight recorded as ``singular_mass``.
+    grid has the same axis in every coordinate, with ``points`` per axis
+    (``default_grid_points`` of the dimension when ``None``).  For laws
+    with atoms the inversion is applied to the a.c. part of ``mu_n`` only:
+    the purely atomic contribution (every summand on an atom) has
+    characteristic function ``A(t/sqrt(n))^n`` and is subtracted in closed
+    form, with its total weight recorded as ``singular_mass``.
     """
     if not dist.is_standardized:
         raise ValueError("law_of_sn expects a standardized distribution")
@@ -239,6 +240,8 @@ def law_of_sn(dist: Distribution, n: int, points: int = 2**14,
     laws = getattr(dist, "children", [dist])
     if len(laws) != dist.dim:
         raise NotImplementedError("grids beyond 1-D support product laws only")
+    if points is None:
+        points = default_grid_points(dist.dim)
     vals = _invert_charfn([functools.partial(_sn_char_fn, law, n) for law in laws],
                           -halfwidth, halfwidth, points)
     g = GridDensity(

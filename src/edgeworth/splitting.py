@@ -17,11 +17,17 @@ uses the plateau localizer
 which is smooth with compact support, so its log-derivative (needed by the
 Ornstein-Uhlenbeck images downstream) has an analytic closed form.
 
-Ball-selection policy (the existence statement leaves it free): ``v0`` is
-the density argmax on a 4096-point scan (middle of the argmax plateau of a
-locally min-filtered density, so flat tops center correctly), ``r0`` the
-largest radius keeping the ball infimum above half the peak, and
-``eps0 = 0.9 x`` that infimum, halved until ``m0 <= 1/2``.
+One construction serves a 1-D law and any product of 1-D laws (the
+registry's products, N <= 3); a 1-D law is the one-factor case.
+Ball-selection policy (the existence statement leaves it free): each
+coordinate of ``v0`` is the argmax of its factor's density on a 4096-point
+scan of that factor's support (middle of the argmax plateau of a locally
+min-filtered density, so flat tops center correctly); ``r0`` is the
+largest radius keeping the ball infimum above half the density at ``v0``,
+and ``eps0 = 0.9 x`` that infimum, halved until ``m0 <= 1/2``.  The ball
+infimum is bounded below by the product of the factors' infima over the
+enclosing cube ``v0 +- r``, each taken on probes of its axis: exact (up to
+the probes) in 1-D, conservative in N >= 2.
 """
 
 from __future__ import annotations
@@ -104,15 +110,13 @@ def log_psi_radial_derivative(a: float, u):
 
 @lru_cache(maxsize=None)
 def _psi_unit_integral(dim: int) -> float:
-    if dim == 1:
-        val, _ = integrate.quad(lambda x: psi_loc(1.0, x), -2, 2,
-                                epsabs=1e-13, epsrel=1e-13, limit=200)
-        return val
-    if dim == 2:
-        val, _ = integrate.quad(lambda r: psi_loc(1.0, r) * r, 0, 2,
-                                epsabs=1e-13, epsrel=1e-13, limit=200)
-        return 2 * math.pi * val
-    raise NotImplementedError("splitting supports N <= 2")
+    # |S^{N-1}| int_0^2 psi_1(rho) rho^{N-1} drho, written as half the sphere
+    # area times the even integrand over [-2, 2] (in 1-D that is psi_1 itself)
+    half_area = math.pi ** (dim / 2) / math.gamma(dim / 2)
+    val, _ = integrate.quad(
+        lambda x: half_area * psi_loc(1.0, abs(x)) * abs(x) ** (dim - 1), -2, 2,
+        epsabs=1e-13, epsrel=1e-13, limit=200)
+    return val
 
 
 def psi_integral(a: float, dim: int = 1) -> float:
@@ -120,23 +124,24 @@ def psi_integral(a: float, dim: int = 1) -> float:
     return a**dim * _psi_unit_integral(dim)
 
 
-def _scan_axis(dist: Distribution, points: int):
-    lo, hi = dist.support()
-    return np.linspace(lo, hi, points)
+def _factors(dist: Distribution) -> list:
+    """The 1-D laws whose product is ``dist`` (``[dist]`` in 1-D)."""
+    laws = getattr(dist, "children", [dist])
+    if len(laws) != dist.dim:
+        raise NotImplementedError("splitting beyond 1-D supports product laws only")
+    return laws
 
 
-def _ball_infimum(dist: Distribution, v0, r: float, probes: int = 513) -> float:
-    if dist.dim == 1:
-        xs = np.linspace(v0 - r, v0 + r, probes)
-        return float(np.min(dist.pdf(xs)))
-    # 2-D: polar probe of the disc
-    rr = np.linspace(0, r, 33)
-    th = np.linspace(0, 2 * math.pi, 65)
-    pts = np.stack(
-        [v0[0] + np.outer(rr, np.cos(th)), v0[1] + np.outer(rr, np.sin(th))],
-        axis=-1,
-    ).reshape(-1, 2)
-    return float(np.min(dist.pdf(pts)))
+def _ball_infimum(laws, v0s, r: float, probes: int = 513) -> float:
+    """Product of the per-axis probe minima over the cube ``v0 +- r``.
+
+    The cube encloses the ball, so this bounds the ball infimum from below;
+    in 1-D the cube is the ball.
+    """
+    out = 1.0
+    for law, c in zip(laws, v0s):
+        out *= float(np.min(law.pdf(np.linspace(c - r, c + r, probes))))
+    return out
 
 
 def _first_run_middle(idx: np.ndarray) -> int:
@@ -146,81 +151,64 @@ def _first_run_middle(idx: np.ndarray) -> int:
     return int(idx[0] + run_end) // 2
 
 
+def _axis_peak(law: Distribution, scan_points: int) -> float:
+    """Argmax of a 1-D density on a scan of its support."""
+    lo, hi = law.support()
+    xs = np.linspace(lo, hi, scan_points)
+    dens = law.pdf(xs)
+    if float(np.max(dens)) < 1e-12:
+        raise NoLowerBoundFound(f"density of {law.label} vanishes on the scan grid")
+    # min-filter over +-2 cells so a one-point spike cannot win,
+    # then center v0 on the argmax plateau (flat densities)
+    w = 2
+    padded = np.pad(dens, w, mode="constant")
+    filt = np.min(
+        np.stack([padded[j : j + len(dens)] for j in range(2 * w + 1)]), axis=0
+    )
+    peak = float(np.max(filt))
+    if peak < 1e-12:
+        raise NoLowerBoundFound(f"no stable ball for {law.label}")
+    on_peak = np.flatnonzero(filt >= peak * (1 - 1e-9))
+    return float(xs[_first_run_middle(on_peak)])
+
+
 def find_lower_bound(dist: Distribution, scan_points: int = 4096):
     """Locate ``(v0, r0, eps0)`` with ``inf_{B_{r0}(v0)} density >= eps0 > 0``.
 
-    Raises :class:`NoLowerBoundFound` when the scanned density never
+    ``dist`` is a 1-D law or a product of 1-D laws; each coordinate of
+    ``v0`` is found on its own factor (a float in 1-D, an array otherwise).
+    Raises :class:`NoLowerBoundFound` when a scanned density never
     exceeds ``1e-12`` (the law violates the lower-bound hypothesis, e.g. a
-    purely atomic input).
+    purely atomic input), and ``NotImplementedError`` for a multivariate
+    law that is not a product.
     """
-    if dist.dim == 1:
-        xs = _scan_axis(dist, scan_points)
-        dens = dist.pdf(xs)
-        if float(np.max(dens)) < 1e-12:
-            raise NoLowerBoundFound(f"density of {dist.label} vanishes on the scan grid")
-        # min-filter over +-2 cells so a one-point spike cannot win,
-        # then center v0 on the argmax plateau (flat densities)
-        w = 2
-        padded = np.pad(dens, w, mode="constant")
-        filt = np.min(
-            np.stack([padded[j : j + len(dens)] for j in range(2 * w + 1)]), axis=0
-        )
-        peak = float(np.max(filt))
-        if peak < 1e-12:
-            raise NoLowerBoundFound(f"no stable ball for {dist.label}")
-        on_peak = np.flatnonzero(filt >= peak * (1 - 1e-9))
-        v0 = float(xs[_first_run_middle(on_peak)])
-        peak_val = float(dist.pdf(np.array([v0]))[0])
-    else:
-        g = int(math.sqrt(scan_points))
-        lo, hi = dist.support()
-        ax = np.linspace(lo, hi, g)
-        pts = np.stack(np.meshgrid(ax, ax, indexing="ij"), axis=-1)
-        dens = dist.pdf(pts)
-        if float(np.max(dens)) < 1e-12:
-            raise NoLowerBoundFound(f"density of {dist.label} vanishes on the scan grid")
-        # 3x3 min filter, then the plateau point nearest the plateau centroid
-        # (flat tops center; a multi-modal plateau still yields a true argmax)
-        padded = np.pad(dens, 1, mode="constant")
-        filt = np.min(
-            np.stack([
-                padded[1 + di : 1 + di + g, 1 + dj : 1 + dj + g]
-                for di in (-1, 0, 1)
-                for dj in (-1, 0, 1)
-            ]),
-            axis=0,
-        )
-        peak = float(np.max(filt))
-        if peak < 1e-12:
-            raise NoLowerBoundFound(f"no stable ball for {dist.label}")
-        on_peak = np.argwhere(filt >= peak * (1 - 1e-9))
-        centroid = on_peak.mean(axis=0)
-        best = on_peak[np.argmin(np.sum((on_peak - centroid) ** 2, axis=1))]
-        v0 = np.array([ax[best[0]], ax[best[1]]])
-        peak_val = float(dist.pdf(v0[None, :])[0])
+    laws = _factors(dist)
+    v0s = [_axis_peak(law, scan_points) for law in laws]
+    peak_val = math.prod(float(law.pdf(np.array([c]))[0]) for law, c in zip(laws, v0s))
 
     # largest radius whose ball infimum keeps half the peak
     target = 0.5 * peak_val
     lo_r, hi_r = 0.0, 1e-3
-    span = _scan_axis(dist, 4)[-1] - _scan_axis(dist, 4)[0]
-    while hi_r < span and _ball_infimum(dist, v0, hi_r) >= target:
+    span = max(hi - lo for lo, hi in (law.support() for law in laws))
+    while hi_r < span and _ball_infimum(laws, v0s, hi_r) >= target:
         lo_r, hi_r = hi_r, 2 * hi_r
     for _ in range(60):
         mid = 0.5 * (lo_r + hi_r)
-        if _ball_infimum(dist, v0, mid) >= target:
+        if _ball_infimum(laws, v0s, mid) >= target:
             lo_r = mid
         else:
             hi_r = mid
     r0 = lo_r
     if r0 <= 0:
         raise NoLowerBoundFound(f"no ball with positive infimum for {dist.label}")
-    inf_val = _ball_infimum(dist, v0, r0, probes=2049)
+    inf_val = _ball_infimum(laws, v0s, r0, probes=2049)
     eps0 = 0.9 * inf_val
     # keep the carved mass at or below one half
     while eps0 * psi_integral(r0 / 2, dist.dim) > 0.5:
         eps0 *= 0.5
     if eps0 <= 0:
         raise NoLowerBoundFound(f"degenerate infimum for {dist.label}")
+    v0 = v0s[0] if dist.dim == 1 else np.array(v0s)
     return v0, r0, eps0
 
 

@@ -2,6 +2,8 @@
 
 import tracemalloc
 
+import pytest
+
 from edgeworth.cli import main
 from edgeworth.correctors import k_poly
 from edgeworth.moments import fixture_table
@@ -23,6 +25,14 @@ def test_rate_pass_and_exit_code(tmp_path, capsys):
     lines = out_csv.read_text().strip().splitlines()
     assert lines[0] == "n,tv_mid,tv_lo,tv_hi"
     assert len(lines) == 6
+
+
+def test_rate_config_with_workers_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "rate.cfg"
+    cfg.write_text("dist = exponential\nr = 3\nn_list = 32,64\nworkers = 4\n")
+    code, _, err = run(capsys, "rate", "--config", str(cfg))
+    assert code == 2
+    assert "unknown key 'workers'" in err
 
 
 def test_rate_inline_flags(capsys):
@@ -175,13 +185,24 @@ def test_ibp_command_small(capsys):
     assert len(lines) == 5
 
 
+@pytest.mark.parametrize("command", ["split", "ibp", "density"])
+def test_product_law_is_rejected_by_1d_commands(capsys, command):
+    argv = [command, "--dist", "uniform*uniform"]
+    if command == "density":
+        argv += ["--n", "4"]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert f"error: {command} is 1-D in the CLI" in err
+
+
 def test_sigtail_command(capsys):
-    code, out, _ = run(capsys, "sigtail", "--dist", "uniform",
-                       "--n-list", "10,50", "--samples", "50000", "--seed", "3")
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "n,samples,estimate,se,exact_binomial,exponential_bound,z"
-    assert len(lines) == 3
+    for dist in ("uniform", "exponential*uniform*laplace"):
+        code, out, _ = run(capsys, "sigtail", "--dist", dist, "--n-list", "10,50",
+                           "--samples", "50000", "--seed", "3")
+        assert code == 0, dist
+        lines = out.strip().splitlines()
+        assert lines[0] == "n,samples,estimate,se,exact_binomial,exponential_bound,z"
+        assert len(lines) == 3
 
 
 def test_taylor_command(capsys):

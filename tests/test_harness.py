@@ -143,13 +143,8 @@ def test_fmt_stability():
     assert fmt(123) == "123"
 
 
-def test_workers_key_is_accepted_and_ignored():
-    text = "dist = exponential\nr = 3\nn_list = 32, 64, 128, 256\ngrid_points = 4096\n"
-    csvs = []
-    for workers in (1, 8):
-        cfg = parse_config(text + f"workers = {workers}\n")
-        assert cfg.workers == workers
-        buf = io.StringIO()
-        emit_report(run_rate(cfg), buf)
-        csvs.append(buf.getvalue().encode())
-    assert csvs[0] == csvs[1]
+def test_workers_key_is_rejected():
+    # the serial run has no worker count to set
+    text = "dist = exponential\nr = 3\nn_list = 32, 64\nworkers = 4\n"
+    with pytest.raises(ConfigError, match="unknown key 'workers'"):
+        parse_config(text)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from edgeworth.correctors import hermite_1d
+from edgeworth.correctors import EdgeworthModel, edgeworth_grid, hermite_1d
 from edgeworth.moments import (
     GaussianMixture,
     Uniform,
@@ -343,3 +343,21 @@ def test_int_power_matches_exact_reference():
 def test_default_grid_points():
     assert [default_grid_points(d) for d in (1, 2, 3)] == [2**14, 2**10, 2**7]
     assert all(default_grid_points(d) ** d <= 2**21 for d in (1, 2, 3))
+
+
+def test_default_grid_is_per_dimension_and_bounded():
+    # 2^14 points per axis in 2-D would ask for 2^28-point complex arrays
+    d = make_distribution("exponential*uniform")
+    model = EdgeworthModel.build(d, 3)
+    tracemalloc.start()
+    try:
+        mu = law_of_sn(d, 32)
+        gam = edgeworth_grid(model, 32)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert mu.values.shape == gam.values.shape == (2**10, 2**10)
+    assert peak < 128 * 2**20
+    one = make_distribution("exponential")
+    assert law_of_sn(one, 32).values.shape == (2**14,)
+    assert edgeworth_grid(EdgeworthModel.build(one, 3), 32).values.shape == (2**14,)

@@ -7,7 +7,7 @@ import pytest
 from scipy import integrate, stats
 
 from edgeworth import splitting
-from edgeworth.moments import AtomMixture, make_distribution, shipped_labels
+from edgeworth.moments import AtomMixture, Distribution, make_distribution, shipped_labels
 from edgeworth.splitting import (
     ROUND_CAP,
     NoLowerBoundFound,
@@ -77,6 +77,22 @@ def test_psi_integral_matches_quadrature():
         assert psi_integral(a, 1) == pytest.approx(direct, rel=1e-10)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_psi_integral_matches_cartesian_sum(dim):
+    # trapezoid rule over the cube [-2, 2]^N, summed on one orthant and
+    # mirrored (psi is even in each coordinate); no radial formula involved
+    x = np.linspace(0.0, 2.0, 201)
+    w = np.full(x.size, x[1] - x[0])
+    w[[0, -1]] /= 2
+    sq = x * x
+    total = 0.0
+    for xi, wi in zip(x, w):
+        r2 = xi * xi + (sq if dim == 2 else np.add.outer(sq, sq))
+        wts = w if dim == 2 else np.outer(w, w)
+        total += wi * float(np.sum(wts * psi_loc(1.0, np.sqrt(r2))))
+    assert abs(psi_integral(1.0, dim) - 2**dim * total) < 1e-8
+
+
 # --- ball search -----------------------------------------------------------------
 
 def test_lower_bound_uniform():
@@ -123,6 +139,36 @@ def test_lower_bound_identical_to_walked_plateau(name, monkeypatch):
     assert fast[1:] == walked[1:]
 
 
+# (v0, r0, eps0, m0) of every 1-D law: any change here moves the Monte Carlo
+# stream of every fixed-seed test
+PINNED_1D = {
+    "uniform": (-0.0004229672301754306, 1.731627840338702,
+                0.12990381056766578, 0.3606881846170511),
+    "exponential": (-0.9804639804639804, 0.01953601953601969,
+                    0.8655132852119258, 0.02711223280508338),
+    "laplace": (-0.0020721077836967083, 0.49012907173427367,
+                0.3172669679226425, 0.24933932932508057),
+    "gamma": (-0.5025641025641026, 0.800369333490446,
+              0.2016367420892115, 0.258770984148951),
+    "gauss_mixture": (-0.7505812739076863, 0.6472206529247024,
+                      0.17398902289973062, 0.1805633826064414),
+    "atom_mixture": (-0.48585516439039544, 0.9464255868106461,
+                     0.15594775077264572, 0.23665792590196177),
+    "atom_mixture(atom=0)": (-0.0035025014192946458, 1.4037760010107505,
+                             0.10513995212236966, 0.2366579259019622),
+}
+
+
+def test_pinned_1d_splits_cover_every_shipped_law():
+    assert set(shipped_labels()) < set(PINNED_1D)
+
+
+@pytest.mark.parametrize("spec", sorted(PINNED_1D))
+def test_1d_split_is_pinned(spec):
+    rep = split(make_distribution(spec))
+    assert (rep.v0, rep.r0, rep.eps0, rep.m0) == PINNED_1D[spec]
+
+
 def test_first_run_middle_stops_at_first_gap():
     assert splitting._first_run_middle(np.array([3, 4, 5, 9, 10])) == 4
     assert splitting._first_run_middle(np.array([7])) == 7
@@ -132,6 +178,18 @@ def test_first_run_middle_stops_at_first_gap():
 def test_lower_bound_fails_for_flat_zero():
     with pytest.raises(NoLowerBoundFound):
         find_lower_bound(AtomMixture(p=0))  # a.c. density identically zero
+
+
+def test_non_product_multivariate_law_is_rejected():
+    class Bivariate(Distribution):
+        dim = 2
+
+        def pdf(self, x):
+            x = np.asarray(x, dtype=float)
+            return np.exp(-0.5 * np.sum(x * x, axis=-1)) / (2 * math.pi)
+
+    with pytest.raises(NotImplementedError):
+        split(Bivariate())
 
 
 # --- split ------------------------------------------------------------------------
@@ -192,19 +250,28 @@ def test_sample_covariance_invertible(reps):
         assert v > 0.5, name  # 1-D condition number = 1; variance well away from 0
 
 
-def test_split_2d_product():
-    prod = make_distribution("uniform*uniform")
+@pytest.mark.parametrize("spec", ["uniform*uniform", "exponential*uniform",
+                                  "laplace*gamma", "exponential*uniform*laplace"])
+def test_split_2d_product(spec):
+    prod = make_distribution(spec)
     rep = split(prod)
     assert 0 < rep.m0 <= 0.5
-    xs = np.linspace(-1.7, 1.7, 64)
-    grid = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1).reshape(-1, 2)
+    # tensor grid: each factor's support plus a fine axis across the ball
+    k = 64 if prod.dim == 2 else 24
+    axes = [
+        np.concatenate([np.linspace(*c.support(), k),
+                        np.linspace(v - rep.r0, v + rep.r0, k)])
+        for c, v in zip(prod.children, rep.v0)
+    ]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, prod.dim)
     assert rep.reconstruction_error(grid) < 1e-8
+    assert float(np.min(rep.w_pdf(grid))) >= -1e-12
     rng = np.random.default_rng(10)
     v = rep.sample_v(rng, 5000)
     radii = np.sqrt(np.sum((v - np.asarray(rep.v0)) ** 2, axis=1))
     assert np.all(radii <= rep.r0)
     w = rep.sample_w(rng, 5000)
-    assert w.shape == (5000, 2)
+    assert w.shape == (5000, prod.dim)
 
 
 def test_w_mean_exponential():
