@@ -1,11 +1,12 @@
 """Splitting a law into smooth noise + residual, and what that buys.
 
 Any law whose density is bounded below on some ball splits as
-chi V + (1 - chi) W with V a smooth compactly-supported bump.  The bump
-is a differentiable handle on an otherwise arbitrary distribution: it
-gives explicit derivative operators for S_n, an integration-by-parts
-formula with a computable weight, and exponential control on how often
-the construction degenerates.
+chi V + (1 - chi) W with V a compactly supported bump (C^1 at the edge
+of its plateau, smooth elsewhere).  The bump is a differentiable handle
+on an otherwise arbitrary distribution: it gives explicit derivative
+operators for S_n, an integration-by-parts formula with a computable
+weight, and exponential control on how often the construction
+degenerates.
 """
 
 import numpy as np

@@ -32,7 +32,8 @@ from functools import lru_cache
 import numpy as np
 
 from .exactmath import MultiIndex, a_coeffs
-from .moments import Distribution, MomentTable, double_factorial
+from .moments import (Distribution, MomentTable, _coordinate_counts,
+                      _gaussian_product_moment)
 from .numerics import GridDensity, _axis, default_grid_points, gauss_hermite
 from .opalg import MultiPoly, a_op
 
@@ -83,13 +84,8 @@ def _embed_axis(poly1d: MultiPoly, dim: int, axis: int) -> MultiPoly:
 
 def hermite_multi(alpha: MultiIndex, dim: int) -> MultiPoly:
     """``H_alpha(x) = prod_i H_{beta_i}(x_i)`` with ``beta_i`` the coordinate counts."""
-    counts = [0] * dim
-    for a in alpha:
-        if not 1 <= a <= dim:
-            raise ValueError(f"coordinate {a} outside 1..{dim}")
-        counts[a - 1] += 1
     out = MultiPoly.constant(dim, Fraction(1))
-    for i, c in enumerate(counts):
+    for i, c in enumerate(_coordinate_counts(alpha, dim)):
         if c:
             out = out * _embed_axis(hermite_1d(c), dim, i)
     return out
@@ -104,13 +100,25 @@ def h_poly(table: MomentTable, i: int, t: int) -> MultiPoly:
     the orderings of ``S``.
     """
     def build():
-        terms: dict = {}
-        for key, c in a_op(table, i, t, "direct").terms.items():
-            for e, h in hermite_multi(key, table.dim).terms.items():
-                terms[e] = terms.get(e, 0) + c * h
-        return MultiPoly(table.dim, terms)
+        return MultiPoly(table.dim, (
+            (e, c * h)
+            for key, c in a_op(table, i, t, "direct").terms.items()
+            for e, h in hermite_multi(key, table.dim).terms.items()
+        ))
 
     return table.cache_get_or_build(("hpoly", i, t), build)
+
+
+def _corrector_terms(m: int):
+    """``(a_{i,(t-m)/2}, i, t)`` for each nonzero term of the order-m corrector."""
+    for t in range(max(3, m), 3 * m + 1):
+        if (t - m) % 2:
+            continue
+        half = (t - m) // 2
+        for i in range(max(1, half), t // 3 + 1):
+            a_row = a_coeffs(i)
+            if half < len(a_row) and a_row[half] != 0:
+                yield a_row[half], i, t
 
 
 def k_poly(table: MomentTable, m: int) -> MultiPoly:
@@ -126,14 +134,8 @@ def k_poly(table: MomentTable, m: int) -> MultiPoly:
 
     def build():
         out = MultiPoly.zero(table.dim)
-        for t in range(max(3, m), 3 * m + 1):
-            if (t - m) % 2:
-                continue
-            half = (t - m) // 2
-            for i in range(max(1, half), t // 3 + 1):
-                a_row = a_coeffs(i)
-                if half < len(a_row) and a_row[half] != 0:
-                    out = out + a_row[half] * h_poly(table, i, t)
+        for a, i, t in _corrector_terms(m):
+            out = out + a * h_poly(table, i, t)
         return out
 
     return table.cache_get_or_build(("kpoly", m), build)
@@ -151,15 +153,7 @@ def gaussian_pdf(x, dim: int = 1):
 
 def gaussian_expect_poly(poly: MultiPoly):
     """Exact ``E(p(G))`` through coordinatewise double factorials."""
-    acc = 0
-    for e, c in poly.terms.items():
-        if any(p % 2 for p in e):
-            continue
-        w = 1
-        for p in e:
-            w *= double_factorial(p - 1)
-        acc = acc + c * w
-    return acc
+    return sum(c * _gaussian_product_moment(e) for e, c in poly.terms.items())
 
 
 @dataclass
@@ -291,14 +285,8 @@ def d_m_functional(model: EdgeworthModel, f, m: int, nodes: int = 64):
     if not 1 <= m <= len(model.k_polys):
         raise ValueError(f"m must be in 1..{len(model.k_polys)}")
     km = model.k_polys[m - 1]
-    if isinstance(f, MultiPoly):
-        fq = f
-    else:
-        fq = None
 
     def integrand(nodes_):
-        if fq is not None:
-            return gauss_hermite(lambda x: fq(x) * km(x), model.dim, nodes_)
         return gauss_hermite(lambda x: np.asarray(f(x)) * km(x), model.dim, nodes_)
 
     val = integrand(nodes)
@@ -307,19 +295,11 @@ def d_m_functional(model: EdgeworthModel, f, m: int, nodes: int = 64):
         raise QuadratureNotConverged(
             f"order-{m} functional moved from {val!r} to {refined!r} on refinement"
         )
-    if fq is not None:
-        table = model.table
-        op_val = 0
-        for t in range(max(3, m), 3 * m + 1):
-            if (t - m) % 2:
-                continue
-            half = (t - m) // 2
-            for i in range(max(1, half), t // 3 + 1):
-                a_row = a_coeffs(i)
-                if half >= len(a_row) or a_row[half] == 0:
-                    continue
-                applied = a_op(table, i, t, "direct").apply(fq)
-                op_val = op_val + a_row[half] * gaussian_expect_poly(applied)
+    if isinstance(f, MultiPoly):
+        op_val = sum(
+            a * gaussian_expect_poly(a_op(model.table, i, t, "direct").apply(f))
+            for a, i, t in _corrector_terms(m)
+        )
         if abs(float(op_val) - val) > 1e-10 * max(1.0, abs(val)):
             raise AssertionError(
                 f"operator form {float(op_val)!r} != quadrature form {val!r}"

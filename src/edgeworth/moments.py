@@ -97,13 +97,18 @@ def gaussian_moment(alpha: MultiIndex, dim: int | None = None) -> Fraction:
     """
     if dim is None:
         dim = max(alpha, default=1)
-    counts = _coordinate_counts(alpha, dim)
+    return Fraction(_gaussian_product_moment(_coordinate_counts(alpha, dim)))
+
+
+def _gaussian_product_moment(counts) -> int:
+    """``E prod_i G_i^{c_i}`` for independent standard normals ``G_i``:
+    ``prod_i (c_i - 1)!!``, or 0 when some ``c_i`` is odd."""
     out = 1
     for c in counts:
         if c % 2:
-            return ZERO
+            return 0
         out *= double_factorial(c - 1)
-    return Fraction(out)
+    return out
 
 
 def _sqrt_exact(x: Fraction) -> Fraction | None:

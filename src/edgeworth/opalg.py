@@ -20,10 +20,17 @@ the number of orderings it stands for (``exactmath.orderings``) instead of
 summing over all ``dim^t`` ordered tuples; operator equality is a
 dictionary comparison.  When the moment table is rational the whole
 algebra stays in ``Fraction`` and the identities are exact.
+
+Polynomials (keyed by exponent vector) and operators (keyed by sorted
+multiindex) share one sparse-term base.  Coefficients are summed and zeros
+dropped in one place, ``_summed``, and each coefficient is summed once:
+only the constructor canonicalizes keys, and an operation, whose keys are
+canonical already, hands its pairs straight to that sum.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -51,31 +58,122 @@ __all__ = [
 ]
 
 
-def _strip(terms: dict) -> dict:
-    return {k: v for k, v in terms.items() if v != 0}
+def _summed(pairs, start: dict | None = None) -> dict:
+    """Add each pair's coefficient onto its key, starting from a copy of
+    ``start``, and drop zeros; a key's first coefficient is stored as is."""
+    out = {} if start is None else dict(start)
+    get = out.get
+    for k, c in pairs:
+        prev = get(k)
+        out[k] = c if prev is None else prev + c
+    return {k: c for k, c in out.items() if c != 0}
 
 
-class MultiPoly:
-    """Sparse multivariate polynomial, keyed by exponent vector.
+class _SparseTerms:
+    """``sum_k c_k [k]`` over canonical keys in one dimension: the base of
+    :class:`MultiPoly` and :class:`DiffOperator`.
 
-    Coefficients may be ``Fraction`` (exact mode) or floats; differentiation
-    is exact either way.  Evaluation broadcasts over numpy arrays.
+    A subclass gives its key rule (``_key`` canonicalizes a key, ``_unit``
+    is the constant term's key) and its product's key join ``_join``.
+    Operands must share the class (else ``TypeError``) and the dimension
+    (else ``ValueError``); a scalar operand is the constant term.
     """
 
     __slots__ = ("dim", "terms")
 
-    def __init__(self, dim: int, terms: dict | None = None):
+    def __init__(self, dim: int, terms=None):
+        """``terms``: a mapping or an iterable of ``(key, coefficient)`` pairs."""
+        pairs = terms.items() if isinstance(terms, dict) else terms or ()
+        key = self._key
         self.dim = dim
-        self.terms = _strip(terms or {})
-
-    # -- constructors ------------------------------------------------------
-    @classmethod
-    def zero(cls, dim: int) -> "MultiPoly":
-        return cls(dim)
+        self.terms = _summed((key(dim, k), c) for k, c in pairs)
 
     @classmethod
-    def constant(cls, dim: int, c) -> "MultiPoly":
-        return cls(dim, {(0,) * dim: c})
+    def _wrap(cls, dim: int, terms: dict):
+        """An instance over ``terms`` as given: canonical and zero-free."""
+        out = object.__new__(cls)
+        out.dim, out.terms = dim, terms
+        return out
+
+    @classmethod
+    def zero(cls, dim: int):
+        return cls._wrap(dim, {})
+
+    @classmethod
+    def constant(cls, dim: int, c):
+        return cls(dim, {cls._unit(dim): c})
+
+    def _operand(self, other):
+        if not isinstance(other, _SparseTerms):
+            return self.constant(self.dim, other)
+        if type(other) is not type(self):
+            raise TypeError(f"cannot combine {type(self).__name__} "
+                            f"with {type(other).__name__}")
+        if other.dim != self.dim:
+            raise ValueError(f"dimension mismatch: {self.dim} and {other.dim}")
+        return other
+
+    def __add__(self, other):
+        other = self._operand(other)
+        return self._wrap(self.dim, _summed(other.terms.items(), self.terms))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._wrap(self.dim, {k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + -self._operand(other)
+
+    def __mul__(self, other):
+        if not isinstance(other, _SparseTerms):
+            pairs = ((k, c * other) for k, c in self.terms.items())
+        else:
+            other, join = self._operand(other), self._join
+            pairs = ((join(k1, k2), c1 * c2)
+                     for k1, c1 in self.terms.items() for k2, c2 in other.terms.items())
+        return self._wrap(self.dim, _summed(pairs))
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        return (type(other) is type(self)
+                and (self.dim, self.terms) == (other.dim, other.terms))
+
+    def __hash__(self):
+        return hash((self.dim, frozenset(self.terms.items())))
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def max_coeff_diff(self, other) -> float:
+        return max((abs(float(c)) for c in (self - other).terms.values()), default=0.0)
+
+
+class MultiPoly(_SparseTerms):
+    """Sparse multivariate polynomial, keyed by exponent vector.
+
+    Coefficients may be ``Fraction`` (exact mode) or floats; differentiation
+    is exact either way.  Evaluation broadcasts over numpy arrays.  The
+    product adds exponent vectors.
+    """
+
+    __slots__ = ()
+
+    @staticmethod
+    def _key(dim: int, exponents) -> tuple:
+        e = tuple(exponents)
+        if len(e) != dim:
+            raise ValueError(f"exponent vector {e} does not have length {dim}")
+        return e
+
+    @staticmethod
+    def _unit(dim: int) -> tuple:
+        return (0,) * dim
+
+    @staticmethod
+    def _join(e1: tuple, e2: tuple) -> tuple:
+        return tuple(map(operator.add, e1, e2))
 
     @classmethod
     def variable(cls, dim: int, i: int) -> "MultiPoly":
@@ -84,63 +182,17 @@ class MultiPoly:
         e[i - 1] = 1
         return cls(dim, {tuple(e): Fraction(1)})
 
-    # -- ring operations ---------------------------------------------------
-    def __add__(self, other):
-        if not isinstance(other, MultiPoly):
-            other = MultiPoly.constant(self.dim, other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-        return MultiPoly(self.dim, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return MultiPoly(self.dim, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, MultiPoly):
-            other = MultiPoly.constant(self.dim, other)
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, MultiPoly):
-            return MultiPoly(self.dim, {e: c * other for e, c in self.terms.items()})
-        out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, 0) + c1 * c2
-        return MultiPoly(self.dim, out)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MultiPoly)
-            and self.dim == other.dim
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.dim, frozenset(self.terms.items())))
-
     # -- calculus ----------------------------------------------------------
     def diff(self, gamma: MultiIndex) -> "MultiPoly":
         """Exact partial derivative for a multiindex of coordinates."""
-        out = self
+        terms = self.terms
         for i in gamma:
-            nxt: dict = {}
-            for e, c in out.terms.items():
-                if e[i - 1] == 0:
-                    continue
-                ne = list(e)
-                ne[i - 1] -= 1
-                key = tuple(ne)
-                nxt[key] = nxt.get(key, 0) + c * e[i - 1]
-            out = MultiPoly(self.dim, nxt)
-        return out
+            if not 1 <= i <= self.dim:
+                raise ValueError(f"coordinate {i} outside 1..{self.dim}")
+            j = i - 1
+            terms = _summed((e[:j] + (e[j] - 1,) + e[i:], c * e[j])
+                            for e, c in terms.items() if e[j])
+        return self._wrap(self.dim, terms)
 
     def __call__(self, x):
         """Evaluate at points: raw values for dim 1, else last axis = dim."""
@@ -162,19 +214,6 @@ class MultiPoly:
     def degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def as_float(self) -> "MultiPoly":
-        return MultiPoly(self.dim, {e: float(c) for e, c in self.terms.items()})
-
-    def max_coeff_diff(self, other: "MultiPoly") -> float:
-        keys = set(self.terms) | set(other.terms)
-        return max(
-            (abs(float(self.terms.get(k, 0)) - float(other.terms.get(k, 0))) for k in keys),
-            default=0.0,
-        )
-
     def coeff(self, exponents) -> object:
         return self.terms.get(tuple(exponents), 0)
 
@@ -188,89 +227,50 @@ class MultiPoly:
         return "MultiPoly<" + " + ".join(bits) + ">"
 
 
-class DiffOperator:
+class DiffOperator(_SparseTerms):
     """Formal finite sum ``sum_gamma c_gamma d_gamma`` with constant coefficients.
 
     Keys are sorted multiindices; composition concatenates keys and
     multiplies coefficients, so it is commutative here (the paper-side
     left-to-right product order is immaterial after canonicalization).
+    ``compose`` is the bilinear product ``*``; the constant term is the
+    identity operator.
     """
 
-    __slots__ = ("dim", "terms")
+    __slots__ = ()
 
-    def __init__(self, dim: int, terms: dict | None = None):
-        self.dim = dim
-        self.terms = _strip(
-            {tuple(sorted(k)): v for k, v in (terms or {}).items()}
-        )
+    @staticmethod
+    def _key(dim: int, gamma) -> tuple:
+        key = tuple(sorted(gamma))
+        if key and not (1 <= key[0] and key[-1] <= dim):
+            raise ValueError(f"multiindex {key} has a coordinate outside 1..{dim}")
+        return key
 
-    @classmethod
-    def zero(cls, dim: int) -> "DiffOperator":
-        return cls(dim)
+    @staticmethod
+    def _unit(dim: int) -> tuple:
+        return ()
+
+    @staticmethod
+    def _join(k1: tuple, k2: tuple) -> tuple:
+        return tuple(sorted(k1 + k2))
+
+    compose = _SparseTerms.__mul__
 
     @classmethod
     def partial(cls, dim: int, gamma: MultiIndex, coeff=Fraction(1)) -> "DiffOperator":
         return cls(dim, {tuple(gamma): coeff})
 
-    def __add__(self, other: "DiffOperator") -> "DiffOperator":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, 0) + v
-        return DiffOperator(self.dim, out)
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __rmul__(self, scalar) -> "DiffOperator":
-        if scalar == 0:
-            return DiffOperator.zero(self.dim)
-        return DiffOperator(self.dim, {k: scalar * v for k, v in self.terms.items()})
-
-    def compose(self, other: "DiffOperator") -> "DiffOperator":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        out: dict = {}
-        for k1, v1 in self.terms.items():
-            for k2, v2 in other.terms.items():
-                key = tuple(sorted(k1 + k2))
-                out[key] = out.get(key, 0) + v1 * v2
-        return DiffOperator(self.dim, out)
-
     def apply(self, f: MultiPoly) -> MultiPoly:
         if self.dim != f.dim:
             raise ValueError("dimension mismatch")
-        out = MultiPoly.zero(f.dim)
-        for gamma, c in self.terms.items():
-            out = out + c * f.diff(gamma)
-        return out
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, DiffOperator)
-            and self.dim == other.dim
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.dim, frozenset(self.terms.items())))
-
-    def is_zero(self) -> bool:
-        return not self.terms
+        return sum((c * f.diff(gamma) for gamma, c in self.terms.items()),
+                   MultiPoly.zero(f.dim))
 
     def order(self) -> int:
         return max((len(k) for k in self.terms), default=0)
 
     def items(self):
         return sorted(self.terms.items())
-
-    def max_coeff_diff(self, other: "DiffOperator") -> float:
-        keys = set(self.terms) | set(other.terms)
-        return max(
-            (abs(float(self.terms.get(k, 0)) - float(other.terms.get(k, 0))) for k in keys),
-            default=0.0,
-        )
 
     def __repr__(self):
         if not self.terms:
@@ -289,9 +289,8 @@ def psi_op(table: MomentTable, t: int) -> DiffOperator:
     weighted by its number of orderings.
     """
 
-    def build():
+    def terms():
         N = table.dim
-        terms: dict = {}
         for p in range(3, t + 1):
             if (t - p) % 2:
                 continue
@@ -303,9 +302,10 @@ def psi_op(table: MomentTable, t: int) -> DiffOperator:
                     continue
                 coeff = scale * da * orderings(alpha)
                 for pairs in multisets(N, q):
-                    key = tuple(sorted(alpha + tuple(c for c in pairs for _ in (0, 1))))
-                    terms[key] = terms.get(key, 0) + coeff * orderings(pairs)
-        return DiffOperator(table.dim, terms)
+                    yield alpha + pairs + pairs, coeff * orderings(pairs)
+
+    def build():
+        return DiffOperator(table.dim, terms())
 
     return table.cache_get_or_build(("psi", t), build)
 

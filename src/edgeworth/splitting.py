@@ -5,7 +5,7 @@ Given a law whose density is bounded below by ``eps0`` on a ball
 
     F  =  chi V + (1 - chi) W,
 
-with ``chi ~ Bernoulli(m0)``, ``V`` distributed like the normalized smooth
+with ``chi ~ Bernoulli(m0)``, ``V`` distributed like the normalized
 bump ``(eps0/m0) psi_{r0/2}(|v - v0|)`` and ``W`` the residual law
 ``(mu_F - eps0 psi_{r0/2}) / (1 - m0)``; ``m0 = eps0 * int psi``.  The bump
 uses the plateau localizer
@@ -14,8 +14,11 @@ uses the plateau localizer
              = exp(1 - a^2 / (a^2 - (|x|-a)^2))    for a < |x| < 2a,
              = 0                                   for |x| >= 2a,
 
-which is smooth with compact support, so its log-derivative (needed by the
-Ornstein-Uhlenbeck images downstream) has an analytic closed form.
+which has compact support and is smooth except at the plateau edge
+``|x| = a``, where it is only C^1: the second derivative jumps from 0 to
+``-2/a^2`` there.  The first-order integration-by-parts weight needs only
+the first derivative of ``ln psi`` (through the Ornstein-Uhlenbeck images
+downstream), and that has an analytic closed form.
 
 One construction serves a 1-D law and any product of 1-D laws (the
 registry's products, N <= 3); a 1-D law is the one-factor case.

@@ -307,3 +307,114 @@ def test_t_op_float_tables_close(exp_table):
     for order in (6, 9):
         d = t_op(t, 8, order, "sum").max_coeff_diff(t_op(t, 8, order, "direct"))
         assert d < 1e-10
+
+
+# --- the shared sparse-term base ----------------------------------------------------
+
+def test_diff_operator_constructor_sums_orderings_of_one_key():
+    # (1, 2) and (2, 1) are one sorted key: their coefficients add
+    op = DiffOperator(2, {(1, 2): 1, (2, 1): 1})
+    assert op == DiffOperator.partial(2, (1, 2)) + DiffOperator.partial(2, (2, 1))
+    assert op.terms == {(1, 2): 2}
+    assert DiffOperator(2, {(1, 2): F(1), (2, 1): F(-1)}).is_zero()
+
+
+def test_constructor_takes_pairs_and_drops_cancelled_keys():
+    p = MultiPoly(1, [((2,), F(1)), ((2,), F(-1)), ((1,), F(3))])
+    assert p.terms == {(1,): F(3)}
+    assert DiffOperator(1, [((1,), F(2)), ((1,), F(1, 2))]).terms == {(1,): F(5, 2)}
+
+
+@pytest.mark.parametrize("cls,a,b", [
+    (MultiPoly, MultiPoly.variable(1, 1), MultiPoly.variable(2, 2)),
+    (DiffOperator, DiffOperator.partial(1, (1,)), DiffOperator.partial(2, (2,))),
+])
+def test_dimension_mismatch_raises(cls, a, b):
+    for combine in (lambda: a + b, lambda: a - b, lambda: a * b, lambda: b * a,
+                    lambda: a.max_coeff_diff(b)):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            combine()
+
+
+def test_keys_outside_the_dimension_raise():
+    with pytest.raises(ValueError):
+        MultiPoly(1, {(1, 2): F(1)})
+    with pytest.raises(ValueError):
+        DiffOperator(2, {(1, 3): F(1)})
+    with pytest.raises(ValueError):
+        DiffOperator(2, {(0,): F(1)})
+    with pytest.raises(ValueError):
+        MultiPoly.variable(2, 1).diff((3,))
+
+
+def test_polynomial_and_operator_do_not_mix():
+    p, d = MultiPoly.variable(2, 1), DiffOperator.partial(2, (1,))
+    for combine in (lambda: p + d, lambda: d + p, lambda: p * d, lambda: d * p,
+                    lambda: d.compose(p), lambda: p - d):
+        with pytest.raises(TypeError):
+            combine()
+    assert p != d and d != p
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_scalar_operand_is_the_constant_term(dim):
+    p = MultiPoly.variable(dim, dim) * MultiPoly.variable(dim, 1)
+    d = DiffOperator.partial(dim, (1, dim))
+    for x in (p, d):
+        one = type(x).constant(dim, F(1))
+        assert x + 3 == 3 + x == x + 3 * one
+        assert x - F(1, 2) == x + F(-1, 2) * one
+        assert 2 * x == x * 2 == x + x == x * (2 * one)
+        assert (0 * x).is_zero()
+    assert DiffOperator.constant(dim, F(5)).apply(p) == 5 * p
+    assert MultiPoly.constant(dim, F(5)).terms == {(0,) * dim: F(5)}
+
+
+def _coefficients():
+    return st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@st.composite
+def _polys(draw, dim, max_exponent=3):
+    pairs = draw(st.lists(st.tuples(st.tuples(*[st.integers(0, max_exponent)] * dim),
+                                    _coefficients()), max_size=5))
+    return MultiPoly(dim, pairs)
+
+
+@st.composite
+def _operators(draw, dim):
+    # unsorted multiindices, so the constructor's canonicalization is exercised
+    pairs = draw(st.lists(st.tuples(st.lists(st.integers(1, dim), max_size=3),
+                                    _coefficients()), max_size=4))
+    return DiffOperator(dim, pairs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_ring_laws_hold_exactly(data):
+    dim = data.draw(st.integers(1, 3))
+    s = data.draw(_coefficients())
+    for elements in (_polys(dim), _operators(dim)):
+        a, b, c = (data.draw(elements) for _ in range(3))
+        assert (a + b) + c == a + (b + c)
+        assert a + b == b + a
+        assert (a * b) * c == a * (b * c)
+        assert a * b == b * a
+        assert a * (b + c) == a * b + a * c
+        assert s * (a + b) == s * a + s * b
+        assert (s * a) * b == s * (a * b)
+        assert (a - b) + b == a
+        assert (a - a).is_zero()
+        assert hash(a + b) == hash(b + a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_apply_is_compatible_with_compose_and_diff(data):
+    dim = data.draw(st.integers(1, 3))
+    a, b = data.draw(_operators(dim)), data.draw(_operators(dim))
+    f = data.draw(_polys(dim, max_exponent=6))
+    assert a.compose(b).apply(f) == a.apply(b.apply(f))
+    assert (a + b).apply(f) == a.apply(f) + b.apply(f)
+    gamma = tuple(data.draw(st.lists(st.integers(1, dim), max_size=4)))
+    assert DiffOperator.partial(dim, gamma).apply(f) == f.diff(gamma)
