@@ -3,7 +3,10 @@
 The law of the normalized sum ``S_n = n^{-1/2} sum F_k`` is computed
 exactly (up to certified truncation/tail slack) by sampling the
 characteristic function ``phi(t/sqrt(n))^n`` on the dual grid and
-inverting with an FFT.  Total variation follows the no-half convention:
+inverting with FFTs.  The characteristic function of a product law is a
+product of per-axis factors, so the inversion takes one 1-D FFT per axis
+and the grid is their outer product; no ``m^N`` spectrum is formed.
+Total variation follows the no-half convention:
 ``d_TV(mu, nu) = sup_{|f| <= 1} |int f dmu - int f dnu|``, i.e. the full
 L1 distance between densities, which is why disjoint probability measures
 are at distance 2.
@@ -134,9 +137,15 @@ def _invert_charfn(chars, lo, hi, m):
     the characteristic function of a real law, so ``phi(-t) = conj phi(t)``:
     each factor and its phase shift are computed on the ``m/2 + 1``
     nonnegative frequencies ``k*dt`` only, and the negative half
-    ``-k*dt`` is filled with the conjugates.  The factors and the FFT signs
-    are combined by outer product before one ``fftn``; a 1-D grid is the
-    case of one factor.
+    ``-k*dt`` is filled with the conjugates.
+
+    The inverse transform of a product is the outer product of the 1-D
+    transforms, so each axis takes one length-``m`` FFT and the grid is the
+    outer product of the axes: ``O(N m log m + m^N)`` work, and no ``m^N``
+    spectrum.  The frequencies are ``-m/2 .. m/2 - 1`` times ``dt``, one-sided
+    at the Nyquist frequency, so the spectrum is not Hermitian and each
+    axis keeps its complex transform; only the grid's real part is the
+    density.  A 1-D grid is the case of one factor.
     """
     dx = (hi - lo) / m
     dt = 2 * math.pi / (m * dx)
@@ -146,16 +155,12 @@ def _invert_charfn(chars, lo, hi, m):
     axes = []
     for char in chars:
         pos = char(t) * shift
-        full = np.empty(m, dtype=complex)
-        # index j holds frequency (j - m/2)*dt: the mirror of k*dt is at m/2 - k
-        full[half:] = pos[:half]
-        full[:half] = np.conj(pos[:0:-1])
-        axes.append(full)
-    psi = functools.reduce(np.multiply.outer, axes)
-    signs = np.where(np.arange(m) % 2, -1.0, 1.0)
-    signs = functools.reduce(np.multiply.outer, [signs] * len(chars))
-    vals = (dt / (2 * math.pi)) ** len(chars) * signs * np.fft.fftn(psi)
-    return vals.real
+        spec = np.empty(m, dtype=complex)
+        # FFT order: index k holds k*dt for k < m/2, and index m - k holds -k*dt
+        spec[:half] = pos[:half]
+        spec[half:] = np.conj(pos[half:0:-1])
+        axes.append(dt / (2 * math.pi) * np.fft.fft(spec))
+    return functools.reduce(np.multiply.outer, axes).real
 
 
 def _int_power(z, n: int):

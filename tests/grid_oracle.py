@@ -5,7 +5,8 @@ the axes by outer product.  These are the older constructions, kept only
 as references for the tests:
 
 * the inverter that evaluates every factor on the full frequency axis,
-  negative half included, with ``z ** n`` for the n-th power;
+  negative half included, with ``z ** n`` for the n-th power, and takes
+  one ``m^N`` ``fftn`` of the whole spectrum with the ``(-1)^j`` signs;
 * the 2-D characteristic-function inverter over a meshgrid of frequencies;
 * the 2-D corrected density evaluated point by point on a meshgrid;
 * the dense trapezoid characteristic function of a user density, which

@@ -148,3 +148,38 @@ def test_workers_key_is_rejected():
     text = "dist = exponential\nr = 3\nn_list = 32, 64\nworkers = 4\n"
     with pytest.raises(ConfigError, match="unknown key 'workers'"):
         parse_config(text)
+
+
+# emit_report output of the 1-D default grid, written by the full-spectrum
+# inverter (one FFT of the whole centered frequency axis, then the (-1)^j
+# signs); the per-axis FFT must reproduce every digit
+GOLDEN_1D_REPORTS = {
+    ("exponential", 3): """\
+n,tv_mid,tv_lo,tv_hi
+32,0.0120303452429,0.012030345242,0.0120303452438
+64,0.00597060712612,0.00597060712578,0.00597060712646
+128,0.00297396905862,0.00297396905845,0.00297396905878
+256,0.00148413001524,0.00148413001513,0.00148413001534
+512,0.000741349073102,0.000741349073024,0.000741349073181
+1024,0.000370495132536,0.000370495132469,0.000370495132602
+-1.00248670128,0.000547507532407,-1,pass
+""",
+    ("atom_mixture", 6): """\
+n,tv_mid,tv_lo,tv_hi
+32,0.000252498708204,0.000252498708158,0.000252498708251
+64,8.82246357544e-05,8.82246357038e-05,8.8224635805e-05
+128,3.10108097747e-05,3.1010809722e-05,3.10108098274e-05
+256,1.09322511564e-05,1.09322511026e-05,1.09322512102e-05
+512,3.85955297434e-06,3.85955291997e-06,3.85955302871e-06
+1024,1.3635726144e-06,1.36357255974e-06,1.36357266905e-06
+-1.5037701801,0.00084201332306,-1.5,pass
+""",
+}
+
+
+@pytest.mark.parametrize("dist,r", sorted(GOLDEN_1D_REPORTS))
+def test_1d_report_matches_golden_csv(dist, r):
+    buf = io.StringIO()
+    emit_report(run_rate(RateConfig(dist=dist, r=r, n_list=(32, 64, 128, 256, 512, 1024))),
+                buf)
+    assert buf.getvalue() == GOLDEN_1D_REPORTS[dist, r]

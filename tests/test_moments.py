@@ -277,6 +277,18 @@ def test_user_char_fn_matches_dense_trapezoid():
     assert np.max(np.abs(d.char_fn(t) - user_char_fn(d, t))) <= 1e-12
     assert d.char_fn(0.0).shape == (1,)
     assert d.char_fn(t.reshape(7, 143)).shape == (7, 143)
+    # unsorted wide frequencies, a scalar and a shaped array, on a support
+    # that straddles 0; the dense oracle takes 23 chunks to stay small
+    ramp = UserDensity(lambda x: (x + 3) / 32, (-3, 5), label="ramp", max_order=6)
+    wide = np.random.default_rng(8).uniform(-2000.0, 2000.0, 2001)
+    for law in (d, ramp):
+        got = law.char_fn(wide)
+        want = np.concatenate([user_char_fn(law, part) for part in np.split(wide, 23)])
+        assert np.max(np.abs(got - want)) <= 1e-12
+        assert np.max(np.abs(law.char_fn(-37.25) - user_char_fn(law, -37.25))) <= 1e-12
+        shaped = wide[:1001].reshape(7, 143)
+        want = user_char_fn(law, shaped.ravel()).reshape(7, 143)
+        assert np.max(np.abs(law.char_fn(shaped) - want)) <= 1e-12
 
 
 @pytest.mark.parametrize("name", shipped_labels())

@@ -279,18 +279,36 @@ def test_user_density_law_of_sn_memory_is_bounded():
     assert tv_distance(g, reference).raw < 1e-6
 
 
+@pytest.mark.parametrize("spec,limit_mib", [("exponential*uniform", 32),
+                                             ("exponential*uniform*laplace", 48)])
+def test_default_grid_law_of_sn_memory_is_bounded(spec, limit_mib):
+    # one complex m^N grid: a full m^N spectrum and fftn needed 64 and 128 MiB
+    d = make_distribution(spec)
+    tracemalloc.start()
+    try:
+        g = law_of_sn(d, 32)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.values.shape == (default_grid_points(d.dim),) * d.dim
+    assert peak < limit_mib * 2**20
+
+
 # --- half-axis inversion and integer powers ------------------------------------------
 
 def _user_triangle():
     return standardize(UserDensity(_triangle, (0, 2), label="triangle", max_order=6))
 
 
-@pytest.mark.parametrize("spec", shipped_labels() + ["exponential*uniform", "triangle"])
+@pytest.mark.parametrize("spec", shipped_labels() + [
+    "exponential*uniform", "exponential*uniform*laplace", "triangle"])
 @pytest.mark.parametrize("n", [1, 32, 1024])
 def test_half_axis_law_of_sn_matches_full_axis_oracle(spec, n):
+    # the oracle takes one m^N fftn of the whole centered spectrum, an
+    # independent check of the per-axis FFTs and their outer product
     d = _user_triangle() if spec == "triangle" else make_distribution(spec)
-    grids = [2, 2**8] if spec == "triangle" or d.dim > 1 else [2, 2**12]
-    for points in grids:  # 2 is the smallest grid the inverter accepts
+    top = 2**8 if spec == "triangle" else {1: 2**12, 2: 2**8, 3: 2**5}[d.dim]
+    for points in [2, top]:  # 2 is the smallest grid the inverter accepts
         g = law_of_sn(d, n, points, check=False)
         want = law_of_sn_full(d, n, points, 16.0)
         assert np.max(np.abs(g.values - want)) <= 1e-12
