@@ -59,7 +59,6 @@ from .splitting import (
     SplitRep,
     find_lower_bound,
     psi_loc,
-    sample_split,
     split,
 )
 from .malliavin import (
@@ -68,7 +67,6 @@ from .malliavin import (
     MalliavinState,
     backward_taylor_check,
     ibp_battery,
-    ibp_check,
     ibp_weight,
     ou_L,
     sample_state,

@@ -176,12 +176,10 @@ class EdgeworthModel:
                                       compare=False)
 
     @classmethod
-    def build(cls, dist: Distribution, r: int,
-              table: MomentTable | None = None) -> "EdgeworthModel":
+    def build(cls, dist: Distribution, r: int) -> "EdgeworthModel":
         if r < 2:
             raise ValueError("expansion order must be >= 2")
-        if table is None:
-            table = MomentTable.from_distribution(dist, max(r, 3))
+        table = MomentTable.from_distribution(dist, max(r, 3))
         ks = [k_poly(table, m) for m in range(1, r // 3 + 1)]
         return cls(dist, r, table, ks)
 
@@ -272,25 +270,24 @@ def edgeworth_grid(model: EdgeworthModel, n: int, points: int | None = None,
     )
 
 
-def d_m_functional(model: EdgeworthModel, f, m: int, nodes: int = 64):
+def d_m_functional(model: EdgeworthModel, f, m: int):
     """The order-m functional coefficient ``E(f(G) K_m(G))``.
 
-    Evaluated by Gauss-Hermite quadrature (value returned), and, when ``f``
-    is a polynomial, cross-checked against the operator form
+    Evaluated by 64-node Gauss-Hermite quadrature (value returned), and,
+    when ``f`` is a polynomial, cross-checked against the operator form
     ``sum a_{i,(t-m)/2} E(A^i_t f(G))`` computed with exact Gaussian
     moments; the two agree to 1e-10 by construction.  Raises
-    :class:`QuadratureNotConverged` when refining the quadrature moves the
-    answer.
+    :class:`QuadratureNotConverged` when refining the quadrature to 96
+    nodes moves the answer.
     """
     if not 1 <= m <= len(model.k_polys):
         raise ValueError(f"m must be in 1..{len(model.k_polys)}")
     km = model.k_polys[m - 1]
 
-    def integrand(nodes_):
-        return gauss_hermite(lambda x: np.asarray(f(x)) * km(x), model.dim, nodes_)
+    def integrand(x):
+        return np.asarray(f(x)) * km(x)
 
-    val = integrand(nodes)
-    refined = integrand(nodes + nodes // 2)
+    val, refined = (gauss_hermite(integrand, model.dim, nodes) for nodes in (64, 96))
     if abs(val - refined) > 1e-9 * max(1.0, abs(val)):
         raise QuadratureNotConverged(
             f"order-{m} functional moved from {val!r} to {refined!r} on refinement"

@@ -10,8 +10,9 @@ fits the log-log slope, and compares it with the theoretical exponent:
   the faster rate).
 
 Only slopes are verified; the theorem constants depend on unquantified
-spectral data of the law and are out of scope.  Runs are deterministic:
-identical config and seed produce byte-identical CSV.
+spectral data of the law and are out of scope.  Runs are deterministic
+and draw no random numbers: an identical config produces byte-identical
+CSV.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ class RateConfig:
     dist: str
     r: int
     n_list: tuple
-    seed: int = 0
     grid_points: int | None = None
     grid_halfwidth: float = 16.0
     out: str | None = None
@@ -70,7 +70,6 @@ _CONFIG_KEYS = {
     "dist": str,
     "r": int,
     "n_list": "intlist",
-    "seed": int,
     "grid_points": int,
     "grid_halfwidth": float,
     "out": str,
@@ -81,7 +80,7 @@ _CONFIG_KEYS = {
 def parse_config(text: str) -> RateConfig:
     """Parse the plain ``key = value`` config format (one pair per line).
 
-    Keys: dist, r, n_list (comma separated), seed, grid_points,
+    Keys: dist, r, n_list (comma separated), grid_points,
     grid_halfwidth, out, slope_tol.  Without ``grid_points`` the grid has
     ``default_grid_points`` of the law's dimension per axis.  ``#`` starts
     a comment.
@@ -222,7 +221,7 @@ def run_rate(config: RateConfig) -> RateReport:
 def emit_report(report: RateReport, path) -> None:
     """CSV: data rows ``(n, tv_mid, tv_lo, tv_hi)`` + one summary row.
 
-    Byte-identical across runs for the same config and seed.
+    Byte-identical across runs for the same config.
     """
     lines = ["n,tv_mid,tv_lo,tv_hi"]
     for n, tv in zip(report.n_values, report.tv_values):

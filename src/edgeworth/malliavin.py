@@ -39,9 +39,9 @@ __all__ = [
     "ou_L",
     "epsilon_star",
     "smooth_ramp",
+    "localizer",
     "ibp_weight",
     "IbpReport",
-    "ibp_check",
     "ibp_battery",
     "default_test_functions",
     "SigmaTailReport",
@@ -51,8 +51,16 @@ __all__ = [
 ]
 
 
-#: Most summands ``ibp_battery`` draws per chunk (``chunk * n``).
+#: Most samples one ``ibp_battery`` chunk draws; ``SUMMAND_BUDGET`` caps
+#: it further for large ``n``.
+CHUNK_SAMPLES = 200_000
+
+#: Most summands ``ibp_battery`` draws per chunk (samples times ``n``).
 SUMMAND_BUDGET = 1 << 21
+
+#: The ``n`` at which ``sigma_tail`` calibrates its exponential bound; the
+#: bound is claimed for ``n >= TAIL_CALIBRATION_N`` only.
+TAIL_CALIBRATION_N = 10
 
 
 class DegenerateSigma(Exception):
@@ -222,17 +230,16 @@ def default_test_functions():
     ]
 
 
-def ibp_battery(rep: SplitRep, n: int, funcs, samples: int, rng,
-                chunk: int = 200_000) -> list[IbpReport]:
+def ibp_battery(rep: SplitRep, n: int, funcs, samples: int, rng) -> list[IbpReport]:
     """Run the localized IBP check for several test functions at once.
 
     The two sides are estimated from independent sample streams (fresh
     states for the left side and for the right side), shared across the
     battery; per-function means and standard errors accumulate streamingly.
-    A chunk of samples holds at most ``SUMMAND_BUDGET`` summands, so memory
-    stays bounded for large ``n``.
+    A chunk holds at most ``CHUNK_SAMPLES`` samples and ``SUMMAND_BUDGET``
+    summands, so memory stays bounded for large ``n``.
     """
-    chunk = max(1, min(chunk, SUMMAND_BUDGET // n))
+    chunk = max(1, min(CHUNK_SAMPLES, SUMMAND_BUDGET // n))
     rng_l, rng_r = rng.spawn(2)
     nf = len(funcs)
     sums = np.zeros((2, nf))
@@ -265,12 +272,6 @@ def ibp_battery(rep: SplitRep, n: int, funcs, samples: int, rng,
     return out
 
 
-def ibp_check(rep: SplitRep, n: int, f, df, samples: int, rng,
-              label: str = "f") -> IbpReport:
-    """Localized IBP check for a single test function with analytic derivative."""
-    return ibp_battery(rep, n, [(label, f, df)], samples, rng)[0]
-
-
 @dataclass
 class SigmaTailReport:
     """Degeneracy probability: Monte Carlo vs exact binomial vs exponential bound."""
@@ -289,14 +290,13 @@ class SigmaTailReport:
         return abs(self.estimate - self.exact) / se
 
 
-def sigma_tail(rep: SplitRep, n: int, samples: int, rng,
-               calibrate_at: int = 10) -> SigmaTailReport:
+def sigma_tail(rep: SplitRep, n: int, samples: int, rng) -> SigmaTailReport:
     """``P(det sigma_{S_n} <= eps*/2)`` three ways.
 
     The event is exactly ``{sum chi <= n (eps*/2)^{1/N}}``, so the binomial
     CDF is an exact oracle; the exponential bound
-    ``C exp(-n / (4 (1/m0 - 1)))`` has its constant calibrated at the
-    smallest grid point.
+    ``C exp(-n / (4 (1/m0 - 1)))`` has its constant calibrated at
+    ``n = TAIL_CALIBRATION_N``.
     """
     eps = epsilon_star(rep) / 2.0
     thr = int(math.floor(n * eps ** (1.0 / rep.dim) + 1e-12))
@@ -307,10 +307,9 @@ def sigma_tail(rep: SplitRep, n: int, samples: int, rng,
     # SE under the oracle probability: valid even when no hit is observed
     se = math.sqrt(max(exact * (1 - exact), est * (1 - est)) / samples)
     rate = 1.0 / (4.0 * (1.0 / rep.m0 - 1.0))
-    thr_c = int(math.floor(calibrate_at * eps ** (1.0 / rep.dim) + 1e-12))
-    c = float(stats.binom.cdf(thr_c, calibrate_at, rep.m0)) * math.exp(
-        rate * calibrate_at
-    )
+    n_c = TAIL_CALIBRATION_N
+    thr_c = int(math.floor(n_c * eps ** (1.0 / rep.dim) + 1e-12))
+    c = float(stats.binom.cdf(thr_c, n_c, rep.m0)) * math.exp(rate * n_c)
     bound = c * math.exp(-rate * n)
     return SigmaTailReport(n, samples, thr, est, se, exact, bound)
 

@@ -70,14 +70,6 @@ def double_factorial(n: int) -> int:
     return out
 
 
-def subfactorial(n: int) -> int:
-    """Derangement number ``!n`` (equals the n-th central moment of Exp(1))."""
-    out = 1
-    for j in range(1, n + 1):
-        out = j * out + (-1) ** j
-    return out
-
-
 def _coordinate_counts(alpha: MultiIndex, dim: int) -> tuple[int, ...]:
     counts = [0] * dim
     for a in alpha:
@@ -217,10 +209,6 @@ class Distribution:
             acc += math.comb(k, j) * ms[j] * (-mu) ** (k - j)
         return acc
 
-    def standardize(self):
-        """The law of ``A(F)(F - E F)`` with ``A(F) = C(F)^{-1/2}``."""
-        return standardize(self)
-
     # -- convenience -------------------------------------------------------
     def support(self):
         """(lo, hi) bounds for density scans; subclasses may tighten."""
@@ -231,7 +219,8 @@ class Distribution:
 
 
 def standardize(dist: Distribution) -> Distribution:
-    """Standardize a distribution to zero mean and identity covariance.
+    """The law of ``A(F)(F - E F)`` with ``A(F) = C(F)^{-1/2}``: zero mean
+    and identity covariance.
 
     Raises :class:`NonInvertibleCovariance` when the covariance is
     numerically singular (smallest eigenvalue below ``1e-8`` times the
@@ -343,31 +332,30 @@ class Uniform(Distribution):
 
 
 class Normal(Distribution):
-    def __init__(self, mu=0.0, sigma=1.0):
-        self.mu, self.sigma = float(mu), float(sigma)
+    def __init__(self, mu=0, sigma=1):
+        self.mu, self.sigma = Fraction(mu), Fraction(sigma)
+        self._muf, self._sf = float(mu), float(sigma)
         self.label = f"normal({mu},{sigma})"
         self.is_standardized = mu == 0 and sigma == 1
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
-        z = (x - self.mu) / self.sigma
-        return np.exp(-0.5 * z * z) / (self.sigma * math.sqrt(2 * math.pi))
+        z = (x - self._muf) / self._sf
+        return np.exp(-0.5 * z * z) / (self._sf * math.sqrt(2 * math.pi))
 
     def char_fn(self, t):
         t = np.asarray(t, dtype=float)
-        return np.exp(1j * self.mu * t - 0.5 * (self.sigma * t) ** 2)
+        return np.exp(1j * self._muf * t - 0.5 * (self._sf * t) ** 2)
 
     def raw_moment(self, k):
-        # exact when the parameters are integer-valued
-        mu = Fraction(int(self.mu)) if self.mu == int(self.mu) else self.mu
-        sd = Fraction(int(self.sigma)) if self.sigma == int(self.sigma) else self.sigma
-        acc = 0
+        acc = ZERO
         for j in range(0, k + 1, 2):
-            acc += math.comb(k, j) * double_factorial(j - 1) * sd**j * mu ** (k - j)
+            acc += (math.comb(k, j) * double_factorial(j - 1)
+                    * self.sigma**j * self.mu ** (k - j))
         return acc
 
     def sample(self, rng, size):
-        return rng.normal(self.mu, self.sigma, size)
+        return rng.normal(self._muf, self._sf, size)
 
 
 class Exponential(Distribution):
@@ -388,10 +376,6 @@ class Exponential(Distribution):
 
     def raw_moment(self, k):
         return Fraction(math.factorial(k)) / self.rate**k
-
-    def central_moment(self, k):
-        # central moments of Exp are the derangement numbers, scaled
-        return Fraction(subfactorial(k)) / self.rate**k
 
     def sample(self, rng, size):
         return rng.exponential(1.0 / self._rf, size)
@@ -765,13 +749,13 @@ class MomentTable:
 
 
 _REGISTRY = {
-    "uniform": lambda **kw: Uniform(**kw).standardize(),
-    "exponential": lambda **kw: Exponential(**kw).standardize(),
-    "laplace": lambda **kw: Laplace(**kw).standardize(),
-    "gamma": lambda **kw: Gamma(**kw).standardize(),
-    "gauss_mixture": lambda **kw: GaussianMixture(**kw).standardize(),
-    "atom_mixture": lambda **kw: AtomMixture(**kw).standardize(),
-    "normal": lambda **kw: Normal(**kw),
+    "uniform": Uniform,
+    "exponential": Exponential,
+    "laplace": Laplace,
+    "gamma": Gamma,
+    "gauss_mixture": GaussianMixture,
+    "atom_mixture": AtomMixture,
+    "normal": Normal,
 }
 
 
@@ -790,7 +774,7 @@ def _parse_one(spec: str) -> Distribution:
             if not _:
                 raise ValueError(f"expected key=value in {part!r}")
             kwargs[key.strip()] = Fraction(val.strip())
-    return _REGISTRY[name](**kwargs)
+    return standardize(_REGISTRY[name](**kwargs))
 
 
 def make_distribution(spec: str) -> Distribution:

@@ -31,6 +31,7 @@ __all__ = [
     "gauss_hermite",
     "law_of_sn",
     "law_of_sum",
+    "sn_tail_bound",
     "tv_distance",
 ]
 
@@ -92,22 +93,22 @@ class GridDensity:
         """``1 - grid mass - singular mass``; should lie in [0, tail bound]."""
         return 1.0 - self.mass() - self.singular_mass
 
-    def check_mass(self, tol: float = 1e-4, max_tail: float = 0.05):
+    def check_mass(self):
         """Validate the mass budget.
 
         Fails when the defect ``1 - mass - singular`` escapes
-        ``[0, tail_mass_bound]`` (budget error), or when the certified tail
-        bound itself is so large that the window cannot certify anything (a
-        periodizing FFT keeps total mass exact even when the window folds
-        the density onto itself, so an uncertifiable window is the honest
-        aliasing signal).
+        ``[0, tail_mass_bound]`` by more than 1e-4 (budget error), or when
+        the certified tail bound exceeds 0.05, so that the window cannot
+        certify anything (a periodizing FFT keeps total mass exact even
+        when the window folds the density onto itself, so an uncertifiable
+        window is the honest aliasing signal).
         """
-        if self.tail_mass_bound > max_tail:
+        if self.tail_mass_bound > 0.05:
             raise AliasingDetected(
                 f"window too small: certified tail bound "
                 f"{self.tail_mass_bound:.3g} for {self.label!r}"
             )
-        d = self.mass_defect()
+        d, tol = self.mass_defect(), 1e-4
         if d < -tol or d > self.tail_mass_bound + tol:
             raise AliasingDetected(
                 f"mass defect {d:.3e} outside [0, {self.tail_mass_bound:.3e}] "

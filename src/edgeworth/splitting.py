@@ -53,7 +53,6 @@ __all__ = [
     "psi_integral",
     "find_lower_bound",
     "split",
-    "sample_split",
     "SplitRep",
     "SamplerCounts",
     "ROUND_CAP",
@@ -154,10 +153,10 @@ def _first_run_middle(idx: np.ndarray) -> int:
     return int(idx[0] + run_end) // 2
 
 
-def _axis_peak(law: Distribution, scan_points: int) -> float:
-    """Argmax of a 1-D density on a scan of its support."""
+def _axis_peak(law: Distribution) -> float:
+    """Argmax of a 1-D density on a 4096-point scan of its support."""
     lo, hi = law.support()
-    xs = np.linspace(lo, hi, scan_points)
+    xs = np.linspace(lo, hi, 4096)
     dens = law.pdf(xs)
     if float(np.max(dens)) < 1e-12:
         raise NoLowerBoundFound(f"density of {law.label} vanishes on the scan grid")
@@ -175,7 +174,7 @@ def _axis_peak(law: Distribution, scan_points: int) -> float:
     return float(xs[_first_run_middle(on_peak)])
 
 
-def find_lower_bound(dist: Distribution, scan_points: int = 4096):
+def find_lower_bound(dist: Distribution):
     """Locate ``(v0, r0, eps0)`` with ``inf_{B_{r0}(v0)} density >= eps0 > 0``.
 
     ``dist`` is a 1-D law or a product of 1-D laws; each coordinate of
@@ -186,7 +185,7 @@ def find_lower_bound(dist: Distribution, scan_points: int = 4096):
     law that is not a product.
     """
     laws = _factors(dist)
-    v0s = [_axis_peak(law, scan_points) for law in laws]
+    v0s = [_axis_peak(law) for law in laws]
     peak_val = math.prod(float(law.pdf(np.array([c]))[0]) for law, c in zip(laws, v0s))
 
     # largest radius whose ball infimum keeps half the peak
@@ -392,7 +391,3 @@ def split(dist: Distribution) -> SplitRep:
         raise NoLowerBoundFound(f"carved mass m0={m0} out of range for {dist.label}")
     return SplitRep(dist, v0, r0, eps0, m0)
 
-
-def sample_split(rep: SplitRep, rng, size: int = 1):
-    """Functional wrapper over :meth:`SplitRep.sample`."""
-    return rep.sample(rng, size)

@@ -23,7 +23,7 @@ from edgeworth.malliavin import (
 from edgeworth.moments import MomentTable, fixture_table, make_distribution, shipped_labels
 from edgeworth.numerics import gauss_hermite
 from edgeworth.opalg import DiffOperator, MultiPoly, a_op, psi_k_op, t_op
-from edgeworth.splitting import sample_split, split
+from edgeworth.splitting import split
 from ordered_oracle import a_ordered
 
 
@@ -253,7 +253,7 @@ def test_criterion_12_splitting_reconstruction_and_sampling():
         xs = np.linspace(lo, hi, 4096)
         worst_rec = max(worst_rec, rep.reconstruction_error(xs))
         ks = stats.ks_2samp(
-            sample_split(rep, rng, 100_000), dist.sample(rng, 100_000)
+            rep.sample(rng, 100_000), dist.sample(rng, 100_000)
         )
         worst_p = min(worst_p, ks.pvalue)
     ok = worst_rec < 1e-8 and worst_p > 0.01

@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from edgeworth.cli import main
+from edgeworth.cli import build_parser, main
 from edgeworth.correctors import k_poly
 from edgeworth.moments import fixture_table
 
@@ -44,7 +44,7 @@ def test_rate_inline_flags(capsys):
 
 def test_rate_determinism(tmp_path, capsys):
     cfg = tmp_path / "rate.cfg"
-    cfg.write_text("dist = uniform\nr = 3\nn_list = 32,64,128\nseed = 3\n")
+    cfg.write_text("dist = uniform\nr = 3\nn_list = 32,64,128\n")
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert run(capsys, "rate", "--config", str(cfg), "--out", str(a))[0] == 0
     assert run(capsys, "rate", "--config", str(cfg), "--out", str(b))[0] == 0
@@ -216,3 +216,38 @@ def test_taylor_command(capsys):
 
 def test_unknown_distribution_exit_2(capsys):
     assert run(capsys, "kpoly", "--dist", "zeta")[0] == 2
+
+
+# --- flag surface: each flag only where its command reads it ---------------------
+
+REQUIRED_ARGS = {
+    "rate": [], "kpoly": ["--dist", "uniform"],
+    "density": ["--dist", "uniform", "--n", "4"], "tv": ["--dist", "uniform", "--n", "4"],
+    "ops": ["--dist", "fixture1d", "--t", "3"], "split": ["--dist", "uniform"],
+    "ibp": [], "sigtail": [], "taylor": [],
+}
+FLAG_OWNERS = {"--seed": {"split", "ibp", "sigtail"}, "--config": {"rate"}}
+
+
+@pytest.mark.parametrize("command", sorted(REQUIRED_ARGS))
+def test_flags_only_on_commands_that_read_them(capsys, command):
+    # parsing only: an accepted flag set is checked without running the command
+    argv = [command, *REQUIRED_ARGS[command], "--out", "x.csv"]
+    assert build_parser().parse_args(argv).out == "x.csv"
+    for flag, owners in FLAG_OWNERS.items():
+        if command in owners:
+            build_parser().parse_args(argv + [flag, "5"])
+            continue
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag, "5"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
+
+
+def test_rate_config_with_seed_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "rate.cfg"
+    cfg.write_text("dist = exponential\nr = 3\nn_list = 32,64\nseed = 3\n")
+    code, _, err = run(capsys, "rate", "--config", str(cfg))
+    assert code == 2
+    assert "unknown key 'seed'" in err
+

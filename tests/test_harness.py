@@ -21,7 +21,6 @@ GOOD = """
 dist = exponential
 r = 3
 n_list = 32, 64, 128
-seed = 7
 grid_points = 4096
 slope_tol = 0.5
 """
@@ -32,7 +31,6 @@ def test_parse_good_config():
     assert cfg.dist == "exponential"
     assert cfg.r == 3
     assert cfg.n_list == (32, 64, 128)
-    assert cfg.seed == 7
     assert cfg.grid_points == 4096
 
 
@@ -53,6 +51,7 @@ def test_default_grid_points_per_dimension():
         "dist = exponential\nr = 3\nn_list = 64, 32",     # not increasing
         "dist = exponential\nr = 1\nn_list = 32",         # r out of range
         "dist = exponential\nr = 3\nn_list = 32\nbogus = 1",
+        "dist = exponential\nr = 3\nn_list = 32\nseed = 3",  # rate draws nothing
         "dist = exponential\nr = 3\nn_list = 32\ngrid_points = 1000",
         "dist exponential",                               # no equals sign
     ],

@@ -15,7 +15,6 @@ from edgeworth.malliavin import (
     default_test_functions,
     epsilon_star,
     ibp_battery,
-    ibp_check,
     ibp_weight,
     localizer,
     ou_L,
@@ -154,10 +153,10 @@ def test_weight_plateau_draws_vanish(urep):
 def test_ibp_constant_function(urep):
     # f const: the derivative side vanishes, so E(H) must be 0 within noise
     rng = np.random.default_rng(16)
-    rep_report = ibp_check(
+    rep_report, = ibp_battery(
         urep, 16,
-        lambda x: np.ones_like(x), lambda x: np.zeros_like(x),
-        200_000, rng, label="const",
+        [("const", lambda x: np.ones_like(x), lambda x: np.zeros_like(x))],
+        200_000, rng,
     )
     assert rep_report.lhs == 0.0
     assert abs(rep_report.rhs) < 4 * rep_report.rhs_se
@@ -190,7 +189,8 @@ def test_ibp_battery_chunk_bounded_in_n(urep, n, samples, monkeypatch):
 def test_ibp_linear_function_identity(urep):
     # f(x) = x: LHS estimates E(phi), RHS estimates E(S_n H)
     rng = np.random.default_rng(18)
-    r = ibp_check(urep, 16, lambda x: x, lambda x: np.ones_like(x), 200_000, rng)
+    r, = ibp_battery(urep, 16, [("x", lambda x: x, lambda x: np.ones_like(x))],
+                     200_000, rng)
     assert r.z_score < 4.0
     assert r.lhs == pytest.approx(1.0, abs=0.05)  # phi = 1 off a rare event
 
@@ -198,7 +198,7 @@ def test_ibp_linear_function_identity(urep):
 def test_ibp_exponential_law(erep):
     # small carved mass: most draws are localized away, identity still holds
     rng = np.random.default_rng(19)
-    r = ibp_check(erep, 16, np.sin, np.cos, 200_000, rng)
+    r, = ibp_battery(erep, 16, [("sin", np.sin, np.cos)], 200_000, rng)
     assert r.z_score < 4.0
 
 

@@ -11,7 +11,6 @@ from hypothesis import given, strategies as st
 
 from edgeworth.moments import (
     AtomMixture,
-    Distribution,
     Exponential,
     GaussianMixture,
     MomentTable,
@@ -30,6 +29,7 @@ from edgeworth.moments import (
     shipped_labels,
     standardize,
 )
+from edgeworth.numerics import law_of_sn
 from grid_oracle import user_char_fn
 
 
@@ -68,6 +68,25 @@ def test_standardize_normal_unchanged():
     s = standardize(n)
     xs = np.linspace(-4, 4, 101)
     assert np.max(np.abs(s.pdf(xs) - n.pdf(xs))) < 1e-12
+
+
+def test_normal_registry_entry_is_standardized():
+    # the registry standardizes a shifted, scaled normal like every other law
+    s = make_distribution("normal(mu=2,sigma=1/3)")
+    assert s.is_standardized
+    assert s.moment((1,)) == 0 and s.moment((1, 1)) == 1
+    assert [s.moment((1,) * k) for k in range(3, 9)] == [0, 3, 0, 15, 0, 105]
+    xs = np.linspace(-4, 4, 101)
+    assert np.max(np.abs(s.pdf(xs) - Normal().pdf(xs))) < 1e-12
+    law_of_sn(s, 4, points=2**10)
+
+
+def test_normal_moments_exact_for_rational_parameters():
+    n = Normal(mu=F(1, 2), sigma=F(1, 3))
+    assert n.raw_moment(1) == F(1, 2)
+    assert n.raw_moment(2) == F(1, 4) + F(1, 9)
+    assert n.central_moment(4) == 3 * F(1, 3) ** 4
+    assert all(isinstance(n.raw_moment(k), F) for k in range(9))
 
 
 def test_standardize_exponential_is_centered():
@@ -315,8 +334,7 @@ def test_central_moment_memoizes_raw_moments(name):
     base.raw_moment = lambda j: calls.append(j) or raw(j)
     got = [base.central_moment(k) for k in range(17)]
     assert all(count == 1 for count in Counter(calls).values())
-    if type(base).central_moment is Distribution.central_moment:
-        assert sorted(calls) == list(range(17))
+    assert sorted(calls) == list(range(17))
     mu = fresh.raw_moment(1)
     for k in range(17):
         plain = sum(math.comb(k, j) * fresh.raw_moment(j) * (-mu) ** (k - j)

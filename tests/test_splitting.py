@@ -16,7 +16,6 @@ from edgeworth.splitting import (
     find_lower_bound,
     psi_integral,
     psi_loc,
-    sample_split,
     split,
 )
 
@@ -236,7 +235,7 @@ def test_chi_frequency(reps):
 def test_split_sampler_matches_direct(name, reps):
     rng = np.random.default_rng(7)
     rep = reps[name]
-    mine = sample_split(rep, rng, 100_000)
+    mine = rep.sample(rng, 100_000)
     direct = rep.base.sample(rng, 100_000)
     ks = stats.ks_2samp(mine, direct)
     assert ks.pvalue > 0.01, (name, ks.pvalue)
@@ -245,7 +244,7 @@ def test_split_sampler_matches_direct(name, reps):
 def test_sample_covariance_invertible(reps):
     rng = np.random.default_rng(8)
     for name, rep in reps.items():
-        x = sample_split(rep, rng, 20_000)
+        x = rep.sample(rng, 20_000)
         v = float(np.var(x))
         assert v > 0.5, name  # 1-D condition number = 1; variance well away from 0
 
