@@ -64,12 +64,9 @@ from .splitting import (
 from .malliavin import (
     DegenerateSigma,
     IbpReport,
-    MalliavinState,
     backward_taylor_check,
     ibp_battery,
     ibp_weight,
-    ou_L,
-    sample_state,
     sigma_tail,
 )
 from .harness import ConfigError, RateConfig, RateReport, emit_report, parse_config, run_rate

@@ -13,7 +13,8 @@ Subcommands::
     taylor   residuals of the backward Gaussian Taylor identity
 
 Every subcommand takes ``--out`` (CSV destination, defaults to stdout).
-``rate`` alone takes ``--config`` (key = value file), and the random
+``rate`` alone takes ``--config`` (key = value file, which excludes its
+``--dist``/``--r``/``--n-list`` flags), and the random
 commands ``split``, ``ibp`` and ``sigtail`` alone take ``--seed`` (master
 seed, default 0).
 
@@ -94,6 +95,11 @@ def _dist_1d(args, command: str):
 
 def cmd_rate(args) -> int:
     if args.config:
+        flags = (("--dist", args.dist), ("--r", args.r), ("--n-list", args.n_list))
+        ignored = [flag for flag, val in flags if val is not None]
+        if ignored:
+            raise harness.ConfigError("rate --config takes its settings from the file; "
+                                      f"drop {', '.join(ignored)}")
         with open(args.config) as fh:
             cfg = harness.parse_config(fh.read())
     else:

@@ -14,10 +14,13 @@ calculus with respect to the smooth noise ``V`` is fully explicit:
   ``H_i = phi(det sigma) (n / sum chi) L S_n^i`` because the inverse
   covariance is measurable with respect to the Bernoulli draws alone.
 
-The module verifies the resulting identity
-``E(f'(S_n) phi) = E(f(S_n) H)`` by Monte Carlo, the covariance-degeneracy
-tail against the exact binomial law, and the backward Gaussian Taylor
-formula that powers the expansion's moment bookkeeping.
+So a sample needs only ``(S_n, sum chi, L S_n)``: :func:`sn_batch` draws
+them in batches in every dimension, and :func:`ibp_weight` turns the last
+two into ``H``.  The module verifies the resulting identity
+``E(f'(S_n) phi) = E(f(S_n) H)`` by Monte Carlo for 1-D laws, the
+covariance-degeneracy tail against the exact binomial law, and the
+backward Gaussian Taylor formula that powers the expansion's moment
+bookkeeping.
 """
 
 from __future__ import annotations
@@ -34,9 +37,6 @@ from .splitting import SplitRep
 
 __all__ = [
     "DegenerateSigma",
-    "MalliavinState",
-    "sample_state",
-    "ou_L",
     "epsilon_star",
     "smooth_ramp",
     "localizer",
@@ -67,72 +67,6 @@ class DegenerateSigma(Exception):
     """Nonzero localizer met a draw with no active smooth noise."""
 
 
-@dataclass
-class MalliavinState:
-    """One realization of the splitting noise behind ``S_n``."""
-
-    n: int
-    chi: np.ndarray  # bool, shape (n,)
-    V: np.ndarray    # defined where chi, NaN elsewhere
-    W: np.ndarray    # defined where ~chi, NaN elsewhere
-    s_n: np.ndarray  # shape (N,)
-    rep: SplitRep
-
-    @property
-    def dim(self) -> int:
-        return self.rep.dim
-
-    def active_count(self) -> int:
-        return int(self.chi.sum())
-
-    def sigma(self) -> np.ndarray:
-        """Malliavin covariance ``(sum chi / n) I`` (diagonal by construction)."""
-        return (self.active_count() / self.n) * np.eye(self.dim)
-
-    def lam(self) -> float:
-        """Lowest eigenvalue of the covariance."""
-        return self.active_count() / self.n
-
-    def det_sigma(self) -> float:
-        return self.lam() ** self.dim
-
-
-def sample_state(rep: SplitRep, n: int, rng) -> MalliavinState:
-    """Draw iid ``(chi_k, V_k, W_k)`` and assemble the state."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    chi = rng.random(n) < rep.m0
-    k = int(chi.sum())
-    shape = (n,) if rep.dim == 1 else (n, rep.dim)
-    V = np.full(shape, np.nan)
-    W = np.full(shape, np.nan)
-    if k:
-        V[chi] = rep.sample_v(rng, k)
-    if n - k:
-        W[~chi] = rep.sample_w(rng, n - k)
-    total = np.zeros(rep.dim)
-    if k:
-        total += np.atleast_1d(np.sum(np.atleast_2d(V[chi].T), axis=-1))
-    if n - k:
-        total += np.atleast_1d(np.sum(np.atleast_2d(W[~chi].T), axis=-1))
-    s_n = total / math.sqrt(n)
-    return MalliavinState(n, chi, V, W, s_n, rep)
-
-
-def ou_L(state: MalliavinState) -> np.ndarray:
-    """Closed-form ``L S_n`` (vector in R^N).
-
-    Terms with ``chi_k = 0`` contribute nothing; active terms use the
-    analytic gradient of ``ln psi``, which is exactly zero on the plateau
-    ``|V_k - v0| <= r0/2``.
-    """
-    k = state.active_count()
-    if k == 0:
-        return np.zeros(state.dim)
-    grads = state.rep.log_psi_gradient(state.V[state.chi])
-    return -np.atleast_1d(np.sum(np.atleast_2d(grads.T), axis=-1)) / math.sqrt(state.n)
-
-
 def epsilon_star(rep: SplitRep) -> float:
     """Degeneracy threshold ``2^{-N} m0^N`` for the covariance determinant."""
     return (rep.m0 / 2.0) ** rep.dim
@@ -151,47 +85,62 @@ def localizer(rep: SplitRep, det_sigma):
     return smooth_ramp(det_sigma, es / 2.0, es)
 
 
-def ibp_weight(state: MalliavinState, theta: float) -> np.ndarray:
-    """First-order IBP weight ``H = theta (n / sum chi) L S_n``.
+def _phi(rep: SplitRep, n: int, counts):
+    """The localizer at ``det sigma = (sum chi / n)^N`` for each sample."""
+    return localizer(rep, (counts / n) ** rep.dim)
 
-    ``theta`` is the localizer value ``phi(det sigma)``; when it vanishes
-    the weight is zero regardless of the noise.  A nonzero ``theta`` with
-    no active noise is a contract violation (the localizer must be
-    supported above ``eps*/2 > 0``).
+
+def ibp_weight(rep: SplitRep, n: int, counts, ls) -> np.ndarray:
+    """First-order IBP weight ``H = phi(det sigma) (n / sum chi) L S_n``.
+
+    ``counts`` and ``ls`` are the ``sum chi`` and ``L S_n`` of
+    :func:`sn_batch`; ``H`` has the shape of ``ls``.  It is zero where the
+    localizer vanishes, whatever the noise.  A nonzero localizer on a draw
+    with no active noise is a contract violation (the localizer must be
+    supported above ``eps*/2 > 0``) and raises :class:`DegenerateSigma`.
     """
-    if theta == 0:
-        return np.zeros(state.dim)
-    k = state.active_count()
-    if k == 0:
+    phi = _phi(rep, n, counts)
+    if np.any((phi > 0) & (counts == 0)):
         raise DegenerateSigma("localizer is nonzero on a fully degenerate draw")
-    return theta * (state.n / k) * ou_L(state)
+    if np.ndim(ls) > 1:
+        phi, counts = phi[:, None], counts[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(counts > 0, phi * n / np.maximum(counts, 1) * ls, 0.0)
+
+
+def _segment_sum(idx: np.ndarray, vals: np.ndarray, size: int) -> np.ndarray:
+    """Sums of the rows of ``vals`` grouped by sample index, per coordinate."""
+    if vals.ndim == 1:
+        return np.bincount(idx, weights=vals, minlength=size)
+    return np.stack(
+        [np.bincount(idx, weights=col, minlength=size) for col in vals.T], axis=-1
+    )
 
 
 def sn_batch(rep: SplitRep, n: int, size: int, rng, want_ls: bool = True):
-    """Vectorized draws of ``(S_n, sum chi, L S_n)`` for 1-D laws.
+    """Vectorized draws of ``(S_n, sum chi, L S_n)``.
 
     Avoids materializing the per-summand matrix: the Bernoulli count per
     sample is drawn directly, the needed ``V``/``W`` values are drawn flat
-    and segment-summed back onto the samples.
+    and segment-summed back onto the samples, one coordinate at a time.
+    ``S_n`` and ``L S_n`` have shape ``(size,)`` in 1-D and ``(size, N)``
+    otherwise; ``L S_n`` is ``None`` unless ``want_ls``.
     """
-    if rep.dim != 1:
-        raise NotImplementedError("batch sampling is 1-D")
     counts = rng.binomial(n, rep.m0, size)
     idx_v = np.repeat(np.arange(size), counts)
     idx_w = np.repeat(np.arange(size), n - counts)
     tot_v, tot_w = len(idx_v), len(idx_w)
-    sums = np.zeros(size)
-    ls = np.zeros(size) if want_ls else None
+    shape = (size,) if rep.dim == 1 else (size, rep.dim)
+    sums = np.zeros(shape)
+    ls = np.zeros(shape) if want_ls else None
     if tot_v:
         v = rep.sample_v(rng, tot_v)
-        sums += np.bincount(idx_v, weights=v, minlength=size)
+        sums += _segment_sum(idx_v, v, size)
         if want_ls:
-            ls -= np.bincount(
-                idx_v, weights=rep.log_psi_gradient(v), minlength=size
-            )
+            ls -= _segment_sum(idx_v, rep.log_psi_gradient(v), size)
     if tot_w:
         w = rep.sample_w(rng, tot_w)
-        sums += np.bincount(idx_w, weights=w, minlength=size)
+        sums += _segment_sum(idx_w, w, size)
     rt = math.sqrt(n)
     s = sums / rt
     if want_ls:
@@ -234,11 +183,14 @@ def ibp_battery(rep: SplitRep, n: int, funcs, samples: int, rng) -> list[IbpRepo
     """Run the localized IBP check for several test functions at once.
 
     The two sides are estimated from independent sample streams (fresh
-    states for the left side and for the right side), shared across the
+    draws for the left side and for the right side), shared across the
     battery; per-function means and standard errors accumulate streamingly.
     A chunk holds at most ``CHUNK_SAMPLES`` samples and ``SUMMAND_BUDGET``
-    summands, so memory stays bounded for large ``n``.
+    summands, so memory stays bounded for large ``n``.  The test functions
+    act on a scalar ``S_n``, so ``rep`` must be 1-D.
     """
+    if rep.dim != 1:
+        raise NotImplementedError("the IBP battery's test functions are 1-D")
     chunk = max(1, min(CHUNK_SAMPLES, SUMMAND_BUDGET // n))
     rng_l, rng_r = rng.spawn(2)
     nf = len(funcs)
@@ -249,16 +201,14 @@ def ibp_battery(rep: SplitRep, n: int, funcs, samples: int, rng) -> list[IbpRepo
         m = min(chunk, samples - done)
         # left stream: E(f'(S_n) phi)
         s, counts, _ = sn_batch(rep, n, m, rng_l, want_ls=False)
-        phi = localizer(rep, counts / n)
+        phi = _phi(rep, n, counts)
         for j, (_, _, df) in enumerate(funcs):
             vals = df(s) * phi
             sums[0, j] += vals.sum()
             sqs[0, j] += (vals * vals).sum()
         # right stream: E(f(S_n) H)
         s, counts, ls = sn_batch(rep, n, m, rng_r, want_ls=True)
-        phi = localizer(rep, counts / n)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            weight = np.where(counts > 0, phi * n / np.maximum(counts, 1) * ls, 0.0)
+        weight = ibp_weight(rep, n, counts, ls)
         for j, (_, f, _) in enumerate(funcs):
             vals = f(s) * weight
             sums[1, j] += vals.sum()

@@ -70,6 +70,15 @@ def double_factorial(n: int) -> int:
     return out
 
 
+def _normal_raw_moment(k: int, mu, sigma):
+    """``E(X^k)`` for ``X ~ N(mu, sigma^2)``, exact for exact ``mu``, ``sigma``:
+    ``sum_{j even} C(k, j) (j-1)!! sigma^j mu^(k-j)``."""
+    acc = ZERO
+    for j in range(0, k + 1, 2):
+        acc += math.comb(k, j) * double_factorial(j - 1) * sigma**j * mu ** (k - j)
+    return acc
+
+
 def _coordinate_counts(alpha: MultiIndex, dim: int) -> tuple[int, ...]:
     counts = [0] * dim
     for a in alpha:
@@ -193,6 +202,18 @@ class Distribution:
                 c[i - 1, j - 1] = float(self.moment((i, j))) - m[i - 1] * m[j - 1]
         return c
 
+    def factors(self) -> list:
+        """The 1-D laws whose product is this law: ``[self]`` in 1-D.
+
+        Raises ``NotImplementedError`` for a multivariate law that is not a
+        product; the grid, tail-bound, splitting and standardization paths
+        support no other.
+        """
+        if self.dim == 1:
+            return [self]
+        raise NotImplementedError(
+            f"{self.label}: beyond 1-D only product laws are supported")
+
     def central_moment(self, k: int):
         """1-D central moment, exact when raw moments and mean are exact.
 
@@ -234,9 +255,7 @@ def standardize(dist: Distribution) -> Distribution:
         )
     if dist.dim == 1:
         return _Standardized1D(dist)
-    if isinstance(dist, ProductDistribution):
-        return ProductDistribution([standardize(c) for c in dist.children])
-    raise NotImplementedError("standardization beyond 1-D supports product laws only")
+    return ProductDistribution([standardize(c) for c in dist.factors()])
 
 
 class _Standardized1D(Distribution):
@@ -348,11 +367,7 @@ class Normal(Distribution):
         return np.exp(1j * self._muf * t - 0.5 * (self._sf * t) ** 2)
 
     def raw_moment(self, k):
-        acc = ZERO
-        for j in range(0, k + 1, 2):
-            acc += (math.comb(k, j) * double_factorial(j - 1)
-                    * self.sigma**j * self.mu ** (k - j))
-        return acc
+        return _normal_raw_moment(k, self.mu, self.sigma)
 
     def sample(self, rng, size):
         return rng.normal(self._muf, self._sf, size)
@@ -473,15 +488,7 @@ class GaussianMixture(Distribution):
     def raw_moment(self, k):
         acc = ZERO
         for w, m, s in zip(self.weights, self.means, self.sigmas):
-            comp = ZERO
-            for j in range(0, k + 1, 2):
-                comp += (
-                    math.comb(k, j)
-                    * double_factorial(j - 1)
-                    * s**j
-                    * m ** (k - j)
-                )
-            acc += w * comp
+            acc += w * _normal_raw_moment(k, m, s)
         return acc
 
     def sample(self, rng, size):
@@ -517,8 +524,7 @@ class AtomMixture(Distribution):
         )
 
     def raw_moment(self, k):
-        gauss = Fraction(double_factorial(k - 1)) if k % 2 == 0 else ZERO
-        return self.p * gauss + (1 - self.p) * self.atom**k
+        return self.p * _normal_raw_moment(k, ZERO, 1) + (1 - self.p) * self.atom**k
 
     def sample(self, rng, size):
         vals, _ = self.sample_parts(rng, size)
@@ -651,6 +657,9 @@ class ProductDistribution(Distribution):
 
     def raw_moment(self, k):
         raise NotImplementedError("use moment(alpha) on product laws")
+
+    def factors(self) -> list:
+        return self.children
 
     def sample(self, rng, size):
         return np.stack([c.sample(rng, size) for c in self.children], axis=-1)

@@ -195,13 +195,11 @@ def sn_tail_bound(dist: Distribution, n: int, L: float) -> float:
 
     Uses the exact moments of S_n obtained from the standardized summand's
     cumulants (scaled by ``n^{1-j/2}``); for a product law the coordinate
-    bounds add.
+    bounds add, and any other multivariate law raises
+    ``NotImplementedError``.
     """
     if dist.dim > 1:
-        total = 0.0
-        for child in getattr(dist, "children", []):
-            total += sn_tail_bound(child, n, L)
-        return min(total, 1.0)
+        return min(sum(sn_tail_bound(law, n, L) for law in dist.factors()), 1.0)
     order = min(16, dist.max_order)
     order -= order % 2
     ms = _sn_even_moment(dist, n, order)
@@ -243,9 +241,7 @@ def law_of_sn(dist: Distribution, n: int, points: int | None = None,
     atoms = dist.atoms
     singular = float(sum(m for _, m in atoms)) ** n if atoms else 0.0
     # a product law's coordinates are independent: phi factors over the axes
-    laws = getattr(dist, "children", [dist])
-    if len(laws) != dist.dim:
-        raise NotImplementedError("grids beyond 1-D support product laws only")
+    laws = dist.factors()
     if points is None:
         points = default_grid_points(dist.dim)
     vals = _invert_charfn([functools.partial(_sn_char_fn, law, n) for law in laws],

@@ -126,14 +126,6 @@ def psi_integral(a: float, dim: int = 1) -> float:
     return a**dim * _psi_unit_integral(dim)
 
 
-def _factors(dist: Distribution) -> list:
-    """The 1-D laws whose product is ``dist`` (``[dist]`` in 1-D)."""
-    laws = getattr(dist, "children", [dist])
-    if len(laws) != dist.dim:
-        raise NotImplementedError("splitting beyond 1-D supports product laws only")
-    return laws
-
-
 def _ball_infimum(laws, v0s, r: float, probes: int = 513) -> float:
     """Product of the per-axis probe minima over the cube ``v0 +- r``.
 
@@ -184,7 +176,7 @@ def find_lower_bound(dist: Distribution):
     purely atomic input), and ``NotImplementedError`` for a multivariate
     law that is not a product.
     """
-    laws = _factors(dist)
+    laws = dist.factors()
     v0s = [_axis_peak(law) for law in laws]
     peak_val = math.prod(float(law.pdf(np.array([c]))[0]) for law, c in zip(laws, v0s))
 

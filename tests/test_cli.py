@@ -59,6 +59,17 @@ def test_rate_bad_config_exit_2(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_rate_config_with_inline_flags_exits_2(tmp_path, capsys):
+    # the file says exponential r=3; the flags must not be silently dropped
+    cfg = tmp_path / "rate.cfg"
+    cfg.write_text("dist = exponential\nr = 3\nn_list = 32,64\n")
+    code, out, err = run(capsys, "rate", "--config", str(cfg), "--dist", "uniform",
+                         "--r", "5")
+    assert code == 2
+    assert out == ""
+    assert "--dist" in err and "--r" in err and "--n-list" not in err
+
+
 def test_rate_missing_args_exit_2(capsys):
     assert run(capsys, "rate")[0] == 2
 

@@ -10,15 +10,12 @@ from edgeworth import malliavin
 from edgeworth.malliavin import (
     SUMMAND_BUDGET,
     DegenerateSigma,
-    MalliavinState,
     backward_taylor_check,
     default_test_functions,
     epsilon_star,
     ibp_battery,
     ibp_weight,
     localizer,
-    ou_L,
-    sample_state,
     sigma_tail,
     sn_batch,
 )
@@ -37,67 +34,113 @@ def erep():
     return split(make_distribution("exponential"))
 
 
-# --- state invariants ------------------------------------------------------------
+@pytest.fixture(scope="module")
+def u2rep():
+    return split(make_distribution("uniform*uniform"))
 
-def test_state_invariants(urep):
-    rng = np.random.default_rng(11)
-    for n in (1, 8, 64):
-        st = sample_state(urep, n, rng)
-        k = st.active_count()
-        assert st.sigma()[0, 0] == k / n  # exact, every draw
-        assert st.lam() == k / n
-        total = 0.0
-        if k:
-            total += np.sum(st.V[st.chi])
-        if n - k:
-            total += np.sum(st.W[~st.chi])
-        assert st.s_n[0] == pytest.approx(total / math.sqrt(n), rel=1e-12)
+
+def _plateau_points(rep, rng, count):
+    """Points at distance at most ``0.49 r0`` from ``v0``, ``v0`` itself first."""
+    radii = np.concatenate([[0.0], rng.uniform(0.0, 0.49 * rep.r0, count - 1)])
+    if rep.dim == 1:
+        return rep.v0 + radii * rng.choice([-1.0, 1.0], count)
+    dirs = rng.normal(size=(count, rep.dim))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    return np.asarray(rep.v0) + radii[:, None] * dirs
+
+
+# --- batched draws of (S_n, sum chi, L S_n) ------------------------------------------
+
+def test_state_invariants(urep, u2rep):
+    # dual route: replay sn_batch's stream by hand and sum each sample's
+    # summands and log-gradients directly
+    size = 50
+    for rep in (urep, u2rep):
+        for n in (1, 8, 64):
+            s, counts, ls = sn_batch(rep, n, size, np.random.default_rng(11))
+            shape = (size,) if rep.dim == 1 else (size, rep.dim)
+            assert s.shape == ls.shape == shape and counts.shape == (size,)
+            rng = np.random.default_rng(11)
+            k = rng.binomial(n, rep.m0, size)
+            assert np.array_equal(counts, k)
+            vs = np.split(rep.sample_v(rng, int(k.sum())), np.cumsum(k)[:-1])
+            ws = np.split(rep.sample_w(rng, int((n - k).sum())), np.cumsum(n - k)[:-1])
+            for j in range(size):
+                total = vs[j].sum(axis=0) + ws[j].sum(axis=0)
+                grad = rep.log_psi_gradient(vs[j]).sum(axis=0)
+                rt = math.sqrt(n)
+                assert s[j] == pytest.approx(total / rt, rel=1e-12, abs=1e-12)
+                assert ls[j] == pytest.approx(-grad / rt, rel=1e-12, abs=1e-12)
 
 
 def test_chi_frequency_matches_m0(urep):
     rng = np.random.default_rng(12)
     draws = 10_000
-    mean_lam = np.mean([sample_state(urep, 8, rng).lam() for _ in range(draws)])
+    _, counts, ls = sn_batch(urep, 8, draws, rng, want_ls=False)
+    assert ls is None
     se = math.sqrt(urep.m0 * (1 - urep.m0) / (8 * draws))
-    assert abs(mean_lam - urep.m0) < 4 * se
+    assert abs(np.mean(counts / 8) - urep.m0) < 4 * se
 
 
-def test_sigma_from_derivative_gram_matrix(urep):
+@pytest.mark.parametrize("spec,seed", [("uniform*uniform", 29),
+                                       ("uniform*uniform*uniform", 30)])
+def test_sn_batch_moments_nd(spec, seed):
+    # mean sum chi / n = m0, Cov(S_n) = I and E(L S_n) = 0, each within 4 SE
+    rep = split(make_distribution(spec))
+    n, size, N = 16, 50_000, rep.dim
+    s, counts, ls = sn_batch(rep, n, size, np.random.default_rng(seed))
+    assert s.shape == ls.shape == (size, N)
+    se = math.sqrt(rep.m0 * (1 - rep.m0) / (n * size))
+    assert abs(np.mean(counts / n) - rep.m0) < 4 * se
+    prods = s[:, :, None] * s[:, None, :]
+    dev = prods.mean(axis=0) - np.eye(N)
+    assert np.all(np.abs(dev) < 4 * prods.std(axis=0) / math.sqrt(size)), dev
+    assert np.all(np.abs(ls.mean(axis=0)) < 4 * ls.std(axis=0) / math.sqrt(size))
+
+
+def test_sigma_from_derivative_gram_matrix(urep, u2rep):
     # dual route: build sigma from the explicit derivative array
-    # D_{(k,i)} S^l = chi_k 1_{i=l} / sqrt(n) and Gram-sum it
+    # D_{(k,i)} S^l = chi_k 1_{i=l} / sqrt(n), Gram-sum it, and weigh L S_n
+    # with phi(det sigma) sigma^{-1}; ibp_weight must agree
     rng = np.random.default_rng(100)
-    reps = [urep, split(make_distribution("uniform*uniform"))]
-    for rep in reps:
+    for rep in (urep, u2rep):
+        N = rep.dim
         for n in (3, 12):
-            st = sample_state(rep, n, rng)
-            N = st.dim
-            # sqrt(n) * D is an exact integer array; divide the Gram once
-            D = np.zeros((n, N, N))
-            for k in range(n):
-                for i in range(N):
-                    D[k, i, i] = int(st.chi[k])
-            gram = np.einsum("kil,kim->lm", D, D) / n
-            assert np.array_equal(gram, st.sigma()), (rep.dim, n)
+            for _ in range(20):
+                chi = rng.random(n) < rep.m0
+                # sqrt(n) * D is an exact integer array; divide the Gram once
+                D = np.zeros((n, N, N))
+                for k in range(n):
+                    for i in range(N):
+                        D[k, i, i] = int(chi[k])
+                gram = np.einsum("kil,kim->lm", D, D) / n
+                assert np.array_equal(gram, (chi.sum() / n) * np.eye(N)), (N, n)
+                ls = rng.normal(size=N)
+                phi = localizer(rep, np.linalg.det(gram))
+                want = phi * np.linalg.solve(gram, ls) if phi else np.zeros(N)
+                got = ibp_weight(rep, n, np.array([chi.sum()]),
+                                 ls[None] if N > 1 else ls)
+                assert got.reshape(N) == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
 # --- OU images --------------------------------------------------------------------
 
-def test_ou_zero_on_plateau(urep):
-    n = 6
-    chi = np.array([True] * n)
-    # place every V on the plateau |v - v0| <= r0/2
-    V = np.full(n, urep.v0 + 0.25 * urep.r0)
-    W = np.full(n, np.nan)
-    st = MalliavinState(n, chi, V, W, np.array([0.0]), urep)
-    assert ou_L(st)[0] == 0.0
+def test_ou_zero_on_plateau(urep, u2rep):
+    # the log-gradient, hence every L S_n term, is exactly 0 on the plateau
+    # |v - v0| <= r0/2, and nonzero on the decay band beyond it
+    rng = np.random.default_rng(31)
+    for rep in (urep, u2rep):
+        assert np.all(rep.log_psi_gradient(_plateau_points(rep, rng, 200)) == 0.0)
+        off = np.asarray(rep.v0) + 0.75 * rep.r0 / math.sqrt(rep.dim)
+        assert np.all(rep.log_psi_gradient(off[None] if rep.dim > 1 else off) != 0.0)
 
 
-def test_ou_zero_without_active_noise(urep):
-    n = 4
-    st = MalliavinState(
-        n, np.zeros(n, bool), np.full(n, np.nan), np.zeros(n), np.array([0.0]), urep
-    )
-    assert ou_L(st)[0] == 0.0
+def test_ou_zero_without_active_noise(urep, u2rep):
+    for rep, seed in ((urep, 32), (u2rep, 33)):
+        _, counts, ls = sn_batch(rep, 2, 2_000, np.random.default_rng(seed))
+        idle = counts == 0
+        assert idle.any()
+        assert np.all(ls[idle] == 0.0)
 
 
 def test_ou_mean_zero(urep):
@@ -125,27 +168,43 @@ def test_ou_norms_stable_in_n(urep):
 
 # --- weights -----------------------------------------------------------------------
 
-def test_weight_zero_when_localizer_vanishes(urep):
+def test_weight_zero_when_localizer_vanishes(urep, u2rep):
     rng = np.random.default_rng(15)
-    st = sample_state(urep, 8, rng)
-    assert np.all(ibp_weight(st, 0.0) == 0.0)
+    n = 1000
+    for rep in (urep, u2rep):
+        # det sigma = (k / n)^N <= eps*/2 for every count up to the threshold
+        thr = math.floor(n * (epsilon_star(rep) / 2) ** (1 / rep.dim))
+        counts = np.arange(thr + 1)
+        shape = counts.shape if rep.dim == 1 else (len(counts), rep.dim)
+        ls = rng.normal(size=shape)
+        assert np.all(ibp_weight(rep, n, counts, ls) == 0.0)
+        above = np.array([thr + 1, n])
+        assert np.all(ibp_weight(rep, n, above, np.ones((2,) + shape[1:])) > 0)
 
 
-def test_weight_degenerate_draw_raises(urep):
-    n = 3
-    st = MalliavinState(
-        n, np.zeros(n, bool), np.full(n, np.nan), np.zeros(n), np.array([0.0]), urep
-    )
+def test_weight_degenerate_draw_raises(urep, monkeypatch):
+    # a localizer that is not supported above eps*/2 breaks the contract
+    monkeypatch.setattr(malliavin, "localizer", lambda rep, det: np.ones_like(det))
     with pytest.raises(DegenerateSigma):
-        ibp_weight(st, 0.5)
+        ibp_weight(urep, 3, np.array([2, 0]), np.zeros(2))
 
 
-def test_weight_plateau_draws_vanish(urep):
+def test_weight_plateau_draws_vanish(urep, u2rep):
+    rng = np.random.default_rng(34)
     n = 5
-    chi = np.ones(n, bool)
-    V = np.full(n, urep.v0 - 0.3 * urep.r0)
-    st = MalliavinState(n, chi, V, np.full(n, np.nan), np.array([0.0]), urep)
-    assert np.all(ibp_weight(st, 1.0) == 0.0)
+    for rep in (urep, u2rep):
+        V = _plateau_points(rep, rng, n)
+        ls = -rep.log_psi_gradient(V).sum(axis=0) / math.sqrt(n)
+        assert np.all(ibp_weight(rep, n, np.array([n]), ls[None]) == 0.0)
+
+
+def test_ibp_weight_mean_zero_nd(u2rep):
+    # constant f: E(f' phi) = 0, so E(H) = 0 in each coordinate
+    n, size = 16, 50_000
+    _, counts, ls = sn_batch(u2rep, n, size, np.random.default_rng(35))
+    h = ibp_weight(u2rep, n, counts, ls)
+    assert h.shape == (size, 2)
+    assert np.all(np.abs(h.mean(axis=0)) < 4 * h.std(axis=0) / math.sqrt(size))
 
 
 # --- integration by parts ------------------------------------------------------------
@@ -193,6 +252,11 @@ def test_ibp_linear_function_identity(urep):
                      200_000, rng)
     assert r.z_score < 4.0
     assert r.lhs == pytest.approx(1.0, abs=0.05)  # phi = 1 off a rare event
+
+
+def test_ibp_battery_rejects_products(u2rep):
+    with pytest.raises(NotImplementedError):
+        ibp_battery(u2rep, 16, default_test_functions(), 100, np.random.default_rng(36))
 
 
 def test_ibp_exponential_law(erep):

@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 
 from edgeworth.moments import (
     AtomMixture,
+    Distribution,
     Exponential,
     GaussianMixture,
     MomentTable,
@@ -212,6 +213,23 @@ def test_product_requires_ac_factors():
     with pytest.raises(ValueError):
         ProductDistribution([make_distribution("atom_mixture"),
                              make_distribution("uniform")])
+
+
+class _Plane(Distribution):
+    """A 2-D law that is not a product of 1-D laws."""
+
+    dim = 2
+    label = "plane"
+    is_standardized = True
+
+
+def test_factors_of_one_d_product_and_other_laws():
+    uni = make_distribution("uniform")
+    assert uni.factors() == [uni]
+    prod = make_distribution("exponential*uniform")
+    assert prod.factors() == prod.children and len(prod.factors()) == 2
+    with pytest.raises(NotImplementedError):
+        _Plane().factors()
 
 
 # --- registry / parsing -----------------------------------------------------------

@@ -10,6 +10,7 @@ from scipy import stats
 
 from edgeworth.correctors import EdgeworthModel, edgeworth_grid, hermite_1d
 from edgeworth.moments import (
+    Distribution,
     GaussianMixture,
     Uniform,
     UserDensity,
@@ -26,6 +27,7 @@ from edgeworth.numerics import (
     gauss_hermite,
     law_of_sn,
     law_of_sum,
+    sn_tail_bound,
     tv_distance,
 )
 from grid_oracle import law_of_sn_2d, law_of_sn_full
@@ -249,6 +251,18 @@ def test_product_law_of_sn_is_outer_product_of_marginals(spec):
     for m in marginals[1:]:
         want = np.multiply.outer(want, m)
     assert np.max(np.abs(g.values - want)) < 1e-12
+
+
+def test_non_product_multivariate_law_is_rejected():
+    # a tail "bound" of 0 for a law the grid path cannot factor would be false
+    class Plane(Distribution):
+        dim = 2
+        is_standardized = True
+
+    with pytest.raises(NotImplementedError):
+        sn_tail_bound(Plane(), 16, 8.0)
+    with pytest.raises(NotImplementedError):
+        law_of_sn(Plane(), 16, points=32)
 
 
 # --- observability and memory ------------------------------------------------------
