@@ -14,12 +14,13 @@ Subcommands::
 
 Every subcommand takes ``--out`` (CSV destination, defaults to stdout).
 ``rate`` alone takes ``--config`` (key = value file, which excludes its
-``--dist``/``--r``/``--n-list`` flags), and the random
+``--dist``/``--r``/``--n-list`` flags), the gridded commands ``density``
+and ``tv`` share ``--points`` and ``--halfwidth``, and the random
 commands ``split``, ``ibp`` and ``sigtail`` alone take ``--seed`` (master
 seed, default 0).
 
 Exit codes: 0 all verdicts pass, 1 some verdict failed, 2 bad
-configuration or runtime error.
+configuration or any runtime error, reported as one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -37,38 +38,11 @@ from .moments import MomentTable, fixture_table, make_distribution
 __all__ = ["main"]
 
 
-def _out_stream(args):
-    if args.out:
-        return open(args.out, "w")
-    return sys.stdout
-
-
-def _emit(args, lines):
-    stream = _out_stream(args)
-    try:
-        stream.write("\n".join(lines) + "\n")
-    finally:
-        if stream is not sys.stdout:
-            stream.close()
-
-
-def _rng(args):
-    return np.random.default_rng(args.seed)
-
-
 def _table_for(spec: str, order: int) -> MomentTable:
-    if spec == "fixture1d":
-        return fixture_table(1, order)
-    if spec == "fixture2d":
-        return fixture_table(2, order)
-    dist = make_distribution(spec)
-    return MomentTable.from_distribution(dist, order)
-
-
-def _coeff_cells(value):
-    if isinstance(value, Fraction):
-        return f"{value.numerator},{value.denominator}"
-    return harness.fmt(float(value))
+    fixture_dim = {"fixture1d": 1, "fixture2d": 2}.get(spec)
+    if fixture_dim:
+        return fixture_table(fixture_dim, order)
+    return MomentTable.from_distribution(make_distribution(spec), order)
 
 
 def _print_cache_sizes(table) -> None:
@@ -93,7 +67,11 @@ def _dist_1d(args, command: str):
     return dist
 
 
-def cmd_rate(args) -> int:
+def _write(args, header: str, rows) -> None:
+    harness.write_csv(args.out or sys.stdout, header, rows)
+
+
+def cmd_rate(args) -> bool:
     if args.config:
         flags = (("--dist", args.dist), ("--r", args.r), ("--n-list", args.n_list))
         ignored = [flag for flag, val in flags if val is not None]
@@ -105,81 +83,57 @@ def cmd_rate(args) -> int:
     else:
         if not (args.dist and args.r and args.n_list):
             raise harness.ConfigError("rate needs --config or --dist/--r/--n-list")
-        cfg = harness.RateConfig(
-            dist=args.dist, r=args.r,
-            n_list=tuple(int(p) for p in args.n_list.replace(",", " ").split()),
-        )
+        cfg = harness.RateConfig(dist=args.dist, r=args.r,
+                                 n_list=tuple(harness.parse_list(args.n_list)))
     report = harness.run_rate(cfg)
-    dest = args.out or cfg.out
-    if dest:
-        harness.emit_report(report, dest)
-    else:
-        harness.emit_report(report, sys.stdout)
+    harness.emit_report(report, args.out or cfg.out or sys.stdout)
     print(
         f"# {report.dist_label} r={report.r}: slope {report.slope:.4f} "
         f"(expected {report.expected_slope}) -> {report.verdict}",
         file=sys.stderr,
     )
-    return 0 if report.verdict == "pass" else 1
+    return report.verdict == "pass"
 
 
-def cmd_kpoly(args) -> int:
+def cmd_kpoly(args) -> bool:
     table = _table_for(args.dist, max(3 * args.m, 3))
     km = correctors.k_poly(table, args.m)
-    lines = ["exponents,coefficient"]
-    for e, c in sorted(km.terms.items()):
-        cell = str(c) if isinstance(c, Fraction) else harness.fmt(float(c))
-        lines.append("|".join(str(p) for p in e) + "," + cell)
-    _emit(args, lines)
+    _write(args, "exponents,coefficient", [
+        ("|".join(map(str, e)), c if isinstance(c, Fraction) else float(c))
+        for e, c in sorted(km.terms.items())
+    ])
     _print_cache_sizes(table)
-    return 0
+    return True
 
 
-def cmd_density(args) -> int:
+def cmd_density(args) -> bool:
     dist = _dist_1d(args, "density")
-    lines = None
+    columns = []
     if args.kind in ("sn", "both"):
         g = numerics.law_of_sn(dist, args.n, args.points, args.halfwidth)
-        xs, sn_vals = g.axes[0], g.values
+        columns.append(g.values)
     if args.kind in ("edgeworth", "both"):
         model = correctors.EdgeworthModel.build(dist, args.r)
-        ge = correctors.edgeworth_grid(model, args.n, args.points, args.halfwidth)
-        xs, ed_vals = ge.axes[0], ge.values
-        _print_negativity(ge)
-    if args.kind == "sn":
-        lines = ["x,density"] + [
-            f"{harness.fmt(float(x))},{harness.fmt(float(v))}"
-            for x, v in zip(xs, sn_vals)
-        ]
-    elif args.kind == "edgeworth":
-        lines = ["x,density"] + [
-            f"{harness.fmt(float(x))},{harness.fmt(float(v))}"
-            for x, v in zip(xs, ed_vals)
-        ]
-    else:
-        lines = ["x,density_sn,density_edgeworth"] + [
-            f"{harness.fmt(float(x))},{harness.fmt(float(a))},{harness.fmt(float(b))}"
-            for x, a, b in zip(xs, sn_vals, ed_vals)
-        ]
-    _emit(args, lines)
-    return 0
+        g = correctors.edgeworth_grid(model, args.n, args.points, args.halfwidth)
+        columns.append(g.values)
+        _print_negativity(g)
+    header = "x,density_sn,density_edgeworth" if args.kind == "both" else "x,density"
+    _write(args, header, zip(g.axes[0], *columns))
+    return True
 
 
-def cmd_tv(args) -> int:
+def cmd_tv(args) -> bool:
     dist = make_distribution(args.dist)
     model = correctors.EdgeworthModel.build(dist, args.r)
     mu = numerics.law_of_sn(dist, args.n, args.points, args.halfwidth)
     gam = correctors.edgeworth_grid(model, args.n, args.points, args.halfwidth)
     _print_negativity(gam)
     tv = numerics.tv_distance(mu, gam)
-    _emit(args, [
-        "n,r,tv_raw,tv_lo,tv_hi",
-        f"{args.n},{args.r},{harness.fmt(tv.raw)},{harness.fmt(tv.lo)},{harness.fmt(tv.hi)}",
-    ])
-    return 0
+    _write(args, "n,r,tv_raw,tv_lo,tv_hi", [(args.n, args.r, tv.raw, tv.lo, tv.hi)])
+    return True
 
 
-def cmd_ops(args) -> int:
+def cmd_ops(args) -> bool:
     table = _table_for(args.dist, args.t)
     if args.family == "psi":
         op = opalg.psi_op(table, args.t)
@@ -189,25 +143,23 @@ def cmd_ops(args) -> int:
         op = opalg.t_op(table, args.n, args.t, "direct")
     exact = any(isinstance(v, Fraction) for v in op.terms.values()) or not op.terms
     header = "multiindex,numerator,denominator" if exact else "multiindex,coefficient"
-    lines = [header]
-    for key, val in op.items():
-        cell = "|".join(str(i) for i in key)
-        lines.append(f"{cell},{_coeff_cells(val)}")
-    _emit(args, lines)
+    _write(args, header, [
+        ("|".join(map(str, key)),
+         *((val.numerator, val.denominator) if isinstance(val, Fraction) else (float(val),)))
+        for key, val in op.items()
+    ])
     _print_cache_sizes(table)
-    return 0
+    return True
 
 
-def cmd_split(args) -> int:
+def cmd_split(args) -> bool:
     dist = _dist_1d(args, "split")
     rep = splitting.split(dist)
-    rng = _rng(args)
-    lo, hi = dist.support()
-    xs = np.linspace(lo, hi, 4096)
-    rec = rep.reconstruction_error(xs)
-    draws = rep.sample(rng, args.samples)
-    direct = dist.sample(rng, args.samples)
-    ks = stats.ks_2samp(draws, direct)
+    xs = np.linspace(*dist.support(), 4096)
+    err = np.abs(rep.m0 * rep.v_pdf(xs) + (1 - rep.m0) * rep.w_pdf(xs) - dist.pdf(xs))
+    rec = float(err.max())
+    rng = np.random.default_rng(args.seed)
+    ks = stats.ks_2samp(rep.sample(rng, args.samples), dist.sample(rng, args.samples))
     acceptance = "".join(
         f" accept_{k}={c.accepted / c.proposed:.4f}"
         for k, c in rep.counters.items() if c.proposed
@@ -218,68 +170,50 @@ def cmd_split(args) -> int:
         f"reconstruction_sup_error={rec:.3e} ks_p={ks.pvalue:.4f}{acceptance}",
         file=sys.stderr,
     )
-    err = np.abs(
-        rep.m0 * rep.v_pdf(xs) + (1 - rep.m0) * rep.w_pdf(xs) - dist.pdf(xs)
-    )
-    lines = ["x,reconstruction_error"] + [
-        f"{harness.fmt(float(x))},{harness.fmt(float(e))}" for x, e in zip(xs, err)
-    ]
-    _emit(args, lines)
-    return 0 if (rec < 1e-8 and ks.pvalue > 0.01) else 1
+    _write(args, "x,reconstruction_error", zip(xs, err))
+    return rec < 1e-8 and ks.pvalue > 0.01
 
 
-def cmd_ibp(args) -> int:
-    dist = _dist_1d(args, "ibp")
-    rep = splitting.split(dist)
-    rng = _rng(args)
-    reports = malliavin.ibp_battery(
-        rep, args.n, malliavin.default_test_functions(), args.samples, rng
-    )
-    lines = ["f,n,samples,lhs,lhs_se,rhs,rhs_se,z"]
-    worst = 0.0
-    for rep_ in reports:
-        worst = max(worst, rep_.z_score)
-        lines.append(
-            f"{rep_.label},{rep_.n},{rep_.samples},{harness.fmt(rep_.lhs)},"
-            f"{harness.fmt(rep_.lhs_se)},{harness.fmt(rep_.rhs)},"
-            f"{harness.fmt(rep_.rhs_se)},{harness.fmt(rep_.z_score)}"
-        )
-    _emit(args, lines)
-    return 0 if worst < 4.0 else 1
+def cmd_ibp(args) -> bool:
+    rep = splitting.split(_dist_1d(args, "ibp"))
+    reports = malliavin.ibp_battery(rep, args.n, malliavin.default_test_functions(),
+                                    args.samples, np.random.default_rng(args.seed))
+    _write(args, "f,n,samples,lhs,lhs_se,rhs,rhs_se,z", [
+        (r.label, r.n, r.samples, r.lhs, r.lhs_se, r.rhs, r.rhs_se, r.z_score)
+        for r in reports
+    ])
+    # a NaN z compares false against 4.0, so it fails the verdict
+    return all(r.z_score < 4.0 for r in reports)
 
 
-def cmd_sigtail(args) -> int:
-    dist = make_distribution(args.dist)
-    rep = splitting.split(dist)
-    rng = _rng(args)
-    ns = [int(p) for p in args.n_list.replace(",", " ").split()]
-    lines = ["n,samples,estimate,se,exact_binomial,exponential_bound,z"]
-    ok = True
+def cmd_sigtail(args) -> bool:
+    ns = harness.parse_list(args.n_list)
+    if not ns:
+        raise harness.ConfigError("sigtail --n-list must be nonempty")
+    rep = splitting.split(make_distribution(args.dist))
+    rng = np.random.default_rng(args.seed)
+    rows, ok = [], True
     for n in ns:
         r = malliavin.sigma_tail(rep, n, args.samples, rng)
         ok = ok and r.z_score < 4.0
         if n >= malliavin.TAIL_CALIBRATION_N:
             ok = ok and r.exact <= r.bound * (1 + 1e-9)
-        lines.append(
-            f"{n},{r.samples},{harness.fmt(r.estimate)},{harness.fmt(r.se)},"
-            f"{harness.fmt(r.exact)},{harness.fmt(r.bound)},{harness.fmt(r.z_score)}"
-        )
-    _emit(args, lines)
-    return 0 if ok else 1
+        rows.append((n, r.samples, r.estimate, r.se, r.exact, r.bound, r.z_score))
+    _write(args, "n,samples,estimate,se,exact_binomial,exponential_bound,z", rows)
+    return ok
 
 
-def cmd_taylor(args) -> int:
-    coeffs = [Fraction(c) for c in args.coeffs.replace(",", " ").split()]
+def cmd_taylor(args) -> bool:
+    coeffs = harness.parse_list(args.coeffs, Fraction)
     g = opalg.MultiPoly(1, {(k,): c for k, c in enumerate(coeffs)})
-    lines = ["L,residual"]
-    ok = True
+    rows, ok = [], True
     for level in range(args.max_level + 1):
         res = malliavin.backward_taylor_check(g, level)
         tol = 1e-10 if g.diff(tuple([1] * (2 * level + 2))).is_zero() else 1e-8
         ok = ok and res < tol
-        lines.append(f"{level},{harness.fmt(res)}")
-    _emit(args, lines)
-    return 0 if ok else 1
+        rows.append((level, res))
+    _write(args, "L,residual", rows)
+    return ok
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -287,6 +221,11 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", help="CSV output path (default stdout)")
     seeded = argparse.ArgumentParser(add_help=False, parents=[common])
     seeded.add_argument("--seed", type=int, default=0, help="master seed")
+    gridded = argparse.ArgumentParser(add_help=False, parents=[common])
+    gridded.add_argument("--points", type=int, default=None,
+                         help="points per axis (default 2^14 in 1-D, 2^10 in 2-D, "
+                         "2^7 in 3-D)")
+    gridded.add_argument("--halfwidth", type=float, default=16.0)
 
     p = argparse.ArgumentParser(
         prog="edgeworth",
@@ -308,25 +247,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--m", type=int, default=1)
     sp.set_defaults(func=cmd_kpoly)
 
-    sp = sub.add_parser("density", parents=[common], help="densities on a grid")
+    sp = sub.add_parser("density", parents=[gridded], help="densities on a grid")
     sp.add_argument("--dist", required=True)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--r", type=int, default=3)
     sp.add_argument("--kind", choices=["sn", "edgeworth", "both"], default="both")
-    sp.add_argument("--points", type=int, default=None,
-                    help="points per axis (default 2^14 in 1-D, 2^10 in 2-D, "
-                    "2^7 in 3-D)")
-    sp.add_argument("--halfwidth", type=float, default=16.0)
     sp.set_defaults(func=cmd_density)
 
-    sp = sub.add_parser("tv", parents=[common], help="one TV distance")
+    sp = sub.add_parser("tv", parents=[gridded], help="one TV distance")
     sp.add_argument("--dist", required=True)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--r", type=int, default=3)
-    sp.add_argument("--points", type=int, default=None,
-                    help="points per axis (default 2^14 in 1-D, 2^10 in 2-D, "
-                    "2^7 in 3-D)")
-    sp.add_argument("--halfwidth", type=float, default=16.0)
     sp.set_defaults(func=cmd_tv)
 
     sp = sub.add_parser("ops", parents=[common], help="operator term tables")
@@ -365,11 +296,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (harness.ConfigError, ValueError, OSError) as exc:
+        return 0 if args.func(args) else 1
+    except Exception as exc:  # every configuration or runtime error exits 2
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -33,6 +33,8 @@ __all__ = [
     "run_rate",
     "emit_report",
     "fmt",
+    "parse_list",
+    "write_csv",
 ]
 
 
@@ -41,10 +43,27 @@ class ConfigError(Exception):
 
 
 def fmt(v) -> str:
-    """Stable float formatting used by every CSV writer."""
+    """Stable cell formatting: floats as ``.12g``, anything else via ``str``."""
     if isinstance(v, float):
         return f"{v:.12g}"
     return str(v)
+
+
+def write_csv(dest, header: str, rows) -> None:
+    """Write ``header`` and ``rows``, every cell through :func:`fmt`, as CSV
+    to a path or a writable stream."""
+    lines = [header, *(",".join(map(fmt, row)) for row in rows)]
+    data = "\n".join(lines) + "\n"
+    if hasattr(dest, "write"):
+        dest.write(data)
+    else:
+        with open(dest, "w") as fh:
+            fh.write(data)
+
+
+def parse_list(text: str, kind=int) -> list:
+    """Items of a comma- or space-separated list, each through ``kind``."""
+    return [kind(p) for p in text.replace(",", " ").split()]
 
 
 @dataclass
@@ -99,7 +118,7 @@ def parse_config(text: str) -> RateConfig:
         kind = _CONFIG_KEYS[key]
         try:
             if kind == "intlist":
-                values[key] = tuple(int(p) for p in val.replace(",", " ").split())
+                values[key] = tuple(parse_list(val))
             elif kind is int:
                 values[key] = int(val)
             elif kind is float:
@@ -223,17 +242,7 @@ def emit_report(report: RateReport, path) -> None:
 
     Byte-identical across runs for the same config.
     """
-    lines = ["n,tv_mid,tv_lo,tv_hi"]
-    for n, tv in zip(report.n_values, report.tv_values):
-        lines.append(f"{n},{fmt(tv.mid)},{fmt(tv.lo)},{fmt(tv.hi)}")
+    rows = [(n, tv.mid, tv.lo, tv.hi) for n, tv in zip(report.n_values, report.tv_values)]
     verdict = report.verdict if not report.reason else f"{report.verdict} ({report.reason})"
-    lines.append(
-        f"{fmt(report.slope)},{fmt(report.slope_stderr)},"
-        f"{fmt(report.expected_slope)},{verdict}"
-    )
-    data = "\n".join(lines) + "\n"
-    if hasattr(path, "write"):
-        path.write(data)
-    else:
-        with open(path, "w") as fh:
-            fh.write(data)
+    rows.append((report.slope, report.slope_stderr, report.expected_slope, verdict))
+    write_csv(path, "n,tv_mid,tv_lo,tv_hi", rows)

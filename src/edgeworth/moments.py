@@ -624,8 +624,9 @@ class ProductDistribution(Distribution):
     def __init__(self, children):
         self.children = list(children)
         self.dim = len(self.children)
-        if self.dim < 1 or self.dim > 3:
-            raise ValueError("product laws supported for 1 <= N <= 3")
+        if self.dim < 2 or self.dim > 3:
+            # a 1-D law is its own one-factor case through factors()
+            raise ValueError("product laws supported for 2 <= N <= 3")
         self.label = "*".join(c.label for c in self.children)
         self.max_order = min(c.max_order for c in self.children)
         self.is_standardized = all(c.is_standardized for c in self.children)
@@ -799,12 +800,9 @@ def make_distribution(spec: str) -> Distribution:
     return ProductDistribution([_parse_one(p) for p in parts])
 
 
-def shipped_labels(ac_only: bool = False):
-    """Names of the registry laws (optionally only absolutely continuous)."""
-    names = ["uniform", "exponential", "laplace", "gamma", "gauss_mixture"]
-    if not ac_only:
-        names.append("atom_mixture")
-    return names
+def shipped_labels():
+    """Names of the registry laws."""
+    return ["uniform", "exponential", "laplace", "gamma", "gauss_mixture", "atom_mixture"]
 
 
 def fixture_deltas(dim: int, max_order: int = 9) -> dict:

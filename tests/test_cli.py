@@ -1,9 +1,12 @@
 """CLI surface: schemas, exit codes, determinism."""
 
 import tracemalloc
+from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
+from edgeworth import cli, malliavin
 from edgeworth.cli import build_parser, main
 from edgeworth.correctors import k_poly
 from edgeworth.moments import fixture_table
@@ -262,3 +265,83 @@ def test_rate_config_with_seed_exits_2(tmp_path, capsys):
     assert code == 2
     assert "unknown key 'seed'" in err
 
+
+
+# --- one writer, one exit path -----------------------------------------------------
+
+TABLES = {
+    "rate": ["rate", "--dist", "exponential", "--r", "2", "--n-list", "32,64,128"],
+    "kpoly": ["kpoly", "--dist", "fixture2d", "--m", "2"],
+    "density": ["density", "--dist", "exponential", "--n", "8", "--points", "512",
+                "--halfwidth", "12"],
+    "tv": ["tv", "--dist", "exponential*uniform", "--n", "32", "--points", "256"],
+    "ops-exact": ["ops", "--dist", "fixture2d", "--family", "t", "--n", "3", "--t", "5"],
+    "ops-float": ["ops", "--dist", "gauss_mixture", "--t", "3"],
+    "split": ["split", "--dist", "laplace", "--samples", "2000"],
+    "ibp": ["ibp", "--n", "4", "--samples", "2000"],
+    "sigtail": ["sigtail", "--n-list", "10,50", "--samples", "2000"],
+    "taylor": ["taylor", "--max-level", "2"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
+def test_every_row_has_a_cell_per_column(capsys, name):
+    code, out, _ = run(capsys, *TABLES[name])
+    assert code == 0
+    header, *rows = out.splitlines()
+    assert rows
+    assert {len(row.split(",")) for row in rows} == {len(header.split(","))}
+
+
+def _fail_verdict(monkeypatch, command):
+    if command == "split":
+        ks = SimpleNamespace(pvalue=0.0)
+        monkeypatch.setattr(cli, "stats", SimpleNamespace(ks_2samp=lambda a, b: ks))
+    elif command == "ibp":
+        battery = malliavin.ibp_battery
+        monkeypatch.setattr(malliavin, "ibp_battery", lambda *a: [
+            replace(r, lhs=r.lhs + 1e6) for r in battery(*a)])
+    elif command == "sigtail":
+        tail = malliavin.sigma_tail
+        monkeypatch.setattr(malliavin, "sigma_tail", lambda *a: replace(
+            tail(*a), estimate=2.0))
+    else:
+        monkeypatch.setattr(malliavin, "backward_taylor_check", lambda g, level: 1.0)
+
+
+@pytest.mark.parametrize("command,rows", [
+    ("split", 4096), ("ibp", 4), ("sigtail", 2), ("taylor", 3),
+])
+def test_failed_verdict_exits_1_with_full_table(capsys, monkeypatch, command, rows):
+    _fail_verdict(monkeypatch, command)
+    code, out, _ = run(capsys, *TABLES[command])
+    assert code == 1
+    assert len(out.splitlines()) == 1 + rows
+
+
+def test_ibp_nan_z_fails(capsys, monkeypatch):
+    # a NaN z-score compares false against every threshold: it must not pass
+    battery = malliavin.ibp_battery
+    monkeypatch.setattr(malliavin, "ibp_battery", lambda *a: [
+        replace(r, lhs=float("nan")) for r in battery(*a)])
+    code, out, _ = run(capsys, *TABLES["ibp"])
+    assert code == 1
+    assert out.splitlines()[1].split(",")[-1] == "nan"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["kpoly", "--dist", "atom_mixture(p=0)"], "degenerate"),
+    (["tv", "--dist", "exponential", "--n", "1", "--halfwidth", "2", "--points", "64"],
+     "window too small"),
+    (["kpoly", "--dist", "exponential", "--m", "6"], "requested order 18"),
+    (["sigtail", "--samples", "0"], "samples must be >= 1"),
+    (["ibp", "--samples", "0"], "samples must be >= 1"),
+    (["sigtail", "--n-list", ""], "--n-list must be nonempty"),
+], ids=["singular-covariance", "aliasing", "order-exceeded", "sigtail-no-samples",
+        "ibp-no-samples", "sigtail-no-n"])
+def test_runtime_errors_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err

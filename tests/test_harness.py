@@ -2,6 +2,7 @@
 
 import io
 import math
+from fractions import Fraction as F
 
 import pytest
 
@@ -12,7 +13,9 @@ from edgeworth.harness import (
     expected_slope,
     fmt,
     parse_config,
+    parse_list,
     run_rate,
+    write_csv,
 )
 from edgeworth.moments import MomentTable, make_distribution
 
@@ -134,6 +137,22 @@ def test_monotone_correction_quality():
     tv5 = tv_distance(mu, edgeworth_grid(EdgeworthModel.build(d, 5), 1024)).mid
     tv2 = tv_distance(mu, edgeworth_grid(EdgeworthModel.build(d, 2), 1024)).mid
     assert tv5 < tv2
+
+
+def test_write_csv_to_stream_and_path(tmp_path):
+    rows = [(1, 0.1, "pass"), (2, float("nan"), F(1, 3))]
+    buf = io.StringIO()
+    write_csv(buf, "n,x,note", rows)
+    assert buf.getvalue() == "n,x,note\n1,0.1,pass\n2,nan,1/3\n"
+    path = tmp_path / "t.csv"
+    write_csv(str(path), "n,x,note", rows)
+    assert path.read_text() == buf.getvalue()
+
+
+def test_parse_list_commas_and_spaces():
+    assert parse_list("32, 64 128,") == [32, 64, 128]
+    assert parse_list("1/2 3", F) == [F(1, 2), F(3)]
+    assert parse_list("") == []
 
 
 def test_fmt_stability():

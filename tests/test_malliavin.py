@@ -259,6 +259,13 @@ def test_ibp_battery_rejects_products(u2rep):
         ibp_battery(u2rep, 16, default_test_functions(), 100, np.random.default_rng(36))
 
 
+@pytest.mark.parametrize("samples", [0, -1])
+def test_ibp_battery_rejects_empty_sample(urep, samples):
+    # no draws would give NaN means that no z-score threshold can fail
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        ibp_battery(urep, 16, default_test_functions(), samples, np.random.default_rng(36))
+
+
 def test_ibp_exponential_law(erep):
     # small carved mass: most draws are localized away, identity still holds
     rng = np.random.default_rng(19)
@@ -288,6 +295,12 @@ def test_sigma_tail_grid(urep):
         if prev is not None:
             assert r.exact < prev
         prev = r.exact
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_sigma_tail_rejects_empty_sample(urep, samples):
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        sigma_tail(urep, 10, samples, np.random.default_rng(22))
 
 
 def test_sigma_tail_threshold_definition(urep):

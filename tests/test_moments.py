@@ -209,6 +209,13 @@ def test_product_pdf_and_char():
     )
 
 
+@pytest.mark.parametrize("names", [[], ["laplace"], ["uniform"] * 4])
+def test_product_needs_two_or_three_factors(names):
+    # a 1-D law is already its own one-factor case through factors()
+    with pytest.raises(ValueError, match="2 <= N <= 3"):
+        ProductDistribution([make_distribution(name) for name in names])
+
+
 def test_product_requires_ac_factors():
     with pytest.raises(ValueError):
         ProductDistribution([make_distribution("atom_mixture"),
