@@ -50,7 +50,6 @@ from .numerics import (
     TVInterval,
     gauss_hermite,
     law_of_sn,
-    law_of_sum,
     tv_distance,
 )
 from .splitting import (

@@ -5,7 +5,7 @@ Subcommands::
     rate     fit log-log TV slopes against the corrected measures
     kpoly    dump corrector-polynomial coefficients as CSV
     density  evaluate the law of S_n and/or the corrected density on a grid
-    tv       one total-variation distance with its certified interval
+    tv       one total-variation distance with its tail and singular-mass slack
     ops      dump operator term tables as CSV
     split    build a splitting representation and run its checks
     ibp      Monte Carlo check of the localized integration by parts
@@ -205,6 +205,8 @@ def cmd_sigtail(args) -> bool:
 
 def cmd_taylor(args) -> bool:
     coeffs = harness.parse_list(args.coeffs, Fraction)
+    if not coeffs:
+        raise harness.ConfigError("taylor --coeffs must be nonempty")
     g = opalg.MultiPoly(1, {(k,): c for k, c in enumerate(coeffs)})
     rows, ok = [], True
     for level in range(args.max_level + 1):

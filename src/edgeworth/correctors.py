@@ -251,7 +251,7 @@ def edgeworth_grid(model: EdgeworthModel, n: int, points: int | None = None,
     if points is None:
         points = default_grid_points(model.dim)
     key = (points, halfwidth)
-    terms = model._grid_terms  # read once: another thread may replace it
+    terms = model._grid_terms
     if terms is None or terms[0] != key:
         x = _axis(-halfwidth, halfwidth, points)
         x.flags.writeable = False  # shared by every grid of this layout

@@ -19,8 +19,7 @@ point.  The module provides
   tuples each one stands for.  Moments are symmetric, so every operator is
   keyed by sorted multiindex and weighted by that multinomial count.
 
-Tables are memoized lazily (``functools.lru_cache`` is thread safe), so
-concurrent callers are fine.
+Tables are memoized lazily with ``functools.lru_cache``.
 """
 
 from __future__ import annotations

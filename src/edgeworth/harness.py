@@ -68,9 +68,9 @@ def parse_list(text: str, kind=int) -> list:
 
 @dataclass
 class RateConfig:
-    """One rate experiment; the ``n`` values run serially in the calling
-    thread.  ``grid_points`` left unset becomes ``default_grid_points`` of
-    the law's dimension (the number of ``*``-joined factors in ``dist``)."""
+    """One rate experiment.  ``grid_points`` left unset becomes
+    ``default_grid_points`` of the law's dimension (the number of
+    ``*``-joined factors in ``dist``)."""
 
     dist: str
     r: int

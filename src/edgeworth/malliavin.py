@@ -191,6 +191,8 @@ def ibp_battery(rep: SplitRep, n: int, funcs, samples: int, rng) -> list[IbpRepo
     """
     if rep.dim != 1:
         raise NotImplementedError("the IBP battery's test functions are 1-D")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     chunk = max(1, min(CHUNK_SAMPLES, SUMMAND_BUDGET // n))
@@ -250,6 +252,8 @@ def sigma_tail(rep: SplitRep, n: int, samples: int, rng) -> SigmaTailReport:
     ``C exp(-n / (4 (1/m0 - 1)))`` has its constant calibrated at
     ``n = TAIL_CALIBRATION_N``.
     """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     eps = epsilon_star(rep) / 2.0

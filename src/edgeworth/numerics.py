@@ -1,15 +1,20 @@
 """Grid densities, characteristic-function inversion, and total variation.
 
-The law of the normalized sum ``S_n = n^{-1/2} sum F_k`` is computed
-exactly (up to certified truncation/tail slack) by sampling the
-characteristic function ``phi(t/sqrt(n))^n`` on the dual grid and
-inverting with FFTs.  The characteristic function of a product law is a
-product of per-axis factors, so the inversion takes one 1-D FFT per axis
-and the grid is their outer product; no ``m^N`` spectrum is formed.
-Total variation follows the no-half convention:
+The law of the normalized sum ``S_n = n^{-1/2} sum F_k`` is computed by
+sampling the characteristic function ``phi(t/sqrt(n))^n`` on the dual
+grid and inverting with FFTs.  The characteristic function of a product
+law is a product of per-axis factors, so the inversion takes one 1-D FFT
+per axis and the grid is their outer product; no ``m^N`` spectrum is
+formed.  Total variation follows the no-half convention:
 ``d_TV(mu, nu) = sup_{|f| <= 1} |int f dmu - int f dnu|``, i.e. the full
 L1 distance between densities, which is why disjoint probability measures
 are at distance 2.
+
+Each grid carries two certificates: a bound on the mass outside the
+window and the exact singular mass.  The FFT's own discretization error
+(aliasing and the rectangle rule) is bounded by neither: for ``uniform``
+at ``n = 1`` on the default grid the L1 gap to the exact density is
+1.8e-3, while the certificates sum to 2.1e-17.
 """
 
 from __future__ import annotations
@@ -30,7 +35,6 @@ __all__ = [
     "default_grid_points",
     "gauss_hermite",
     "law_of_sn",
-    "law_of_sum",
     "sn_tail_bound",
     "tv_distance",
 ]
@@ -223,7 +227,7 @@ def _sn_char_fn(law: Distribution, n: int, t):
 
 
 def law_of_sn(dist: Distribution, n: int, points: int | None = None,
-              halfwidth: float = 16.0, check: bool = True) -> GridDensity:
+              halfwidth: float = 16.0) -> GridDensity:
     """Density of ``S_n = n^{-1/2} sum_k F_k`` on a centered grid.
 
     ``dist`` must be standardized, and a 1-D law or a product law; the
@@ -232,7 +236,8 @@ def law_of_sn(dist: Distribution, n: int, points: int | None = None,
     with atoms the inversion is applied to the a.c. part of ``mu_n`` only:
     the purely atomic contribution (every summand on an atom) has
     characteristic function ``A(t/sqrt(n))^n`` and is subtracted in closed
-    form, with its total weight recorded as ``singular_mass``.
+    form, with its total weight recorded as ``singular_mass``.  Raises
+    :class:`AliasingDetected` when the grid fails ``GridDensity.check_mass``.
     """
     if not dist.is_standardized:
         raise ValueError("law_of_sn expects a standardized distribution")
@@ -252,29 +257,17 @@ def law_of_sn(dist: Distribution, n: int, points: int | None = None,
         singular_mass=singular,
         label=f"S_{n}[{dist.label}]",
     )
-    if check:
-        g.check_mass()
+    g.check_mass()
     return g
-
-
-def law_of_sum(dist: Distribution, n: int, lo: float, hi: float,
-               points: int = 2**16) -> GridDensity:
-    """Helper: density of the un-normalized sum of ``n`` iid copies (1-D a.c.)."""
-    if dist.atoms:
-        raise NotImplementedError("plain-sum helper supports a.c. laws only")
-    x = _axis(lo, hi, points)
-    vals = _invert_charfn([lambda t: _int_power(dist.char_fn(t), n)], lo, hi, points)
-    mu = n * float(dist.moment((1,)))
-    var = n * (float(dist.moment((1, 1))) - float(dist.moment((1,))) ** 2)
-    margin = min(mu - lo, hi - mu)
-    tail = min(1.0, var / margin**2) if margin > 0 else 1.0
-    return GridDensity((x,), vals, tail_mass_bound=tail,
-                       label=f"sum_{n}[{dist.label}]")
 
 
 @dataclass
 class TVInterval:
-    """Total variation as a certified interval ``[raw, raw + slack]``."""
+    """Total variation as an interval ``[raw, raw + slack]``.
+
+    ``slack`` covers the window tails and the singular masses only; the
+    FFT's discretization error in ``raw`` is not part of the interval.
+    """
 
     raw: float
     slack: float
@@ -300,8 +293,9 @@ def tv_distance(p: GridDensity, q: GridDensity) -> TVInterval:
     """``d_TV`` between two grid densities (no 1/2 factor).
 
     The raw value is the grid L1 distance; the slack adds the tail bounds
-    and singular masses of both arguments, inside which the true distance
-    is certified to lie.
+    and singular masses of both arguments.  The interval accounts for the
+    mass the grids do not carry, not for the discretization error of the
+    grid values themselves.
     """
     if p.dim != q.dim or p.values.shape != q.values.shape:
         raise GridMismatch("grids have different shapes")

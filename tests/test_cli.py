@@ -337,8 +337,11 @@ def test_ibp_nan_z_fails(capsys, monkeypatch):
     (["sigtail", "--samples", "0"], "samples must be >= 1"),
     (["ibp", "--samples", "0"], "samples must be >= 1"),
     (["sigtail", "--n-list", ""], "--n-list must be nonempty"),
+    (["ibp", "--n", "0", "--samples", "10"], "n must be >= 1"),
+    (["sigtail", "--n-list", "0", "--samples", "10"], "n must be >= 1"),
+    (["taylor", "--coeffs", ""], "--coeffs must be nonempty"),
 ], ids=["singular-covariance", "aliasing", "order-exceeded", "sigtail-no-samples",
-        "ibp-no-samples", "sigtail-no-n"])
+        "ibp-no-samples", "sigtail-no-n", "ibp-n-zero", "sigtail-n-zero", "taylor-no-coeffs"])
 def test_runtime_errors_exit_2(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2

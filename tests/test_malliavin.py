@@ -266,6 +266,12 @@ def test_ibp_battery_rejects_empty_sample(urep, samples):
         ibp_battery(urep, 16, default_test_functions(), samples, np.random.default_rng(36))
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_ibp_battery_rejects_n_below_one(urep, n):
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        ibp_battery(urep, n, default_test_functions(), 10, np.random.default_rng(36))
+
+
 def test_ibp_exponential_law(erep):
     # small carved mass: most draws are localized away, identity still holds
     rng = np.random.default_rng(19)
@@ -301,6 +307,13 @@ def test_sigma_tail_grid(urep):
 def test_sigma_tail_rejects_empty_sample(urep, samples):
     with pytest.raises(ValueError, match="samples must be >= 1"):
         sigma_tail(urep, 10, samples, np.random.default_rng(22))
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_sigma_tail_rejects_n_below_one(urep, n):
+    # the binomial oracle takes n = 0 without complaint: the row would be empty
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        sigma_tail(urep, n, 10, np.random.default_rng(22))
 
 
 def test_sigma_tail_threshold_definition(urep):

@@ -309,6 +309,13 @@ def test_user_density_quadrature_moments():
     assert abs(x.mean()) < 0.02 and abs(x.var() - 1) < 0.05
 
 
+def test_user_density_sample_rejects_zero_density():
+    # a zero envelope accepts no proposal: the rejection loop would not end
+    d = UserDensity(lambda x: np.zeros_like(x), (0, 2), label="zero", max_order=6)
+    with pytest.raises(ValueError, match="not positive"):
+        d.sample(np.random.default_rng(5), 10)
+
+
 def _triangle(x):
     return np.where((x >= 0) & (x <= 2), np.where(x <= 1, x, 2 - x), 0.0)
 

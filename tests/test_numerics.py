@@ -26,7 +26,6 @@ from edgeworth.numerics import (
     default_grid_points,
     gauss_hermite,
     law_of_sn,
-    law_of_sum,
     sn_tail_bound,
     tv_distance,
 )
@@ -75,34 +74,33 @@ def test_n_equals_one_recovers_smooth_input():
 
 
 def test_irwin_hall_triangle():
-    # helper mode: un-normalized sum of two uniforms; slow characteristic
-    # decay needs the fine dedicated grid
-    g = law_of_sum(Uniform(0, 1), 2, -1.0, 3.0, 2**20)
+    # S_2 of the standardized uniform is the triangle (sqrt6 - |x|)/6; its
+    # slow characteristic decay needs a fine grid
+    g = law_of_sn(make_distribution("uniform"), 2, 2**20, 4.0)
     xs = g.axes[0]
-    tri = np.where(
-        (xs >= 0) & (xs <= 1), xs, np.where((xs > 1) & (xs <= 2), 2 - xs, 0.0)
-    )
+    tri = np.maximum(math.sqrt(6) - np.abs(xs), 0.0) / 6
     assert np.max(np.abs(g.values - tri)) < 1e-6
-    assert g.values[np.argmin(np.abs(xs - 1.0))] == pytest.approx(1.0, abs=1e-6)
+    assert g.values[np.argmin(np.abs(xs))] == pytest.approx(math.sqrt(6) / 6, abs=1e-6)
 
 
 @pytest.mark.parametrize("n", [2, 4])
 def test_fft_vs_direct_self_convolution(n):
-    # rectangle-rule self-convolution of a smooth rapidly-decaying density
-    # is an independent oracle for the plain-sum helper
+    # the n-fold convolution of a two-component Gaussian mixture is the
+    # binomial mixture of n + 1 normals: a closed-form oracle with no FFT
     raw = GaussianMixture()
-    lo, hi, m = -24.0, 24.0, 2**14
-    g = law_of_sum(raw, n, lo, hi, m)
+    params = (raw.weights, raw.means, raw.sigmas)
+    (w1, w2), (m1, m2), (s1, s2) = ([float(v) for v in p] for p in params)
+    mu = w1 * m1 + w2 * m2
+    sd = math.sqrt(w1 * (s1**2 + m1**2) + w2 * (s2**2 + m2**2) - mu**2)
+    g = law_of_sn(standardize(raw), n)
     xs = g.axes[0]
-    dx = xs[1] - xs[0]
-    dens = raw.pdf(xs)
-    conv = dens.copy()
-    for _ in range(n - 1):
-        full = np.convolve(conv, dens) * dx
-        # np.convolve offsets the support start to lo + lo; re-window on xs
-        start = int(round((lo + lo - (lo)) / dx))  # index of lo in the full grid
-        conv = full[-start:][: len(xs)] if start < 0 else full[start : start + len(xs)]
-    assert np.max(np.abs(g.values - conv)) < 1e-6
+    want = sum(
+        math.comb(n, j) * w1**j * w2 ** (n - j)
+        * normal_pdf(xs, (j * m1 + (n - j) * m2 - n * mu) / (sd * math.sqrt(n)),
+                     math.sqrt((j * s1**2 + (n - j) * s2**2) / n) / sd)
+        for j in range(n + 1)
+    )
+    assert np.max(np.abs(g.values - want)) < 1e-6
 
 
 @pytest.mark.parametrize("name", shipped_labels())
@@ -235,7 +233,7 @@ def test_2d_gaussian_fixed_point():
 @pytest.mark.parametrize("points", [64, 512])
 def test_2d_law_of_sn_matches_meshgrid_oracle(spec, n, points):
     d = make_distribution(spec)
-    g = law_of_sn(d, n, points, check=False)
+    g = law_of_sn(d, n, points)
     assert np.max(np.abs(g.values - law_of_sn_2d(d, n, points, 16.0))) <= 1e-12
 
 
@@ -323,7 +321,7 @@ def test_half_axis_law_of_sn_matches_full_axis_oracle(spec, n):
     d = _user_triangle() if spec == "triangle" else make_distribution(spec)
     top = 2**8 if spec == "triangle" else {1: 2**12, 2: 2**8, 3: 2**5}[d.dim]
     for points in [2, top]:  # 2 is the smallest grid the inverter accepts
-        g = law_of_sn(d, n, points, check=False)
+        g = law_of_sn(d, n, points)
         want = law_of_sn_full(d, n, points, 16.0)
         assert np.max(np.abs(g.values - want)) <= 1e-12
 
