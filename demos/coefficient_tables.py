@@ -1,21 +1,22 @@
 """Walk through the exact coefficient tables behind the expansion.
 
-Everything printed here is an exact rational: the Bernoulli numbers (in
-the convention with B_1 = +1/2), the Faulhaber rows expressing
-sum_{k<n} k^l as a polynomial in n, the P_i polynomials that count
-iterated summand contributions, and finally the corrector polynomials
-K_1..K_3 for three standardized laws, which reproduce the classical
-one-dimensional Edgeworth coefficients.
+Everything printed here is an exact rational: the P_i polynomials that
+count iterated summand contributions, P_i(n) = C(n, i), with their
+coefficient rows a[i] (the signed Stirling numbers of the first kind over
+i!), the per-summand weights Q_l(k) = C(k-1, l), and finally the corrector
+polynomials K_1..K_3 for three standardized laws, which reproduce the
+classical one-dimensional Edgeworth coefficients.
 """
+
+from math import comb
 
 from edgeworth import (
     MomentTable,
     a_coeffs,
-    b_coeffs,
-    bernoulli,
     k_poly,
     make_distribution,
     p_value,
+    q_value,
 )
 
 
@@ -28,17 +29,16 @@ def show_poly(p):
     return " + ".join(bits) if bits else "0"
 
 
-print("Bernoulli numbers B_0..B_10 (second convention):")
-print("  ", [str(bernoulli(m)) for m in range(11)])
-
-print("\nPower-sum rows b[l]: sum_{k=1}^{n-1} k^l = sum_q b[l][q] n^q")
-for l in range(4):
-    print(f"  l={l}: ", [str(c) for c in b_coeffs(l)])
-
-print("\nPolynomials P_i(n) (vanish for n < i):")
+print("Polynomials P_i(n) = sum_p a[i][p] n^p = C(n, i) (vanish for n < i):")
 for i in range(1, 5):
     vals = [str(p_value(i, n)) for n in range(1, 8)]
-    print(f"  P_{i}(1..7) = {vals}   coefficients {[str(c) for c in a_coeffs(i)]}")
+    binoms = [comb(n, i) for n in range(1, 8)]
+    print(f"  a[{i}] = {[str(c) for c in a_coeffs(i)]}")
+    print(f"    P_{i}(1..7) = {vals}   C(1..7, {i}) = {binoms}")
+
+print("\nPer-summand weights Q_l(k) = C(k-1, l):")
+for l in range(4):
+    print(f"  Q_{l}(1..7) = {[str(q_value(l, k)) for k in range(1, 8)]}")
 
 print("\nCorrector polynomials for three standardized laws")
 print("(the H_3/H_4/H_6... combinations of the classical 1-D expansion):")

@@ -9,12 +9,9 @@ and FFT / Monte Carlo verification tooling.
 from .exactmath import (
     MultiIndex,
     a_coeffs,
-    b_coeffs,
-    bernoulli,
     multisets,
     orderings,
     p_value,
-    power_sum,
     prefix_splits,
     q_value,
     theta,

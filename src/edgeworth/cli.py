@@ -153,6 +153,8 @@ def cmd_ops(args) -> bool:
 
 
 def cmd_split(args) -> bool:
+    if args.samples < 1:
+        raise harness.ConfigError(f"split --samples must be >= 1, got {args.samples}")
     dist = _dist_1d(args, "split")
     rep = splitting.split(dist)
     xs = np.linspace(*dist.support(), 4096)
@@ -207,6 +209,8 @@ def cmd_taylor(args) -> bool:
     coeffs = harness.parse_list(args.coeffs, Fraction)
     if not coeffs:
         raise harness.ConfigError("taylor --coeffs must be nonempty")
+    if args.max_level < 0:
+        raise harness.ConfigError(f"taylor --max-level must be >= 0, got {args.max_level}")
     g = opalg.MultiPoly(1, {(k,): c for k, c in enumerate(coeffs)})
     rows, ok = [], True
     for level in range(args.max_level + 1):

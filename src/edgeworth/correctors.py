@@ -253,7 +253,7 @@ def edgeworth_grid(model: EdgeworthModel, n: int, points: int | None = None,
     key = (points, halfwidth)
     terms = model._grid_terms
     if terms is None or terms[0] != key:
-        x = _axis(-halfwidth, halfwidth, points)
+        x = _axis(halfwidth, points)
         x.flags.writeable = False  # shared by every grid of this layout
         gauss = functools.reduce(np.multiply.outer, [gaussian_pdf(x)] * model.dim)
         ks = [(m, _poly_on_grid(km, x))

@@ -144,8 +144,10 @@ def _validate(cfg: RateConfig):
         raise ConfigError("n values must be >= 1")
     if list(cfg.n_list) != sorted(set(cfg.n_list)):
         raise ConfigError("n_list must be strictly increasing")
-    if cfg.grid_points & (cfg.grid_points - 1):
-        raise ConfigError("grid_points must be a power of two")
+    if cfg.grid_points < 2 or cfg.grid_points & (cfg.grid_points - 1):
+        raise ConfigError(f"grid_points must be a power of two >= 2, got {cfg.grid_points}")
+    if not 0 < cfg.grid_halfwidth < math.inf:
+        raise ConfigError(f"grid_halfwidth must be finite and > 0, got {cfg.grid_halfwidth}")
 
 
 @dataclass

@@ -59,7 +59,7 @@ class OrderExceeded(Exception):
 
 
 class NonInvertibleCovariance(Exception):
-    """Covariance matrix is numerically singular; the law cannot be standardized."""
+    """A factor's variance is not positive; the law cannot be standardized."""
 
 
 def double_factorial(n: int) -> int:
@@ -193,17 +193,6 @@ class Distribution:
         return functools.reduce(operator.mul, [
             f.raw_moment(k) for f, k in zip(self.factors(), counts)])
 
-    def mean(self):
-        return np.array([float(self.moment((i,))) for i in range(1, self.dim + 1)])
-
-    def cov(self):
-        m = self.mean()
-        c = np.empty((self.dim, self.dim))
-        for i in range(1, self.dim + 1):
-            for j in range(1, self.dim + 1):
-                c[i - 1, j - 1] = float(self.moment((i, j))) - m[i - 1] * m[j - 1]
-        return c
-
     def factors(self) -> list:
         """The 1-D laws whose product is this law: ``[self]`` in 1-D.
 
@@ -245,19 +234,18 @@ def standardize(dist: Distribution) -> Distribution:
     """The law of ``A(F)(F - E F)`` with ``A(F) = C(F)^{-1/2}``: zero mean
     and identity covariance.
 
-    Raises :class:`NonInvertibleCovariance` when the covariance is
-    numerically singular (smallest eigenvalue below ``1e-8`` times the
-    largest, or not positive).
+    Every supported law is 1-D or a product of 1-D laws, so ``C(F)`` is
+    diagonal and each factor is standardized on its own.  Raises
+    :class:`NonInvertibleCovariance` when a factor's variance is not
+    positive.
     """
-    cov = dist.cov()
-    eig = np.linalg.eigvalsh(cov)
-    if eig[0] <= 0 or eig[0] < 1e-8 * eig[-1]:
+    if dist.dim > 1:
+        return ProductDistribution([standardize(c) for c in dist.factors()])
+    var = dist.central_moment(2)
+    if not var > 0:
         raise NonInvertibleCovariance(
-            f"covariance eigenvalues {eig} are degenerate for {dist.label}"
-        )
-    if dist.dim == 1:
-        return _Standardized1D(dist)
-    return ProductDistribution([standardize(c) for c in dist.factors()])
+            f"variance {var} of {dist.label} is degenerate: it must be > 0")
+    return _Standardized1D(dist)
 
 
 class _Standardized1D(Distribution):

@@ -129,9 +129,15 @@ def default_grid_points(dim: int) -> int:
     return 2 ** min(14, 21 // dim)
 
 
-def _axis(lo: float, hi: float, m: int) -> np.ndarray:
+def _axis(halfwidth: float, m: int) -> np.ndarray:
+    """The grid axis ``-halfwidth + j * 2 halfwidth / m``, ``j < m``.
+
+    The one check of a grid layout, made before anything is computed on it.
+    """
     _check_power_of_two(m)
-    return lo + (hi - lo) / m * np.arange(m)
+    if not 0 < halfwidth < math.inf:
+        raise ValueError(f"grid halfwidth must be finite and > 0, got {halfwidth}")
+    return -halfwidth + 2 * halfwidth / m * np.arange(m)
 
 
 def _invert_charfn(chars, lo, hi, m):
@@ -249,10 +255,11 @@ def law_of_sn(dist: Distribution, n: int, points: int | None = None,
     laws = dist.factors()
     if points is None:
         points = default_grid_points(dist.dim)
+    x = _axis(halfwidth, points)
     vals = _invert_charfn([functools.partial(_sn_char_fn, law, n) for law in laws],
                           -halfwidth, halfwidth, points)
     g = GridDensity(
-        (_axis(-halfwidth, halfwidth, points),) * len(laws), vals,
+        (x,) * len(laws), vals,
         tail_mass_bound=sn_tail_bound(dist, n, halfwidth),
         singular_mass=singular,
         label=f"S_{n}[{dist.label}]",

@@ -78,7 +78,7 @@ def law_of_sn_2d(dist, n, points, halfwidth):
 
 def edgeworth_grid_2d(model, n, points, halfwidth):
     """Values of ``edgeworth_grid`` for a 2-D model, point by point."""
-    x = _axis(-halfwidth, halfwidth, points)
+    x = _axis(halfwidth, points)
     pts = np.stack(np.meshgrid(x, x, indexing="ij"), axis=-1)
     return edgeworth_density(model, n, pts)
 

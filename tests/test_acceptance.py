@@ -12,7 +12,7 @@ import numpy as np
 from scipy import stats
 
 from edgeworth.correctors import EdgeworthModel, hermite_1d, k_poly
-from edgeworth.exactmath import a_coeffs, b_coeffs, bernoulli, p_value, q_value
+from edgeworth.exactmath import a_coeffs, p_value, q_value
 from edgeworth.harness import RateConfig, run_rate
 from edgeworth.malliavin import (
     backward_taylor_check,
@@ -24,6 +24,7 @@ from edgeworth.moments import MomentTable, fixture_table, make_distribution, shi
 from edgeworth.numerics import gauss_hermite
 from edgeworth.opalg import DiffOperator, MultiPoly, a_op, psi_k_op, t_op
 from edgeworth.splitting import split
+from faulhaber_oracle import a_coeffs_faulhaber, b_coeffs, bernoulli
 from ordered_oracle import a_ordered
 
 
@@ -98,7 +99,11 @@ def test_criterion_02_partial_sum_identity_and_a_table():
 
 
 def test_criterion_03_printed_coefficient_fixtures():
-    """Bernoulli, b-table, a-table values exactly as printed in the source."""
+    """Bernoulli, b-table, a-table values exactly as printed in the source.
+
+    The Bernoulli numbers and the b table come from the Faulhaber oracle,
+    whose a rows must equal the library's closed-form rows for i <= 15.
+    """
     ok = (
         [bernoulli(m) for m in range(9)]
         == [F(1), F(1, 2), F(1, 6), F(0), F(-1, 30), F(0), F(1, 42), F(0), F(-1, 30)]
@@ -108,6 +113,7 @@ def test_criterion_03_printed_coefficient_fixtures():
         and a_coeffs(1) == (F(0), F(1))
         and a_coeffs(2)[2] == F(1, 2)
         and a_coeffs(3)[3] == F(1, 6)
+        and all(a_coeffs(i) == a_coeffs_faulhaber(i) for i in range(1, 16))
     )
     _verdict(3, ok, "all printed Bernoulli/b/a values reproduced as exact rationals")
 

@@ -340,8 +340,23 @@ def test_ibp_nan_z_fails(capsys, monkeypatch):
     (["ibp", "--n", "0", "--samples", "10"], "n must be >= 1"),
     (["sigtail", "--n-list", "0", "--samples", "10"], "n must be >= 1"),
     (["taylor", "--coeffs", ""], "--coeffs must be nonempty"),
+    (["tv", "--dist", "uniform", "--n", "4", "--halfwidth", "-16"],
+     "halfwidth must be finite and > 0"),
+    (["tv", "--dist", "uniform", "--n", "4", "--halfwidth", "0"],
+     "halfwidth must be finite and > 0"),
+    (["density", "--dist", "uniform", "--n", "4", "--halfwidth", "-3"],
+     "halfwidth must be finite and > 0"),
+    (["density", "--dist", "uniform", "--n", "4", "--halfwidth", "0", "--kind", "edgeworth"],
+     "halfwidth must be finite and > 0"),
+    (["tv", "--dist", "uniform", "--n", "4", "--halfwidth", "inf"],
+     "halfwidth must be finite and > 0"),
+    (["split", "--dist", "uniform", "--samples", "0"], "--samples must be >= 1"),
+    (["taylor", "--max-level", "-1"], "--max-level must be >= 0"),
 ], ids=["singular-covariance", "aliasing", "order-exceeded", "sigtail-no-samples",
-        "ibp-no-samples", "sigtail-no-n", "ibp-n-zero", "sigtail-n-zero", "taylor-no-coeffs"])
+        "ibp-no-samples", "sigtail-no-n", "ibp-n-zero", "sigtail-n-zero", "taylor-no-coeffs",
+        "tv-negative-halfwidth", "tv-zero-halfwidth", "density-negative-halfwidth",
+        "density-zero-halfwidth", "tv-infinite-halfwidth", "split-no-samples",
+        "taylor-negative-level"])
 def test_runtime_errors_exit_2(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2

@@ -10,16 +10,14 @@ from hypothesis import given, strategies as st
 
 from edgeworth.exactmath import (
     a_coeffs,
-    b_coeffs,
-    bernoulli,
     multisets,
     orderings,
     p_value,
-    power_sum,
     prefix_splits,
     q_value,
     theta,
 )
+from faulhaber_oracle import a_coeffs_faulhaber, b_coeffs, bernoulli, power_sum
 
 
 def power_sum_direct(l, L):
@@ -100,6 +98,13 @@ def test_a_rows_printed_values():
 def test_a_row_2_from_summation_oracle():
     # P_2(n) = sum_{k=1}^{n-1} k = n(n-1)/2
     assert a_coeffs(2) == (F(0), F(-1, 2), F(1, 2))
+
+
+def test_a_rows_match_faulhaber_recursion():
+    for i in range(1, 16):
+        row = a_coeffs(i)
+        assert row == a_coeffs_faulhaber(i), i
+        assert all(type(c) is F for c in row), i
 
 
 def test_a_row_lengths():

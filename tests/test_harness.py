@@ -56,6 +56,9 @@ def test_default_grid_points_per_dimension():
         "dist = exponential\nr = 3\nn_list = 32\nbogus = 1",
         "dist = exponential\nr = 3\nn_list = 32\nseed = 3",  # rate draws nothing
         "dist = exponential\nr = 3\nn_list = 32\ngrid_points = 1000",
+        "dist = exponential\nr = 3\nn_list = 32\ngrid_points = 1",
+        "dist = exponential\nr = 3\nn_list = 32\ngrid_halfwidth = -16",
+        "dist = exponential\nr = 3\nn_list = 32\ngrid_halfwidth = inf",
         "dist exponential",                               # no equals sign
     ],
 )
