@@ -273,16 +273,25 @@ def edgeworth_grid(model: EdgeworthModel, n: int, points: int | None = None,
 def d_m_functional(model: EdgeworthModel, f, m: int):
     """The order-m functional coefficient ``E(f(G) K_m(G))``.
 
-    Evaluated by 64-node Gauss-Hermite quadrature (value returned), and,
-    when ``f`` is a polynomial, cross-checked against the operator form
-    ``sum a_{i,(t-m)/2} E(A^i_t f(G))`` computed with exact Gaussian
-    moments; the two agree to 1e-10 by construction.  Raises
-    :class:`QuadratureNotConverged` when refining the quadrature to 96
-    nodes moves the answer.
+    A polynomial ``f`` gets the exact value ``E((f K_m)(G))`` from Gaussian
+    moments, returned as a float and cross-checked against the operator
+    form ``sum a_{i,(t-m)/2} E(A^i_t f(G))``: the two are equal on a
+    rational table and agree to 1e-10 on a float one.  Any other callable
+    is integrated by 64-node Gauss-Hermite quadrature; refining to 96
+    nodes must not move the answer, else :class:`QuadratureNotConverged`.
     """
     if not 1 <= m <= len(model.k_polys):
         raise ValueError(f"m must be in 1..{len(model.k_polys)}")
     km = model.k_polys[m - 1]
+    if isinstance(f, MultiPoly):
+        val = float(gaussian_expect_poly(f * km))
+        op_val = float(sum(
+            a * gaussian_expect_poly(a_op(model.table, i, t, "direct").apply(f))
+            for a, i, t in _corrector_terms(m)
+        ))
+        if abs(op_val - val) > 1e-10 * max(1.0, abs(val)):
+            raise AssertionError(f"operator form {op_val!r} != exact form {val!r}")
+        return val
 
     def integrand(x):
         return np.asarray(f(x)) * km(x)
@@ -292,13 +301,4 @@ def d_m_functional(model: EdgeworthModel, f, m: int):
         raise QuadratureNotConverged(
             f"order-{m} functional moved from {val!r} to {refined!r} on refinement"
         )
-    if isinstance(f, MultiPoly):
-        op_val = sum(
-            a * gaussian_expect_poly(a_op(model.table, i, t, "direct").apply(f))
-            for a, i, t in _corrector_terms(m)
-        )
-        if abs(float(op_val) - val) > 1e-10 * max(1.0, abs(val)):
-            raise AssertionError(
-                f"operator form {float(op_val)!r} != quadrature form {val!r}"
-            )
     return val

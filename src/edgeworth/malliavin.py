@@ -18,20 +18,21 @@ So a sample needs only ``(S_n, sum chi, L S_n)``: :func:`sn_batch` draws
 them in batches in every dimension, and :func:`ibp_weight` turns the last
 two into ``H``.  The module verifies the resulting identity
 ``E(f'(S_n) phi) = E(f(S_n) H)`` by Monte Carlo for 1-D laws, the
-covariance-degeneracy tail against the exact binomial law, and the
-backward Gaussian Taylor formula that powers the expansion's moment
-bookkeeping.
+covariance-degeneracy tail against the exact binomial law, and, in exact
+arithmetic, the backward Gaussian Taylor formula that powers the
+expansion's moment bookkeeping.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
-from scipy import integrate, stats
+from scipy import special
 
-from .numerics import gauss_hermite
+from .correctors import gaussian_expect_poly
 from .opalg import MultiPoly
 from .splitting import SplitRep
 
@@ -244,6 +245,11 @@ class SigmaTailReport:
         return abs(self.estimate - self.exact) / se
 
 
+def _tail_threshold(rep: SplitRep, n: int) -> int:
+    """Largest ``sum chi`` with ``det sigma <= eps*/2``: ``floor(n (eps*/2)^{1/N})``."""
+    return int(math.floor(n * (epsilon_star(rep) / 2.0) ** (1.0 / rep.dim) + 1e-12))
+
+
 def sigma_tail(rep: SplitRep, n: int, samples: int, rng) -> SigmaTailReport:
     """``P(det sigma_{S_n} <= eps*/2)`` three ways.
 
@@ -256,18 +262,16 @@ def sigma_tail(rep: SplitRep, n: int, samples: int, rng) -> SigmaTailReport:
         raise ValueError(f"n must be >= 1, got {n}")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    eps = epsilon_star(rep) / 2.0
-    thr = int(math.floor(n * eps ** (1.0 / rep.dim) + 1e-12))
+    thr = _tail_threshold(rep, n)
     counts = rng.binomial(n, rep.m0, samples)
     hits = int(np.sum(counts <= thr))
     est = hits / samples
-    exact = float(stats.binom.cdf(thr, n, rep.m0))
+    exact = float(special.bdtr(thr, n, rep.m0))
     # SE under the oracle probability: valid even when no hit is observed
     se = math.sqrt(max(exact * (1 - exact), est * (1 - est)) / samples)
     rate = 1.0 / (4.0 * (1.0 / rep.m0 - 1.0))
     n_c = TAIL_CALIBRATION_N
-    thr_c = int(math.floor(n_c * eps ** (1.0 / rep.dim) + 1e-12))
-    c = float(stats.binom.cdf(thr_c, n_c, rep.m0)) * math.exp(rate * n_c)
+    c = float(special.bdtr(_tail_threshold(rep, n_c), n_c, rep.m0)) * math.exp(rate * n_c)
     bound = c * math.exp(-rate * n)
     return SigmaTailReport(n, samples, thr, est, se, exact, bound)
 
@@ -276,30 +280,22 @@ def backward_taylor_check(g: MultiPoly, L: int) -> float:
     """Residual of the backward Gaussian Taylor identity for a 1-D polynomial.
 
     ``g(0) = sum_{l=0}^{L} (-1)^l/(2^l l!) E(g^{(2l)}(G))
-            + (-1)^{L+1}/(2^{L+1} L!) int_0^1 s^L E(g^{(2L+2)}(sqrt(s) G)) ds``;
-    expectations by Gauss-Hermite, the remainder by adaptive quadrature.
-    Returns ``|lhs - rhs|``.
+            + (-1)^{L+1}/(2^{L+1} L!) int_0^1 s^L E(g^{(2L+2)}(sqrt(s) G)) ds``.
+    Every term is a Gaussian moment (:func:`gaussian_expect_poly`): the
+    monomial ``x^e`` of the remainder gives ``E(sqrt(s) G)^e = s^{e/2} (e-1)!!``
+    and ``int_0^1 s^{L+e/2} ds = 2/(2L+e+2)``.  For rational coefficients
+    the residual ``|lhs - rhs|`` is exact, so it is 0 when the identity
+    holds; it is returned as a ``float``.
     """
     if g.dim != 1:
         raise ValueError("backward Taylor check is 1-D")
     if L < 0:
         raise ValueError("L must be >= 0")
-    acc = 0.0
-    for level in range(L + 1):
-        d = g.diff(tuple([1] * (2 * level)))
-        coef = (-1) ** level / (2**level * math.factorial(level))
-        acc += coef * gauss_hermite(d, 1, nodes=64)
-    d_rem = g.diff(tuple([1] * (2 * L + 2)))
-    if d_rem.is_zero():
-        rem = 0.0
-    else:
-        coef = (-1) ** (L + 1) / (2 ** (L + 1) * math.factorial(L))
-
-        def integrand(s):
-            rt = math.sqrt(s)
-            return s**L * gauss_hermite(lambda x: d_rem(rt * x), 1, nodes=64)
-
-        val, _ = integrate.quad(integrand, 0.0, 1.0, epsabs=1e-12, epsrel=1e-12)
-        rem = coef * val
-    g0 = float(g(np.array(0.0)))
-    return abs(g0 - (acc + rem))
+    rhs = sum(Fraction((-1) ** level, 2**level * math.factorial(level))
+              * gaussian_expect_poly(g.diff((1,) * (2 * level)))
+              for level in range(L + 1))
+    remainder = MultiPoly(1, {e: c * Fraction(2, 2 * L + e[0] + 2)
+                              for e, c in g.diff((1,) * (2 * L + 2)).terms.items()})
+    rhs += (Fraction((-1) ** (L + 1), 2 ** (L + 1) * math.factorial(L))
+            * gaussian_expect_poly(remainder))
+    return float(abs(g.coeff((0,)) - rhs))

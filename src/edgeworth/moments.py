@@ -309,9 +309,18 @@ class _Standardized1D(Distribution):
         return ((lo - self._mu_f) / self._sd_f, (hi - self._mu_f) / self._sd_f)
 
 
+def _require_positive(law: str, **params) -> None:
+    """Raise ``ValueError`` naming the first parameter that is not > 0."""
+    for name, value in params.items():
+        if not value > 0:
+            raise ValueError(f"{law} parameter {name} must be > 0, got {value}")
+
+
 class Uniform(Distribution):
     def __init__(self, a=0, b=1):
         self.a, self.b = Fraction(a), Fraction(b)
+        if not self.a < self.b:
+            raise ValueError(f"uniform parameters need a < b, got a={a}, b={b}")
         self.label = f"uniform({a},{b})"
         self._af, self._bf = float(a), float(b)
 
@@ -343,6 +352,7 @@ class Uniform(Distribution):
 class Normal(Distribution):
     def __init__(self, mu=0, sigma=1):
         self.mu, self.sigma = Fraction(mu), Fraction(sigma)
+        _require_positive("normal", sigma=self.sigma)
         self._muf, self._sf = float(mu), float(sigma)
         self.label = f"normal({mu},{sigma})"
         self.is_standardized = mu == 0 and sigma == 1
@@ -368,6 +378,7 @@ class Exponential(Distribution):
 
     def __init__(self, rate=1):
         self.rate = Fraction(rate)
+        _require_positive("exponential", rate=self.rate)
         self._rf = float(rate)
         self.label = f"exponential({rate})"
 
@@ -392,6 +403,7 @@ class Exponential(Distribution):
 class Laplace(Distribution):
     def __init__(self, mu=0, b=1):
         self.mu, self.b = Fraction(mu), Fraction(b)
+        _require_positive("laplace", b=self.b)
         self._muf, self._bf = float(mu), float(b)
         self.label = f"laplace({mu},{b})"
 
@@ -416,6 +428,7 @@ class Laplace(Distribution):
 class Gamma(Distribution):
     def __init__(self, shape=4, scale=1):
         self.shape, self.scale = Fraction(shape), Fraction(scale)
+        _require_positive("gamma", shape=self.shape, scale=self.scale)
         self._kf, self._sf = float(shape), float(scale)
         self.label = f"gamma({shape},{scale})"
 
@@ -453,10 +466,18 @@ class GaussianMixture(Distribution):
 
     def __init__(self, weights=(Fraction(3, 10), Fraction(7, 10)),
                  means=(-1, Fraction(3, 7)), sigmas=(Fraction(1, 2), 1)):
-        total = sum(Fraction(w) for w in weights)
-        self.weights = tuple(Fraction(w) / total for w in weights)
+        if not len(weights) == len(means) == len(sigmas):
+            raise ValueError("gauss_mixture parameters weights, means and sigmas "
+                             "need one entry per component")
+        weights = [Fraction(w) for w in weights]
+        total = sum(weights)
+        if min(weights) < 0 or not total > 0:
+            raise ValueError("gauss_mixture parameter weights must be >= 0 with a "
+                             f"positive total, got {[str(w) for w in weights]}")
+        self.weights = tuple(w / total for w in weights)
         self.means = tuple(Fraction(m) for m in means)
         self.sigmas = tuple(Fraction(s) for s in sigmas)
+        _require_positive("gauss_mixture", sigmas=min(self.sigmas))
         self._wf = np.array([float(w) for w in self.weights])
         self._mf = np.array([float(m) for m in self.means])
         self._sf = np.array([float(s) for s in self.sigmas])
@@ -496,6 +517,8 @@ class AtomMixture(Distribution):
 
     def __init__(self, p=Fraction(7, 10), atom=2):
         self.p = Fraction(p)
+        if not 0 <= self.p <= 1:
+            raise ValueError(f"atom_mixture parameter p must be in [0, 1], got {p}")
         self.atom = Fraction(atom)
         self._pf, self._af = float(self.p), float(self.atom)
         self.singular_mass = 1.0 - self._pf

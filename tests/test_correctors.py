@@ -258,13 +258,30 @@ def test_d_m_of_constant_vanishes():
 def test_d_1_of_cube_is_ell3():
     model = EdgeworthModel.build(make_distribution("exponential"), 3)
     x3 = MultiPoly(1, {(3,): F(1)})
-    assert d_m_functional(model, x3, 1) == pytest.approx(2.0, abs=1e-10)
+    assert d_m_functional(model, x3, 1) == 2.0
 
 
 def test_d_2_of_h4_is_excess_kurtosis():
     model = EdgeworthModel.build(make_distribution("exponential"), 6)
     got = d_m_functional(model, hermite_1d(4), 2)
-    assert got == pytest.approx(float(model.table.ell(4)) - 3.0, abs=1e-10)
+    assert got == float(model.table.ell(4)) - 3.0 == 6.0
+
+
+@pytest.mark.parametrize("name", ["exponential", "uniform", "laplace", "gamma"])
+def test_d_m_of_polynomial_is_the_exact_gaussian_moment(name):
+    # rational tables: the operator form and E(f K_m)(G) are equal Fractions
+    model = EdgeworthModel.build(make_distribution(name), 6)
+    x = MultiPoly.variable(1, 1)
+    for f in (x * x * x, hermite_1d(4), x * x * x * x * x * x + 3 * x - 1):
+        for m in (1, 2):
+            km = model.k_polys[m - 1]
+            exact = gaussian_expect_poly(f * km)
+            op_form = sum(
+                a * gaussian_expect_poly(correctors.a_op(model.table, i, t).apply(f))
+                for a, i, t in correctors._corrector_terms(m)
+            )
+            assert isinstance(exact, (int, F)) and exact == op_form
+            assert d_m_functional(model, f, m) == float(exact)
 
 
 def test_d_m_accepts_plain_callables():

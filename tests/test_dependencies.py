@@ -1,6 +1,8 @@
 """The runtime package imports only the standard library, numpy and scipy."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -22,3 +24,12 @@ def test_runtime_imports_are_stdlib_numpy_or_scipy():
     foreign = [(path.name, name) for path in sources
                for name in _imported_packages(path) if name not in ALLOWED]
     assert foreign == []
+
+
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats costs a large share of the import time and no library path needs it
+    code = "import sys, edgeworth; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "False"

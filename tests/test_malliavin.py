@@ -5,6 +5,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import stats
 
 from edgeworth import malliavin
 from edgeworth.malliavin import (
@@ -316,6 +318,13 @@ def test_sigma_tail_rejects_n_below_one(urep, n):
         sigma_tail(urep, n, 10, np.random.default_rng(22))
 
 
+@pytest.mark.parametrize("n", [1, 10, 57, 200, 1000])
+def test_sigma_tail_exact_is_the_binomial_cdf(urep, erep, n):
+    for rep in (urep, erep):
+        r = sigma_tail(rep, n, 10, np.random.default_rng(23))
+        assert r.exact == pytest.approx(stats.binom.cdf(r.threshold, n, rep.m0), rel=1e-10)
+
+
 def test_sigma_tail_threshold_definition(urep):
     r = sigma_tail(urep, 40, 1000, np.random.default_rng(22))
     eps = epsilon_star(urep) / 2
@@ -346,19 +355,26 @@ def poly(coeffs):
     ],
 )
 def test_taylor_exact_when_remainder_vanishes(coeffs, L):
-    assert backward_taylor_check(poly(coeffs), L) < 1e-12
+    assert backward_taylor_check(poly(coeffs), L) == 0
 
 
 @pytest.mark.parametrize(
     "coeffs,L",
     [
-        ([0, 0, 0, 0, 1], 1),        # x^4 with quadrature remainder
-        ([0, 0, 0, 0, 0, 0, 1], 2),  # x^6 with quadrature remainder
+        ([0, 0, 0, 0, 1], 1),        # x^4 with a nonzero remainder
+        ([0, 0, 0, 0, 0, 0, 1], 2),  # x^6 with a nonzero remainder
         ([0, 0, 0, 0, 0, 0, 1], 1),
     ],
 )
 def test_taylor_with_quadrature_remainder(coeffs, L):
-    assert backward_taylor_check(poly(coeffs), L) < 1e-10
+    assert backward_taylor_check(poly(coeffs), L) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.fractions(-50, 50, max_denominator=30), min_size=1, max_size=13),
+       st.integers(0, 7))
+def test_taylor_exact_for_rational_polynomials(coeffs, L):
+    assert backward_taylor_check(poly(coeffs), L) == 0
 
 
 def test_taylor_truncation_values():

@@ -251,6 +251,41 @@ def test_registry_unknown_name():
         make_distribution("cauchy")
 
 
+@pytest.mark.parametrize("spec,param", [
+    ("uniform(a=1,b=0)", "a < b"),
+    ("uniform(a=0,b=0)", "a < b"),
+    ("exponential(rate=-1)", "rate"),
+    ("exponential(rate=0)", "rate"),
+    ("laplace(b=-1)", "b"),
+    ("normal(sigma=-1)", "sigma"),
+    ("normal(sigma=0)", "sigma"),
+    ("gamma(shape=0)", "shape"),
+    ("gamma(scale=-1)", "scale"),
+    ("atom_mixture(p=-1/10)", "p"),
+    ("atom_mixture(p=11/10)", "p"),
+])
+def test_registry_rejects_out_of_range_parameters(spec, param):
+    with pytest.raises(ValueError, match=f"parameter.* {param}"):
+        make_distribution(spec)
+
+
+@pytest.mark.parametrize("kwargs,param", [
+    (dict(weights=(-1, 2)), "weights"),
+    (dict(weights=(0, 0)), "weights"),
+    (dict(sigmas=(1, 0)), "sigmas"),
+    (dict(sigmas=(-1, 1)), "sigmas"),
+    (dict(weights=(1, 1, 1)), "weights, means and sigmas"),
+])
+def test_gaussian_mixture_rejects_out_of_range_parameters(kwargs, param):
+    with pytest.raises(ValueError, match=f"parameters? {param}"):
+        GaussianMixture(**kwargs)
+
+
+def test_registry_keeps_boundary_parameters():
+    assert AtomMixture(p=0).p == 0 and AtomMixture(p=1).p == 1
+    assert GaussianMixture(weights=(0, 1)).weights == (0, 1)
+
+
 # --- cumulants --------------------------------------------------------------------
 
 def test_cumulant_round_trip():
