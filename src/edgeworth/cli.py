@@ -30,7 +30,6 @@ import sys
 from fractions import Fraction
 
 import numpy as np
-from scipy import stats
 
 from . import correctors, harness, malliavin, numerics, opalg, splitting
 from .moments import MomentTable, fixture_table, make_distribution
@@ -154,6 +153,13 @@ def cmd_ops(args) -> bool:
     return True
 
 
+def _ks_2samp(a, b):
+    """Two-sample Kolmogorov-Smirnov test; ``scipy.stats`` loads only here."""
+    from scipy import stats
+
+    return stats.ks_2samp(a, b)
+
+
 def cmd_split(args) -> bool:
     if args.samples < 1:
         raise harness.ConfigError(f"split --samples must be >= 1, got {args.samples}")
@@ -163,7 +169,7 @@ def cmd_split(args) -> bool:
     err = np.abs(rep.m0 * rep.v_pdf(xs) + (1 - rep.m0) * rep.w_pdf(xs) - dist.pdf(xs))
     rec = float(err.max())
     rng = np.random.default_rng(args.seed)
-    ks = stats.ks_2samp(rep.sample(rng, args.samples), dist.sample(rng, args.samples))
+    ks = _ks_2samp(rep.sample(rng, args.samples), dist.sample(rng, args.samples))
     acceptance = "".join(
         f" accept_{k}={c.accepted / c.proposed:.4f}"
         for k, c in rep.counters.items() if c.proposed

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy import special
 
 from .correctors import gaussian_expect_poly
 from .opalg import MultiPoly
@@ -258,6 +257,8 @@ def sigma_tail(rep: SplitRep, n: int, samples: int, rng) -> SigmaTailReport:
     ``C exp(-n / (4 (1/m0 - 1)))`` has its constant calibrated at
     ``n = TAIL_CALIBRATION_N``.
     """
+    from scipy import special
+
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if samples < 1:

@@ -24,7 +24,6 @@ from collections import Counter
 from fractions import Fraction
 
 import numpy as np
-from scipy import integrate
 
 from .exactmath import MultiIndex, ZERO, multisets
 
@@ -571,6 +570,8 @@ class UserDensity(Distribution):
 
     def raw_moment(self, k):
         if k not in self._moment_cache:
+            from scipy import integrate
+
             lo, hi = self._support
             val, _ = integrate.quad(
                 lambda x: x**k * float(self._pdf(x)), lo, hi,

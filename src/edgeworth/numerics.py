@@ -307,6 +307,9 @@ def tv_distance(p: GridDensity, q: GridDensity) -> TVInterval:
     if p.dim != q.dim or p.values.shape != q.values.shape:
         raise GridMismatch("grids have different shapes")
     for a, b in zip(p.axes, q.axes):
+        # exact equality is the common case and ten times cheaper than allclose
+        if a is b or np.array_equal(a, b):
+            continue
         if len(a) != len(b) or not np.allclose(a, b, rtol=0, atol=1e-12):
             raise GridMismatch("grids have different axes")
     raw = float(np.abs(p.values - q.values).sum() * p.cell_volume)

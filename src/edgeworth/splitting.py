@@ -41,7 +41,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy import integrate
 
 from .moments import Distribution
 
@@ -114,6 +113,8 @@ def log_psi_radial_derivative(a: float, u):
 def _psi_unit_integral(dim: int) -> float:
     # |S^{N-1}| int_0^2 psi_1(rho) rho^{N-1} drho, written as half the sphere
     # area times the even integrand over [-2, 2] (in 1-D that is psi_1 itself)
+    from scipy import integrate
+
     half_area = math.pi ** (dim / 2) / math.gamma(dim / 2)
     val, _ = integrate.quad(
         lambda x: half_area * psi_loc(1.0, abs(x)) * abs(x) ** (dim - 1), -2, 2,

@@ -229,23 +229,23 @@ def test_criterion_10_covariance_degeneracy_tail():
 
 
 def test_criterion_11_backward_taylor():
-    """Residuals: < 1e-10 with vanishing remainder, < 1e-8 with quadrature remainder."""
+    """Residuals are exactly 0, with a vanishing and with a nonzero integral remainder."""
     mono = lambda k: MultiPoly(1, {(k,): F(1)})
     worst_exact = max(
         backward_taylor_check(mono(2), 1),
         backward_taylor_check(mono(4), 2),
         backward_taylor_check(mono(6), 3),
     )
-    worst_quad = max(
+    worst_remainder = max(
         backward_taylor_check(mono(2), 0),
         backward_taylor_check(mono(4), 1),
         backward_taylor_check(mono(6), 1),
         backward_taylor_check(mono(6), 2),
     )
-    ok = worst_exact < 1e-10 and worst_quad < 1e-8
+    ok = worst_exact == 0 and worst_remainder == 0
     _verdict(11, ok,
-             f"vanishing-remainder residual {worst_exact:.2e} (< 1e-10), "
-             f"quadrature residual {worst_quad:.2e} (< 1e-8)")
+             f"vanishing-remainder residual {worst_exact:.2e} (== 0), "
+             f"integral-remainder residual {worst_remainder:.2e} (== 0)")
 
 
 def test_criterion_12_splitting_reconstruction_and_sampling():

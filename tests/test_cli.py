@@ -296,7 +296,7 @@ def test_every_row_has_a_cell_per_column(capsys, name):
 def _fail_verdict(monkeypatch, command):
     if command == "split":
         ks = SimpleNamespace(pvalue=0.0)
-        monkeypatch.setattr(cli, "stats", SimpleNamespace(ks_2samp=lambda a, b: ks))
+        monkeypatch.setattr(cli, "_ks_2samp", lambda a, b: ks)
     elif command == "ibp":
         battery = malliavin.ibp_battery
         monkeypatch.setattr(malliavin, "ibp_battery", lambda *a: [

@@ -195,6 +195,20 @@ def test_tv_grid_mismatch():
         tv_distance(p, r)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_tv_axes_match_within_1e12(dim):
+    # axes that differ by rounding still match; a real shift still raises
+    xs = np.linspace(-8.0, 8.0, 64, endpoint=False)
+    values = np.exp(-np.add.outer(xs**2, xs**2) / 2) if dim == 2 else np.exp(-xs**2 / 2)
+    p = GridDensity((xs,) * dim, values)
+    near = GridDensity((xs,) * (dim - 1) + (xs + 1e-13,), values)
+    assert not np.array_equal(p.axes[-1], near.axes[-1])
+    assert tv_distance(p, near).raw == 0.0
+    off = GridDensity((xs,) * (dim - 1) + (xs + 1e-9,), values)
+    with pytest.raises(GridMismatch):
+        tv_distance(p, off)
+
+
 def test_atom_mixture_inversion_matches_monte_carlo():
     # end-to-end check of the atomic-part subtraction: grid CDF (plus the
     # pure-atom mass) against an empirical CDF of direct draws
