@@ -35,7 +35,7 @@ from .exactmath import MultiIndex, a_coeffs
 from .moments import (Distribution, MomentTable, _coordinate_counts,
                       _gaussian_product_moment)
 from .numerics import GridDensity, _axis, default_grid_points, gauss_hermite
-from .opalg import MultiPoly, a_op
+from .opalg import MultiPoly, _power_table, a_op
 
 __all__ = [
     "QuadratureNotConverged",
@@ -224,10 +224,12 @@ def _poly_on_grid(poly: MultiPoly, x: np.ndarray) -> np.ndarray:
     This is ``V C V^T`` in 2-D, with ``V`` the Vandermonde matrix of the
     axis and ``C`` the coefficients, summed one rank-one term
     ``c_e V[:, e_1] (x) V[:, e_2] (x) ...`` per monomial; no grid of points
-    is built.  Terms are added in the polynomial's own order, so on a 1-D
-    grid the values are exactly those of ``poly(x)``.
+    is built.  The powers of the axis are one ``_power_table`` (repeated
+    multiplication, the rule ``MultiPoly.__call__`` uses too), and terms
+    are added in the polynomial's own order, so on a 1-D grid the values
+    are exactly those of ``poly(x)``.
     """
-    powers = {p: x ** p for e in poly.terms for p in e}
+    powers = _power_table(x, poly.degree())
     out = 0.0
     for e, c in poly.terms.items():
         monomial = functools.reduce(np.multiply.outer, [powers[p] for p in e])

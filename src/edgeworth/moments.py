@@ -153,6 +153,17 @@ class Distribution:
     Subclasses provide a density evaluator for the absolutely continuous
     component (vectorized over numpy arrays), the characteristic function,
     exact raw moments up to ``max_order``, and a direct sampler.
+
+    A 1-D law may also give ``char_envelope(t)``: a bound ``e(t)`` on the
+    modulus of the characteristic function of its absolutely continuous
+    part (``|phi(t)|`` for a law without atoms, ``|phi(t) - A(t)|`` with
+    ``A`` the atoms' transform otherwise), vectorized over arrays and
+    nonincreasing in ``|t|``.  It bounds ``char_fn`` as computed: where
+    ``e`` falls below the smallest normal double, ``char_fn``'s complex
+    terms are rounded to multiples of ``2^-1074``, and ``e`` covers that.  ``law_of_sn`` uses it to skip frequencies
+    where ``phi^n`` cannot reach the smallest double; a law whose
+    ``char_envelope`` is ``None`` (the default, and ``UserDensity``) has
+    its whole spectrum evaluated.
     """
 
     dim = 1
@@ -162,6 +173,7 @@ class Distribution:
     #: ((location, mass), ...) of the atoms of the singular part, if any.
     atoms: tuple = ()
     is_standardized = False
+    char_envelope = None
 
     # -- mandatory surface -------------------------------------------------
     def pdf(self, x):
@@ -277,6 +289,15 @@ class _Standardized1D(Distribution):
             t / self._sd_f
         )
 
+    @property
+    def char_envelope(self):
+        """``e_base(|t| / sd)``, or ``None`` when the base law has no envelope."""
+        env = self.base.char_envelope
+        if env is None:
+            return None
+        sd = self._sd_f
+        return lambda t: env(np.abs(np.asarray(t, dtype=float)) / sd)
+
     def raw_moment(self, k: int):
         """Exact where the base law allows; each order is computed once per law."""
         if k not in self._raw_moments:
@@ -331,12 +352,19 @@ class Uniform(Distribution):
     def char_fn(self, t):
         t = np.asarray(t, dtype=float)
         out = np.ones_like(t, dtype=complex)
-        nz = t != 0
+        # phi = 1 to double precision below 1e-300, where the complex
+        # division would overflow
+        nz = np.abs(t) * (self._bf - self._af) > 1e-300
         tz = t[nz]
         out[nz] = (np.exp(1j * tz * self._bf) - np.exp(1j * tz * self._af)) / (
             1j * tz * (self._bf - self._af)
         )
         return out
+
+    def char_envelope(self, t):
+        """``min(1, 2 / ((b - a)|t|))``: ``|sin(u)/u| <= min(1, 1/|u|)``."""
+        t = np.abs(np.asarray(t, dtype=float))
+        return 2.0 / np.maximum((self._bf - self._af) * t, 2.0)
 
     def raw_moment(self, k):
         return (self.b ** (k + 1) - self.a ** (k + 1)) / ((k + 1) * (self.b - self.a))
@@ -346,6 +374,16 @@ class Uniform(Distribution):
 
     def support(self):
         return (self._af, self._bf)
+
+
+#: Bound on the rounding of one complex Gaussian term of ``char_fn``, and
+#: of a standardizing phase, below the smallest normal double: there each
+#: part is rounded to a multiple of ``2^-1074`` instead of relative to its
+#: size, and the float modulus of ``w e^{imt - s^2 t^2/2}`` can exceed
+#: ``w e^{-s^2 t^2/2}`` by a unit.  Eight units cover the exp, the weight, the
+#: sum and the phase, each half a unit per part, and the envelope's own
+#: rounding.
+_TERM_ROUNDING = 8 * 2.0**-1074
 
 
 class Normal(Distribution):
@@ -364,6 +402,10 @@ class Normal(Distribution):
     def char_fn(self, t):
         t = np.asarray(t, dtype=float)
         return np.exp(1j * self._muf * t - 0.5 * (self._sf * t) ** 2)
+
+    def char_envelope(self, t):
+        t = np.asarray(t, dtype=float)
+        return np.exp(-0.5 * (self._sf * t) ** 2) + _TERM_ROUNDING
 
     def raw_moment(self, k):
         return _normal_raw_moment(k, self.mu, self.sigma)
@@ -389,6 +431,10 @@ class Exponential(Distribution):
         t = np.asarray(t, dtype=float)
         return 1.0 / (1.0 - 1j * t / self._rf)
 
+    def char_envelope(self, t):
+        t = np.asarray(t, dtype=float)
+        return 1.0 / np.sqrt(1.0 + (t / self._rf) ** 2)
+
     def raw_moment(self, k):
         return Fraction(math.factorial(k)) / self.rate**k
 
@@ -413,6 +459,10 @@ class Laplace(Distribution):
     def char_fn(self, t):
         t = np.asarray(t, dtype=float)
         return np.exp(1j * self._muf * t) / (1.0 + (self._bf * t) ** 2)
+
+    def char_envelope(self, t):
+        t = np.asarray(t, dtype=float)
+        return 1.0 / (1.0 + (self._bf * t) ** 2)
 
     def raw_moment(self, k):
         acc = ZERO
@@ -446,6 +496,12 @@ class Gamma(Distribution):
     def char_fn(self, t):
         t = np.asarray(t, dtype=float)
         return np.power(1.0 - 1j * self._sf * t, -self._kf)
+
+    def char_envelope(self, t):
+        """``(1 + s^2 t^2)^(-k/2)``, through ``exp`` and ``log1p``: numpy's
+        ``**`` with a fractional exponent is a C ``pow`` per element."""
+        t = np.asarray(t, dtype=float)
+        return np.exp(-0.5 * self._kf * np.log1p((self._sf * t) ** 2))
 
     def raw_moment(self, k):
         acc = Fraction(1)
@@ -495,6 +551,13 @@ class GaussianMixture(Distribution):
             out = out + w * np.exp(1j * m * t - 0.5 * (s * t) ** 2)
         return out
 
+    def char_envelope(self, t):
+        t = np.asarray(t, dtype=float)
+        out = len(self._wf) * _TERM_ROUNDING
+        for w, s in zip(self._wf, self._sf):
+            out = out + w * np.exp(-0.5 * (s * t) ** 2)
+        return out
+
     def raw_moment(self, k):
         acc = ZERO
         for w, m, s in zip(self.weights, self.means, self.sigmas):
@@ -534,6 +597,11 @@ class AtomMixture(Distribution):
         return self._pf * np.exp(-0.5 * t * t) + (1 - self._pf) * np.exp(
             1j * self._af * t
         )
+
+    def char_envelope(self, t):
+        """``p e^{-t^2/2}``: the transform of the a.c. part, exactly."""
+        t = np.asarray(t, dtype=float)
+        return self._pf * np.exp(-0.5 * t * t)
 
     def raw_moment(self, k):
         return self.p * _normal_raw_moment(k, ZERO, 1) + (1 - self.p) * self.atom**k

@@ -5,7 +5,18 @@ sampling the characteristic function ``phi(t/sqrt(n))^n`` on the dual
 grid and inverting with FFTs.  The characteristic function of a product
 law is a product of per-axis factors, so the inversion takes one 1-D FFT
 per axis and the grid is their outer product; no ``m^N`` spectrum is
-formed.  Total variation follows the no-half convention:
+formed.
+
+Only a prefix of each axis's spectrum is computed.  A law's
+``char_envelope`` bounds ``|phi|`` (the envelope contract is in
+``Distribution``), and past the first frequency where the bound on
+``phi(t/sqrt(n))^n`` is below ``2^-1074``, the smallest positive double,
+the spectrum is left 0 instead of evaluated: there every entry would
+round to 0 anyway.  A law without an envelope has its whole spectrum
+evaluated.  The frequency axis and its phase shift are the same for every
+law and ``n`` on a grid layout, and are cached per ``(lo, hi, m)``.
+
+Total variation follows the no-half convention:
 ``d_TV(mu, nu) = sup_{|f| <= 1} |int f dmu - int f dnu|``, i.e. the full
 L1 distance between densities, which is why disjoint probability measures
 are at distance 2.
@@ -140,15 +151,32 @@ def _axis(halfwidth: float, m: int) -> np.ndarray:
     return -halfwidth + 2 * halfwidth / m * np.arange(m)
 
 
+@functools.lru_cache(maxsize=8)
+def _dual_axis(lo, hi, m):
+    """``(dt, t, shift)`` of a grid layout: the nonnegative frequencies
+    ``t = k*dt``, ``k <= m/2``, and the phase shift ``exp(-i t lo)``.
+
+    The same for every law and ``n`` on the layout, so they are computed
+    once and shared as read-only arrays.
+    """
+    dx = (hi - lo) / m
+    dt = 2 * math.pi / (m * dx)
+    t = np.arange(m // 2 + 1) * dt
+    shift = np.exp(-1j * t * lo)
+    t.flags.writeable = shift.flags.writeable = False
+    return dt, t, shift
+
+
 def _invert_charfn(chars, lo, hi, m):
     """Density on the tensor grid with axis ``lo + j*dx`` in every coordinate.
 
     ``chars[k]`` is the factor of a separable characteristic function on
-    coordinate k, vectorized over the 1-D frequency axis.  Every factor is
-    the characteristic function of a real law, so ``phi(-t) = conj phi(t)``:
-    each factor and its phase shift are computed on the ``m/2 + 1``
-    nonnegative frequencies ``k*dt`` only, and the negative half
-    ``-k*dt`` is filled with the conjugates.
+    coordinate k.  Every factor is the characteristic function of a real
+    law, so ``phi(-t) = conj phi(t)``: each factor is asked for the
+    ``m/2 + 1`` nonnegative frequencies ``t = k*dt`` only (the cached
+    ``_dual_axis``), and the negative half ``-k*dt`` is filled with the
+    conjugates.  A factor may return a prefix ``phi(t[:k])`` only; the
+    spectrum is 0 beyond it.
 
     The inverse transform of a product is the outer product of the 1-D
     transforms, so each axis takes one length-``m`` FFT and the grid is the
@@ -158,18 +186,17 @@ def _invert_charfn(chars, lo, hi, m):
     axis keeps its complex transform; only the grid's real part is the
     density.  A 1-D grid is the case of one factor.
     """
-    dx = (hi - lo) / m
-    dt = 2 * math.pi / (m * dx)
+    dt, t, shift = _dual_axis(lo, hi, m)
     half = m // 2
-    t = np.arange(half + 1) * dt
-    shift = np.exp(-1j * t * lo)
     axes = []
     for char in chars:
-        pos = char(t) * shift
-        spec = np.empty(m, dtype=complex)
+        pos = char(t)
+        kept = len(pos)
+        pos = pos * shift[:kept]
+        spec = np.zeros(m, dtype=complex)
         # FFT order: index k holds k*dt for k < m/2, and index m - k holds -k*dt
-        spec[:half] = pos[:half]
-        spec[half:] = np.conj(pos[half:0:-1])
+        spec[:min(kept, half)] = pos[:half]
+        spec[m + 1 - kept:] = np.conj(pos[kept - 1:0:-1])
         axes.append(dt / (2 * math.pi) * np.fft.fft(spec))
     return functools.reduce(np.multiply.outer, axes).real
 
@@ -192,10 +219,18 @@ def _int_power(z, n: int):
         z = z * z
 
 
+def _summand_cumulants(dist: Distribution, order: int) -> list:
+    """Float cumulants ``k_1..k_order`` of a 1-D law, memoized per instance."""
+    cache = dist.__dict__.setdefault("_float_cumulants", {})
+    if order not in cache:
+        ms = [float(dist.moment(tuple([1] * k))) for k in range(1, order + 1)]
+        cache[order] = moments_to_cumulants(ms)
+    return cache[order]
+
+
 def _sn_even_moment(dist: Distribution, n: int, order: int):
     """Exact-ish even moments of S_n via cumulant scaling of the summand."""
-    ms = [float(dist.moment(tuple([1] * k))) for k in range(1, order + 1)]
-    ks = moments_to_cumulants(ms)
+    ks = _summand_cumulants(dist, order)
     ks_n = [k * n ** (1 - j / 2.0) for j, k in enumerate(ks, start=1)]
     return cumulants_to_moments(ks_n)
 
@@ -204,7 +239,8 @@ def sn_tail_bound(dist: Distribution, n: int, L: float) -> float:
     """Chebyshev bound on ``P(|coordinate of S_n| > L)``, best even order.
 
     Uses the exact moments of S_n obtained from the standardized summand's
-    cumulants (scaled by ``n^{1-j/2}``); for a product law the coordinate
+    cumulants (scaled by ``n^{1-j/2}``), which are computed once per law
+    instance and reused for every ``n``; for a product law the coordinate
     bounds add, and any other multivariate law raises
     ``NotImplementedError``.
     """
@@ -220,10 +256,44 @@ def sn_tail_bound(dist: Distribution, n: int, L: float) -> float:
     return best
 
 
+#: ``log(2^-1074)``: a spectrum entry bounded below the smallest positive
+#: double is left 0 rather than computed.
+_LOG_TINY = -1074 * math.log(2)
+
+
+def _spectrum_prefix(law: Distribution, n: int, s) -> int:
+    """Number of leading entries of the nonnegative axis ``s = t/sqrt(n)``
+    on which ``phi(s)^n``, less its atomic part, may reach ``2^-1074``.
+
+    The bound is ``e(s)^n`` with ``e`` the law's ``char_envelope``, or
+    ``(e + a)^n - a^n`` for atoms of total mass ``a``, taken in logs as
+    ``n log a + log expm1(n log1p(e/a))``: the plain difference cancels to 0
+    once ``e < eps a``, and ``a^n`` underflows at large ``n``.  A law without
+    an envelope keeps the whole axis.
+    """
+    env = law.char_envelope
+    if env is None:
+        return len(s)
+    a = sum(mass for _, mass in law.atoms)
+    with np.errstate(divide="ignore", over="ignore"):
+        e = env(s)
+        if a:
+            y = n * np.log1p(e / a)
+            log_bound = n * math.log(a) + y + np.log(-np.expm1(-y))
+        else:
+            log_bound = n * np.log(e)
+    above = np.flatnonzero(log_bound >= _LOG_TINY)
+    return int(above[-1]) + 1 if above.size else 0
+
+
 def _sn_char_fn(law: Distribution, n: int, t):
-    """``phi(t/sqrt(n))^n`` of a 1-D law, less its purely atomic part."""
+    """``phi(t/sqrt(n))^n`` of a 1-D law, less its purely atomic part, on
+    the prefix of the axis ``t`` given by ``_spectrum_prefix``."""
     rt = math.sqrt(n)
-    phi = _int_power(law.char_fn(t / rt), n)
+    s = t / rt
+    k = _spectrum_prefix(law, n, s)
+    t, s = t[:k], s[:k]
+    phi = _int_power(law.char_fn(s), n)
     if law.atoms:
         atomic = np.zeros_like(t, dtype=complex)
         for a, mass in law.atoms:
@@ -242,7 +312,9 @@ def law_of_sn(dist: Distribution, n: int, points: int | None = None,
     with atoms the inversion is applied to the a.c. part of ``mu_n`` only:
     the purely atomic contribution (every summand on an atom) has
     characteristic function ``A(t/sqrt(n))^n`` and is subtracted in closed
-    form, with its total weight recorded as ``singular_mass``.  Raises
+    form, with its total weight recorded as ``singular_mass``.  Each axis's
+    spectrum is evaluated up to the cut of ``_spectrum_prefix`` only; a
+    law without a ``char_envelope`` is evaluated on all of it.  Raises
     :class:`AliasingDetected` when the grid fails ``GridDensity.check_mass``.
     """
     if not dist.is_standardized:

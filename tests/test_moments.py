@@ -2,6 +2,7 @@
 
 import math
 from collections import Counter
+from decimal import Decimal, localcontext
 from fractions import Fraction as F
 from itertools import permutations
 
@@ -13,7 +14,9 @@ from edgeworth.moments import (
     AtomMixture,
     Distribution,
     Exponential,
+    Gamma,
     GaussianMixture,
+    Laplace,
     MomentTable,
     Normal,
     NonInvertibleCovariance,
@@ -30,7 +33,7 @@ from edgeworth.moments import (
     shipped_labels,
     standardize,
 )
-from edgeworth.numerics import law_of_sn
+from edgeworth.numerics import _int_power, law_of_sn
 from grid_oracle import user_char_fn
 
 
@@ -426,3 +429,58 @@ def test_user_char_fn_nodes_once_per_instance():
     first = d.char_fn(t)
     assert np.array_equal(d.char_fn(t), first)
     assert calls == [8193]
+
+
+# --- characteristic-function envelopes -------------------------------------------------
+
+_RAW_LAWS = [Uniform(), Exponential(), Laplace(), Gamma(), GaussianMixture(), AtomMixture(),
+             Normal()]
+EPS = np.finfo(float).eps
+
+
+def _atomic_char_fn(law, t):
+    return sum(mass * np.exp(1j * a * t) for a, mass in law.atoms)
+
+
+def _phase_rounding(law, t):
+    """Relative rounding of an atom's term ``mass e^{i a t}`` in ``char_fn``:
+    eps times its phase, which a standardized law computes in two parts."""
+    reach = 1 + max((abs(a) for a, _ in law.atoms), default=0.0)
+    return EPS * (1 + np.abs(t) * reach)
+
+
+@pytest.mark.parametrize("law", _RAW_LAWS + [standardize(d) for d in _RAW_LAWS],
+                         ids=[d.label for d in _RAW_LAWS] + [f"std-{d.label}" for d in _RAW_LAWS])
+@given(st.floats(0, 2000), st.floats(0, 2000))
+def test_char_envelope_bounds_the_ac_transform(law, t1, t2):
+    lo, hi = sorted((t1, t2))
+    t = np.array([lo, hi, -lo, -hi])
+    env = law.char_envelope(t)
+    # |phi - A|, the a.c. part: exact up to the rounding of the atoms' terms
+    ac = np.abs(law.char_fn(t) - _atomic_char_fn(law, t))
+    slack = 8 * sum(mass for _, mass in law.atoms) * _phase_rounding(law, t)
+    assert np.all(ac <= env * (1 + 1e-12) + slack)
+    assert env[1] <= env[0]
+    assert env[2] == env[0] and env[3] == env[1]
+
+
+def test_laws_without_envelope():
+    tri = UserDensity(lambda x: np.where(np.abs(x) <= 1, 1 - np.abs(x), 0.0), (-1, 1))
+    assert tri.char_envelope is None and standardize(tri).char_envelope is None
+    assert Distribution.char_envelope is None
+
+
+@pytest.mark.parametrize("n", [1, 2, 32, 1024])
+@given(st.floats(0, 2000))
+def test_atom_envelope_bounds_the_power_difference(n, t):
+    # |phi^n - A^n| <= (e + a)^n - a^n, up to the rounding of the two powers
+    law = make_distribution("atom_mixture")
+    (_, a), = law.atoms
+    t = np.array([t])
+    e = float(law.char_envelope(t)[0])
+    diff = abs(_int_power(law.char_fn(t), n) - _int_power(_atomic_char_fn(law, t), n))[0]
+    with localcontext() as ctx:  # 200 digits: no underflow, and room for the cancellation
+        ctx.prec = 200
+        bound = float((Decimal(e) + Decimal(a)) ** n - Decimal(a) ** n)
+    noise = 8 * n * _phase_rounding(law, t[0]) * (a + e) ** n
+    assert diff <= bound * (1 + 1e-12) + noise

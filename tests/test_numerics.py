@@ -2,7 +2,9 @@
 
 import math
 import tracemalloc
+import warnings
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,8 +12,10 @@ from scipy import stats
 
 from edgeworth.correctors import EdgeworthModel, edgeworth_grid, hermite_1d
 from edgeworth.moments import (
+    AtomMixture,
     Distribution,
     GaussianMixture,
+    ProductDistribution,
     Uniform,
     UserDensity,
     make_distribution,
@@ -22,18 +26,17 @@ from edgeworth.numerics import (
     AliasingDetected,
     GridDensity,
     GridMismatch,
+    _dual_axis,
     _int_power,
+    _spectrum_prefix,
     default_grid_points,
     gauss_hermite,
     law_of_sn,
     sn_tail_bound,
     tv_distance,
 )
+from closed_form_oracle import atom_mixture_sn, gauss_mixture_sn, normal_pdf
 from grid_oracle import law_of_sn_2d, law_of_sn_full
-
-
-def normal_pdf(x, mu=0.0, s=1.0):
-    return np.exp(-0.5 * ((x - mu) / s) ** 2) / (s * math.sqrt(2 * math.pi))
 
 
 # --- gauss_hermite ---------------------------------------------------------------
@@ -88,19 +91,17 @@ def test_fft_vs_direct_self_convolution(n):
     # the n-fold convolution of a two-component Gaussian mixture is the
     # binomial mixture of n + 1 normals: a closed-form oracle with no FFT
     raw = GaussianMixture()
-    params = (raw.weights, raw.means, raw.sigmas)
-    (w1, w2), (m1, m2), (s1, s2) = ([float(v) for v in p] for p in params)
-    mu = w1 * m1 + w2 * m2
-    sd = math.sqrt(w1 * (s1**2 + m1**2) + w2 * (s2**2 + m2**2) - mu**2)
     g = law_of_sn(standardize(raw), n)
-    xs = g.axes[0]
-    want = sum(
-        math.comb(n, j) * w1**j * w2 ** (n - j)
-        * normal_pdf(xs, (j * m1 + (n - j) * m2 - n * mu) / (sd * math.sqrt(n)),
-                     math.sqrt((j * s1**2 + (n - j) * s2**2) / n) / sd)
-        for j in range(n + 1)
-    )
-    assert np.max(np.abs(g.values - want)) < 1e-6
+    assert np.max(np.abs(g.values - gauss_mixture_sn(g.axes[0], n, raw))) < 1e-6
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
+def test_atom_mixture_matches_closed_form(n):
+    # past the spectrum cut the a.c. transform phi^n - A^n is rounding noise
+    # of the two powers; evaluated, it costs 1.5e-11 at n = 1
+    raw = AtomMixture()
+    g = law_of_sn(standardize(raw), n)
+    assert np.max(np.abs(g.values - atom_mixture_sn(g.axes[0], n, raw))) <= 1e-13
 
 
 @pytest.mark.parametrize("name", shipped_labels())
@@ -338,6 +339,68 @@ def test_half_axis_law_of_sn_matches_full_axis_oracle(spec, n):
         g = law_of_sn(d, n, points)
         want = law_of_sn_full(d, n, points, 16.0)
         assert np.max(np.abs(g.values - want)) <= 1e-12
+
+
+# --- spectrum prefix -----------------------------------------------------------------
+
+class _NoEnvelope(Distribution):
+    """A standardized 1-D law less its ``char_envelope``: the whole spectrum is evaluated."""
+
+    def __init__(self, law):
+        self.law = law
+        self.label, self.atoms, self.max_order = law.label, law.atoms, law.max_order
+        self.is_standardized = law.is_standardized
+
+    def char_fn(self, t):
+        return self.law.char_fn(t)
+
+    def raw_moment(self, k):
+        return self.law.raw_moment(k)
+
+
+@pytest.mark.parametrize("spec", [name for name in shipped_labels() if name != "atom_mixture"]
+                         + ["exponential*uniform", "laplace*gamma"])
+@pytest.mark.parametrize("n", [1, 32, 1024])
+def test_spectrum_prefix_is_bitwise_exact(spec, n):
+    # past the cut every entry of phi^n computes to 0 anyway, so leaving it 0
+    # changes no bit of the density
+    d = make_distribution(spec)
+    bare = [_NoEnvelope(law) for law in d.factors()]
+    bare = bare[0] if d.dim == 1 else ProductDistribution(bare)
+    assert np.array_equal(law_of_sn(d, n).values, law_of_sn(bare, n).values)
+    if n == 1024:  # and there is something to cut
+        _, t, _ = _dual_axis(-16.0, 16.0, default_grid_points(d.dim))
+        assert all(_spectrum_prefix(law, n, t / 32) < len(t) for law in d.factors())
+
+
+@pytest.mark.parametrize("n", [1, 2, 32, 1024])
+def test_atom_spectrum_prefix_is_the_exact_cut(n):
+    # the a.c. transform phi^n - A^n is cut where (e + a)^n - a^n, taken in
+    # exact arithmetic, falls below 2^-1074; the plain float difference of
+    # the two powers cancels to 0 too early, and at n = 1024 a^n underflows
+    law = make_distribution("atom_mixture")
+    a = Fraction(sum(mass for _, mass in law.atoms))
+    _, t, _ = _dual_axis(-16.0, 16.0, 2**14)
+    s = t / math.sqrt(n)
+    k = _spectrum_prefix(law, n, s)
+    assert 0 < k < len(s)
+
+    def bound(i):
+        return (Fraction(float(law.char_envelope(s[i]))) + a) ** n - a**n
+
+    tiny, tol = Fraction(2) ** -1074, Fraction(1, 10**9)
+    assert bound(k - 1) >= tiny * (1 - tol)
+    assert bound(k) < tiny * (1 + tol)
+
+
+@pytest.mark.parametrize("name", shipped_labels() + ["normal"])
+@pytest.mark.parametrize("n", [1, 1024])
+def test_law_of_sn_raises_no_warning(name, n):
+    # the cut takes logs of envelopes that underflow to 0
+    d = make_distribution(name)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        law_of_sn(d, n)
 
 
 def _decimal_power(z, n):
