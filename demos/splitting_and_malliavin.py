@@ -32,7 +32,7 @@ xs = np.linspace(*dist.support(), 4096)
 print(f"  reconstruction sup-error on a 4096 grid: {rep.reconstruction_error(xs):.2e}")
 
 print("\nIntegration by parts, E(f'(S_n) phi) = E(f(S_n) H), at n = 16")
-print("(both sides estimated from independent streams of 200k draws):")
+print("(both sides estimated on one paired stream of 200k draws):")
 for r in ibp_battery(rep, 16, default_test_functions(), 200_000, rng):
     print(
         f"  f = {r.label:<15} lhs {r.lhs:+.5f}  rhs {r.rhs:+.5f} "

@@ -188,8 +188,8 @@ def cmd_ibp(args) -> bool:
     rep = splitting.split(_dist_1d(args, "ibp"))
     reports = malliavin.ibp_battery(rep, args.n, malliavin.default_test_functions(),
                                     args.samples, np.random.default_rng(args.seed))
-    _write(args, "f,n,samples,lhs,lhs_se,rhs,rhs_se,z", [
-        (r.label, r.n, r.samples, r.lhs, r.lhs_se, r.rhs, r.rhs_se, r.z_score)
+    _write(args, "f,n,samples,lhs,lhs_se,rhs,rhs_se,diff_se,z", [
+        (r.label, r.n, r.samples, r.lhs, r.lhs_se, r.rhs, r.rhs_se, r.diff_se, r.z_score)
         for r in reports
     ])
     # a NaN z compares false against 4.0, so it fails the verdict

@@ -256,7 +256,6 @@ def edgeworth_grid(model: EdgeworthModel, n: int, points: int | None = None,
     terms = model._grid_terms
     if terms is None or terms[0] != key:
         x = _axis(halfwidth, points)
-        x.flags.writeable = False  # shared by every grid of this layout
         gauss = functools.reduce(np.multiply.outer, [gaussian_pdf(x)] * model.dim)
         ks = [(m, _poly_on_grid(km, x))
               for m, km in enumerate(model.k_polys, start=1) if not km.is_zero()]

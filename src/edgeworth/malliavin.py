@@ -17,10 +17,11 @@ calculus with respect to the smooth noise ``V`` is fully explicit:
 So a sample needs only ``(S_n, sum chi, L S_n)``: :func:`sn_batch` draws
 them in batches in every dimension, and :func:`ibp_weight` turns the last
 two into ``H``.  The module verifies the resulting identity
-``E(f'(S_n) phi) = E(f(S_n) H)`` by Monte Carlo for 1-D laws, the
-covariance-degeneracy tail against the exact binomial law, and, in exact
-arithmetic, the backward Gaussian Taylor formula that powers the
-expansion's moment bookkeeping.
+``E(f'(S_n) phi) = E(f(S_n) H)`` by Monte Carlo for 1-D laws, with both
+sides evaluated on one paired stream of draws and gated by the standard
+error of their difference; the covariance-degeneracy tail against the
+exact binomial law; and, in exact arithmetic, the backward Gaussian Taylor
+formula that powers the expansion's moment bookkeeping.
 """
 
 from __future__ import annotations
@@ -150,7 +151,12 @@ def sn_batch(rep: SplitRep, n: int, size: int, rng, want_ls: bool = True):
 
 @dataclass
 class IbpReport:
-    """Monte Carlo comparison of the two sides of the localized IBP."""
+    """Monte Carlo comparison of the two sides of the localized IBP.
+
+    Both sides are means over the same draws: ``lhs_se`` and ``rhs_se``
+    are their marginal standard errors, and ``diff_se`` is the standard
+    error of the paired difference ``f'(S_n) phi - f(S_n) H``.
+    """
 
     label: str
     n: int
@@ -159,10 +165,11 @@ class IbpReport:
     lhs_se: float
     rhs: float
     rhs_se: float
+    diff_se: float
 
     @property
     def z_score(self) -> float:
-        return abs(self.lhs - self.rhs) / math.hypot(self.lhs_se, self.rhs_se)
+        return abs(self.lhs - self.rhs) / self.diff_se
 
 
 def default_test_functions():
@@ -182,12 +189,14 @@ def default_test_functions():
 def ibp_battery(rep: SplitRep, n: int, funcs, samples: int, rng) -> list[IbpReport]:
     """Run the localized IBP check for several test functions at once.
 
-    The two sides are estimated from independent sample streams (fresh
-    draws for the left side and for the right side), shared across the
-    battery; per-function means and standard errors accumulate streamingly.
-    A chunk holds at most ``CHUNK_SAMPLES`` samples and ``SUMMAND_BUDGET``
-    summands, so memory stays bounded for large ``n``.  The test functions
-    act on a scalar ``S_n``, so ``rep`` must be 1-D.
+    One stream of draws serves both sides and the whole battery: on each
+    draw of ``(S_n, sum chi, L S_n)`` every function gives its left value
+    ``f'(S_n) phi``, its right value ``f(S_n) H`` and their difference, and
+    the three accumulate streaming sums and sums of squares.  The paired
+    difference's standard error is the one the z-score divides by.  A chunk
+    holds at most ``CHUNK_SAMPLES`` samples and ``SUMMAND_BUDGET`` summands,
+    so memory stays bounded for large ``n``.  The test functions act on a
+    scalar ``S_n``, so ``rep`` must be 1-D.
     """
     if rep.dim != 1:
         raise NotImplementedError("the IBP battery's test functions are 1-D")
@@ -196,34 +205,27 @@ def ibp_battery(rep: SplitRep, n: int, funcs, samples: int, rng) -> list[IbpRepo
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     chunk = max(1, min(CHUNK_SAMPLES, SUMMAND_BUDGET // n))
-    rng_l, rng_r = rng.spawn(2)
-    nf = len(funcs)
-    sums = np.zeros((2, nf))
-    sqs = np.zeros((2, nf))
+    # rows: left side, right side, paired difference; one column per function
+    sums = np.zeros((3, len(funcs)))
+    sqs = np.zeros((3, len(funcs)))
     done = 0
     while done < samples:
         m = min(chunk, samples - done)
-        # left stream: E(f'(S_n) phi)
-        s, counts, _ = sn_batch(rep, n, m, rng_l, want_ls=False)
+        s, counts, ls = sn_batch(rep, n, m, rng, want_ls=True)
         phi = _phi(rep, n, counts)
-        for j, (_, _, df) in enumerate(funcs):
-            vals = df(s) * phi
-            sums[0, j] += vals.sum()
-            sqs[0, j] += (vals * vals).sum()
-        # right stream: E(f(S_n) H)
-        s, counts, ls = sn_batch(rep, n, m, rng_r, want_ls=True)
         weight = ibp_weight(rep, n, counts, ls)
-        for j, (_, f, _) in enumerate(funcs):
-            vals = f(s) * weight
-            sums[1, j] += vals.sum()
-            sqs[1, j] += (vals * vals).sum()
+        for j, (_, f, df) in enumerate(funcs):
+            left = df(s) * phi
+            right = f(s) * weight
+            vals = np.stack([left, right, left - right])
+            sums[:, j] += vals.sum(axis=1)
+            sqs[:, j] += (vals * vals).sum(axis=1)
         done += m
-    out = []
-    for j, (label, _, _) in enumerate(funcs):
-        means = sums[:, j] / samples
-        ses = np.sqrt(np.maximum(sqs[:, j] / samples - means**2, 0.0) / samples)
-        out.append(IbpReport(label, n, samples, means[0], ses[0], means[1], ses[1]))
-    return out
+    means = sums / samples
+    ses = np.sqrt(np.maximum(sqs / samples - means**2, 0.0) / samples)
+    return [IbpReport(label, n, samples, means[0, j], ses[0, j], means[1, j], ses[1, j],
+                      ses[2, j])
+            for j, (label, _, _) in enumerate(funcs)]
 
 
 @dataclass

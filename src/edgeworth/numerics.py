@@ -140,15 +140,20 @@ def default_grid_points(dim: int) -> int:
     return 2 ** min(14, 21 // dim)
 
 
+@functools.lru_cache(maxsize=8)
 def _axis(halfwidth: float, m: int) -> np.ndarray:
     """The grid axis ``-halfwidth + j * 2 halfwidth / m``, ``j < m``.
 
     The one check of a grid layout, made before anything is computed on it.
+    The axis is cached per layout as a read-only array, so every grid of a
+    layout holds the same object; a rejected layout raises on every call.
     """
     _check_power_of_two(m)
     if not 0 < halfwidth < math.inf:
         raise ValueError(f"grid halfwidth must be finite and > 0, got {halfwidth}")
-    return -halfwidth + 2 * halfwidth / m * np.arange(m)
+    x = -halfwidth + 2 * halfwidth / m * np.arange(m)
+    x.flags.writeable = False
+    return x
 
 
 @functools.lru_cache(maxsize=8)

@@ -195,7 +195,7 @@ def test_ibp_command_small(capsys):
                        "--samples", "40000", "--seed", "2")
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0] == "f,n,samples,lhs,lhs_se,rhs,rhs_se,z"
+    assert lines[0] == "f,n,samples,lhs,lhs_se,rhs,rhs_se,diff_se,z"
     assert len(lines) == 5
 
 

@@ -12,6 +12,7 @@ from edgeworth import malliavin
 from edgeworth.malliavin import (
     SUMMAND_BUDGET,
     DegenerateSigma,
+    IbpReport,
     backward_taylor_check,
     default_test_functions,
     epsilon_star,
@@ -241,10 +242,55 @@ def test_ibp_battery_chunk_bounded_in_n(urep, n, samples, monkeypatch):
 
     monkeypatch.setattr(malliavin, "sn_batch", fake_sn_batch)
     ibp_battery(urep, n, default_test_functions(), samples, np.random.default_rng(28))
-    assert sum(sizes) == 2 * samples  # left and right streams
+    assert sum(sizes) == samples  # one paired stream serves both sides
     assert max(sizes) * n <= max(SUMMAND_BUDGET, n)
     if samples * n <= SUMMAND_BUDGET:
-        assert len(sizes) == 2  # a battery within the budget stays one chunk
+        assert len(sizes) == 1  # a battery within the budget stays one chunk
+
+
+def test_ibp_battery_matches_one_paired_draw(urep):
+    # oracle: a battery within one chunk is one sn_batch draw, so a generator
+    # in the same state replays it, and both sides and the paired difference
+    # are plain means and standard errors over those draws
+    n, samples = 16, 20_000
+    funcs = default_test_functions()
+    reports = ibp_battery(urep, n, funcs, samples, np.random.default_rng(40))
+    s, counts, ls = sn_batch(urep, n, samples, np.random.default_rng(40))
+    phi = localizer(urep, counts / n)
+    weight = ibp_weight(urep, n, counts, ls)
+    for r, (label, f, df) in zip(reports, funcs, strict=True):
+        left, right = df(s) * phi, f(s) * weight
+        assert (r.label, r.n, r.samples) == (label, n, samples)
+        assert r.lhs == pytest.approx(left.mean(), rel=1e-12, abs=1e-15)
+        assert r.rhs == pytest.approx(right.mean(), rel=1e-12, abs=1e-15)
+        for se, vals in ((r.lhs_se, left), (r.rhs_se, right), (r.diff_se, left - right)):
+            assert se == pytest.approx(vals.std() / math.sqrt(samples), rel=1e-9, abs=1e-12)
+
+
+def test_ibp_z_score_is_paired():
+    # the marginal SEs would give |1 - 0.5| / hypot(3, 4) = 0.1
+    r = IbpReport("f", 16, 100, lhs=1.0, lhs_se=3.0, rhs=0.5, rhs_se=4.0, diff_se=0.25)
+    assert r.z_score == 2.0
+
+
+class _NoSpawn:
+    """A generator proxy without ``spawn``, which numpy added in 1.25."""
+
+    def __init__(self, rng):
+        self._rng = rng
+
+    def __getattr__(self, name):
+        if name == "spawn":
+            raise AttributeError(name)
+        return getattr(self._rng, name)
+
+
+def test_ibp_battery_needs_no_generator_spawn(urep):
+    funcs = default_test_functions()
+    proxy = _NoSpawn(np.random.default_rng(41))
+    assert not hasattr(proxy, "spawn")
+    got = ibp_battery(urep, 8, funcs, 2_000, proxy)
+    assert got == ibp_battery(urep, 8, funcs, 2_000, np.random.default_rng(41))
 
 
 def test_ibp_linear_function_identity(urep):

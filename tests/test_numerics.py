@@ -210,6 +210,28 @@ def test_tv_axes_match_within_1e12(dim):
         tv_distance(p, off)
 
 
+def test_grid_axis_shared_per_layout():
+    # one read-only axis object per layout, so tv_distance matches it by identity
+    d = make_distribution("laplace")
+    g = law_of_sn(d, 8, points=2**10, halfwidth=12.0)
+    e = edgeworth_grid(EdgeworthModel.build(d, 3), 8, points=2**10, halfwidth=12.0)
+    assert g.axes[0] is e.axes[0] is law_of_sn(d, 16, points=2**10, halfwidth=12.0).axes[0]
+    assert not g.axes[0].flags.writeable
+    assert np.array_equal(g.axes[0], -12.0 + 24.0 / 2**10 * np.arange(2**10))
+
+
+@pytest.mark.parametrize("points,halfwidth", [
+    (2**10, -1.0), (2**10, 0.0), (2**10, math.inf), (2**10, math.nan), (1000, 12.0), (1, 12.0),
+])
+def test_bad_grid_layout_raises_on_every_call(points, halfwidth):
+    d = make_distribution("laplace")
+    for _ in range(2):  # a rejected layout is not cached
+        with pytest.raises(ValueError):
+            law_of_sn(d, 8, points=points, halfwidth=halfwidth)
+        with pytest.raises(ValueError):
+            edgeworth_grid(EdgeworthModel.build(d, 3), 8, points=points, halfwidth=halfwidth)
+
+
 def test_atom_mixture_inversion_matches_monte_carlo():
     # end-to-end check of the atomic-part subtraction: grid CDF (plus the
     # pure-atom mass) against an empirical CDF of direct draws
