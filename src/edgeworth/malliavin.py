@@ -118,14 +118,14 @@ def _segment_sum(idx: np.ndarray, vals: np.ndarray, size: int) -> np.ndarray:
     )
 
 
-def sn_batch(rep: SplitRep, n: int, size: int, rng, want_ls: bool = True):
+def sn_batch(rep: SplitRep, n: int, size: int, rng):
     """Vectorized draws of ``(S_n, sum chi, L S_n)``.
 
     Avoids materializing the per-summand matrix: the Bernoulli count per
     sample is drawn directly, the needed ``V``/``W`` values are drawn flat
     and segment-summed back onto the samples, one coordinate at a time.
     ``S_n`` and ``L S_n`` have shape ``(size,)`` in 1-D and ``(size, N)``
-    otherwise; ``L S_n`` is ``None`` unless ``want_ls``.
+    otherwise.
     """
     counts = rng.binomial(n, rep.m0, size)
     idx_v = np.repeat(np.arange(size), counts)
@@ -133,20 +133,16 @@ def sn_batch(rep: SplitRep, n: int, size: int, rng, want_ls: bool = True):
     tot_v, tot_w = len(idx_v), len(idx_w)
     shape = (size,) if rep.dim == 1 else (size, rep.dim)
     sums = np.zeros(shape)
-    ls = np.zeros(shape) if want_ls else None
+    ls = np.zeros(shape)
     if tot_v:
         v = rep.sample_v(rng, tot_v)
         sums += _segment_sum(idx_v, v, size)
-        if want_ls:
-            ls -= _segment_sum(idx_v, rep.log_psi_gradient(v), size)
+        ls -= _segment_sum(idx_v, rep.log_psi_gradient(v), size)
     if tot_w:
         w = rep.sample_w(rng, tot_w)
         sums += _segment_sum(idx_w, w, size)
     rt = math.sqrt(n)
-    s = sums / rt
-    if want_ls:
-        ls = ls / rt
-    return s, counts, ls
+    return sums / rt, counts, ls / rt
 
 
 @dataclass
@@ -202,8 +198,8 @@ def ibp_battery(rep: SplitRep, n: int, funcs, samples: int, rng) -> list[IbpRepo
         raise NotImplementedError("the IBP battery's test functions are 1-D")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+    if samples < 2:
+        raise ValueError(f"samples must be >= 2 to estimate a standard error, got {samples}")
     chunk = max(1, min(CHUNK_SAMPLES, SUMMAND_BUDGET // n))
     # rows: left side, right side, paired difference; one column per function
     sums = np.zeros((3, len(funcs)))
@@ -211,7 +207,7 @@ def ibp_battery(rep: SplitRep, n: int, funcs, samples: int, rng) -> list[IbpRepo
     done = 0
     while done < samples:
         m = min(chunk, samples - done)
-        s, counts, ls = sn_batch(rep, n, m, rng, want_ls=True)
+        s, counts, ls = sn_batch(rep, n, m, rng)
         phi = _phi(rep, n, counts)
         weight = ibp_weight(rep, n, counts, ls)
         for j, (_, f, df) in enumerate(funcs):

@@ -169,11 +169,15 @@ class Distribution:
     dim = 1
     label = "distribution"
     max_order = 16
-    singular_mass = 0.0
     #: ((location, mass), ...) of the atoms of the singular part, if any.
     atoms: tuple = ()
     is_standardized = False
     char_envelope = None
+
+    @property
+    def singular_mass(self) -> float:
+        """Total mass of the purely atomic part: the sum of the atoms' masses."""
+        return float(sum(mass for _, mass in self.atoms))
 
     # -- mandatory surface -------------------------------------------------
     def pdf(self, x):
@@ -266,7 +270,6 @@ class _Standardized1D(Distribution):
         self.base = base
         self.label = base.label
         self.max_order = base.max_order
-        self.singular_mass = base.singular_mass
         self._mu = base.raw_moment(1)
         self._var = base.central_moment(2)
         self._mu_f = float(self._mu)
@@ -583,7 +586,6 @@ class AtomMixture(Distribution):
             raise ValueError(f"atom_mixture parameter p must be in [0, 1], got {p}")
         self.atom = Fraction(atom)
         self._pf, self._af = float(self.p), float(self.atom)
-        self.singular_mass = 1.0 - self._pf
         self.atoms = ((self._af, 1.0 - self._pf),)
         self.label = f"atom_mixture({p},{atom})"
 

@@ -1,11 +1,12 @@
 """Grid densities, characteristic-function inversion, and total variation.
 
 The law of the normalized sum ``S_n = n^{-1/2} sum F_k`` is computed by
-sampling the characteristic function ``phi(t/sqrt(n))^n`` on the dual
-grid and inverting with FFTs.  The characteristic function of a product
-law is a product of per-axis factors, so the inversion takes one 1-D FFT
-per axis and the grid is their outer product; no ``m^N`` spectrum is
-formed.
+sampling the characteristic function ``phi(t/sqrt(n))^n`` on the
+nonnegative half of the dual grid and inverting with FFTs.  The
+characteristic function of a product law is a product of per-axis
+factors, each the transform of a real 1-D law, so the inversion takes one
+real inverse FFT (``irfft``) per axis and the grid is the real outer
+product of the axes; no ``m^N`` spectrum and no complex grid is formed.
 
 Only a prefix of each axis's spectrum is computed.  A law's
 ``char_envelope`` bounds ``|phi|`` (the envelope contract is in
@@ -13,8 +14,7 @@ Only a prefix of each axis's spectrum is computed.  A law's
 ``phi(t/sqrt(n))^n`` is below ``2^-1074``, the smallest positive double,
 the spectrum is left 0 instead of evaluated: there every entry would
 round to 0 anyway.  A law without an envelope has its whole spectrum
-evaluated.  The frequency axis and its phase shift are the same for every
-law and ``n`` on a grid layout, and are cached per ``(lo, hi, m)``.
+evaluated.
 
 Total variation follows the no-half convention:
 ``d_TV(mu, nu) = sup_{|f| <= 1} |int f dmu - int f dnu|``, i.e. the full
@@ -156,54 +156,34 @@ def _axis(halfwidth: float, m: int) -> np.ndarray:
     return x
 
 
-@functools.lru_cache(maxsize=8)
-def _dual_axis(lo, hi, m):
-    """``(dt, t, shift)`` of a grid layout: the nonnegative frequencies
-    ``t = k*dt``, ``k <= m/2``, and the phase shift ``exp(-i t lo)``.
-
-    The same for every law and ``n`` on the layout, so they are computed
-    once and shared as read-only arrays.
-    """
-    dx = (hi - lo) / m
-    dt = 2 * math.pi / (m * dx)
-    t = np.arange(m // 2 + 1) * dt
-    shift = np.exp(-1j * t * lo)
-    t.flags.writeable = shift.flags.writeable = False
-    return dt, t, shift
-
-
-def _invert_charfn(chars, lo, hi, m):
-    """Density on the tensor grid with axis ``lo + j*dx`` in every coordinate.
+def _invert_charfn(chars, halfwidth, m):
+    """Density on the tensor grid with axis ``_axis(halfwidth, m)`` in every
+    coordinate.
 
     ``chars[k]`` is the factor of a separable characteristic function on
-    coordinate k.  Every factor is the characteristic function of a real
-    law, so ``phi(-t) = conj phi(t)``: each factor is asked for the
-    ``m/2 + 1`` nonnegative frequencies ``t = k*dt`` only (the cached
-    ``_dual_axis``), and the negative half ``-k*dt`` is filled with the
-    conjugates.  A factor may return a prefix ``phi(t[:k])`` only; the
-    spectrum is 0 beyond it.
+    coordinate k.  The inverse transform of a product is the outer product
+    of the 1-D transforms, so each axis is inverted on its own and the grid
+    is the outer product of the real axes: ``O(N m log m + m^N)`` work, and
+    no ``m^N`` spectrum.  A 1-D grid is the case of one factor.
 
-    The inverse transform of a product is the outer product of the 1-D
-    transforms, so each axis takes one length-``m`` FFT and the grid is the
-    outer product of the axes: ``O(N m log m + m^N)`` work, and no ``m^N``
-    spectrum.  The frequencies are ``-m/2 .. m/2 - 1`` times ``dt``, one-sided
-    at the Nyquist frequency, so the spectrum is not Hermitian and each
-    axis keeps its complex transform; only the grid's real part is the
-    density.  A 1-D grid is the case of one factor.
+    Each factor is the characteristic function of a real law, so
+    ``phi(-t) = conj phi(t)`` and its axis is real: the factor is asked for
+    the ``m/2 + 1`` nonnegative frequencies ``t_k = k pi / halfwidth`` only,
+    and ``np.fft.irfft`` supplies the conjugate half.  On the centred window
+    the phase ``exp(-i t_k x_0)`` of the first grid point is ``(-1)^k``, so
+    the shift is a sign.  A factor may return a prefix ``phi(t[:k])`` only;
+    ``irfft`` zero-pads the spectrum beyond it, and an empty prefix gives a
+    zero axis.
     """
-    dt, t, shift = _dual_axis(lo, hi, m)
-    half = m // 2
+    t = np.arange(m // 2 + 1) * (math.pi / halfwidth)
+    dx = 2 * halfwidth / m
     axes = []
     for char in chars:
-        pos = char(t)
-        kept = len(pos)
-        pos = pos * shift[:kept]
-        spec = np.zeros(m, dtype=complex)
-        # FFT order: index k holds k*dt for k < m/2, and index m - k holds -k*dt
-        spec[:min(kept, half)] = pos[:half]
-        spec[m + 1 - kept:] = np.conj(pos[kept - 1:0:-1])
-        axes.append(dt / (2 * math.pi) * np.fft.fft(spec))
-    return functools.reduce(np.multiply.outer, axes).real
+        spec = np.conj(char(t))
+        spec[1::2] *= -1
+        # irfft of an empty spectrum returns uninitialized memory
+        axes.append(np.fft.irfft(spec, m) / dx if len(spec) else np.zeros(m))
+    return functools.reduce(np.multiply.outer, axes)
 
 
 def _int_power(z, n: int):
@@ -279,7 +259,7 @@ def _spectrum_prefix(law: Distribution, n: int, s) -> int:
     env = law.char_envelope
     if env is None:
         return len(s)
-    a = sum(mass for _, mass in law.atoms)
+    a = law.singular_mass
     with np.errstate(divide="ignore", over="ignore"):
         e = env(s)
         if a:
@@ -326,19 +306,17 @@ def law_of_sn(dist: Distribution, n: int, points: int | None = None,
         raise ValueError("law_of_sn expects a standardized distribution")
     if n < 1:
         raise ValueError("n must be >= 1")
-    atoms = dist.atoms
-    singular = float(sum(m for _, m in atoms)) ** n if atoms else 0.0
     # a product law's coordinates are independent: phi factors over the axes
     laws = dist.factors()
     if points is None:
         points = default_grid_points(dist.dim)
     x = _axis(halfwidth, points)
     vals = _invert_charfn([functools.partial(_sn_char_fn, law, n) for law in laws],
-                          -halfwidth, halfwidth, points)
+                          halfwidth, points)
     g = GridDensity(
         (x,) * len(laws), vals,
         tail_mass_bound=sn_tail_bound(dist, n, halfwidth),
-        singular_mass=singular,
+        singular_mass=dist.singular_mass ** n,
         label=f"S_{n}[{dist.label}]",
     )
     g.check_mass()

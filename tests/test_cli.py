@@ -335,7 +335,7 @@ def test_ibp_nan_z_fails(capsys, monkeypatch):
      "window too small"),
     (["kpoly", "--dist", "exponential", "--m", "6"], "requested order 18"),
     (["sigtail", "--samples", "0"], "samples must be >= 1"),
-    (["ibp", "--samples", "0"], "samples must be >= 1"),
+    (["ibp", "--samples", "0"], "samples must be >= 2"),
     (["sigtail", "--n-list", ""], "--n-list must be nonempty"),
     (["ibp", "--n", "0", "--samples", "10"], "n must be >= 1"),
     (["sigtail", "--n-list", "0", "--samples", "10"], "n must be >= 1"),

@@ -79,8 +79,7 @@ def test_state_invariants(urep, u2rep):
 def test_chi_frequency_matches_m0(urep):
     rng = np.random.default_rng(12)
     draws = 10_000
-    _, counts, ls = sn_batch(urep, 8, draws, rng, want_ls=False)
-    assert ls is None
+    _, counts, _ = sn_batch(urep, 8, draws, rng)
     se = math.sqrt(urep.m0 * (1 - urep.m0) / (8 * draws))
     assert abs(np.mean(counts / 8) - urep.m0) < 4 * se
 
@@ -236,7 +235,7 @@ def test_ibp_battery_smoke(urep):
 def test_ibp_battery_chunk_bounded_in_n(urep, n, samples, monkeypatch):
     sizes = []
 
-    def fake_sn_batch(rep, n, size, rng, want_ls=True):
+    def fake_sn_batch(rep, n, size, rng):
         sizes.append(size)
         return np.zeros(size), np.full(size, n), np.zeros(size)
 
@@ -307,10 +306,11 @@ def test_ibp_battery_rejects_products(u2rep):
         ibp_battery(u2rep, 16, default_test_functions(), 100, np.random.default_rng(36))
 
 
-@pytest.mark.parametrize("samples", [0, -1])
+@pytest.mark.parametrize("samples", [1, 0, -1])
 def test_ibp_battery_rejects_empty_sample(urep, samples):
-    # no draws would give NaN means that no z-score threshold can fail
-    with pytest.raises(ValueError, match="samples must be >= 1"):
+    # no draws would give NaN means that no z-score threshold can fail, and
+    # one draw gives a standard error of 0 and an infinite z-score
+    with pytest.raises(ValueError, match="samples must be >= 2"):
         ibp_battery(urep, 16, default_test_functions(), samples, np.random.default_rng(36))
 
 

@@ -26,8 +26,8 @@ from edgeworth.numerics import (
     AliasingDetected,
     GridDensity,
     GridMismatch,
-    _dual_axis,
     _int_power,
+    _invert_charfn,
     _spectrum_prefix,
     default_grid_points,
     gauss_hermite,
@@ -102,6 +102,39 @@ def test_atom_mixture_matches_closed_form(n):
     raw = AtomMixture()
     g = law_of_sn(standardize(raw), n)
     assert np.max(np.abs(g.values - atom_mixture_sn(g.axes[0], n, raw))) <= 1e-13
+
+
+def test_atom_mixture_rate_tv_matches_closed_form():
+    # the statistic of `edgeworth rate --dist atom_mixture --r 6`, with the
+    # inverted grid replaced by the closed-form density on the same grid
+    raw = AtomMixture()
+    d = standardize(raw)
+    model = EdgeworthModel.build(d, 6)
+    for n in [32, 64, 128, 256, 512, 1024]:
+        g, gam = law_of_sn(d, n), edgeworth_grid(model, n)
+        exact = GridDensity(g.axes, atom_mixture_sn(g.axes[0], n, raw))
+        assert abs(tv_distance(g, gam).raw - tv_distance(exact, gam).raw) <= 1e-12, n
+
+
+@pytest.mark.parametrize("spec,points", [("uniform", None), ("exponential*uniform", None),
+                                         ("laplace*gamma", 64)])
+def test_law_of_sn_values_are_plain_float_arrays(spec, points):
+    # a view into a complex buffer would pin twice the grid's memory
+    g = law_of_sn(make_distribution(spec), 32, points)
+    assert g.values.dtype == np.float64 and g.values.flags.c_contiguous
+    assert g.values.base is None or not np.iscomplexobj(g.values.base)
+
+
+def test_empty_spectrum_prefix_gives_a_zero_axis():
+    # np.fft.irfft of an empty spectrum returns uninitialized memory
+    def empty(t):
+        return t[:0]
+
+    def normal(t):
+        return np.exp(-0.5 * t * t)
+
+    assert np.array_equal(_invert_charfn([empty], 16.0, 8), np.zeros(8))
+    assert np.array_equal(_invert_charfn([normal, empty], 16.0, 8), np.zeros((8, 8)))
 
 
 @pytest.mark.parametrize("name", shipped_labels())
@@ -331,7 +364,7 @@ def test_user_density_law_of_sn_memory_is_bounded():
 @pytest.mark.parametrize("spec,limit_mib", [("exponential*uniform", 32),
                                              ("exponential*uniform*laplace", 48)])
 def test_default_grid_law_of_sn_memory_is_bounded(spec, limit_mib):
-    # one complex m^N grid: a full m^N spectrum and fftn needed 64 and 128 MiB
+    # one real m^N grid: a full m^N spectrum and fftn needed 64 and 128 MiB
     d = make_distribution(spec)
     tracemalloc.start()
     try:
@@ -391,7 +424,8 @@ def test_spectrum_prefix_is_bitwise_exact(spec, n):
     bare = bare[0] if d.dim == 1 else ProductDistribution(bare)
     assert np.array_equal(law_of_sn(d, n).values, law_of_sn(bare, n).values)
     if n == 1024:  # and there is something to cut
-        _, t, _ = _dual_axis(-16.0, 16.0, default_grid_points(d.dim))
+        m = default_grid_points(d.dim)
+        t = np.arange(m // 2 + 1) * (math.pi / 16.0)
         assert all(_spectrum_prefix(law, n, t / 32) < len(t) for law in d.factors())
 
 
@@ -402,7 +436,7 @@ def test_atom_spectrum_prefix_is_the_exact_cut(n):
     # the two powers cancels to 0 too early, and at n = 1024 a^n underflows
     law = make_distribution("atom_mixture")
     a = Fraction(sum(mass for _, mass in law.atoms))
-    _, t, _ = _dual_axis(-16.0, 16.0, 2**14)
+    t = np.arange(2**14 // 2 + 1) * (math.pi / 16.0)
     s = t / math.sqrt(n)
     k = _spectrum_prefix(law, n, s)
     assert 0 < k < len(s)
