@@ -95,7 +95,7 @@ def cmd_rate(args) -> bool:
 
 
 def cmd_kpoly(args) -> bool:
-    table = _table_for(args.dist, max(3 * args.m, 3))
+    table = _table_for(args.dist, max(args.m + 2, 3))
     km = correctors.k_poly(table, args.m)
     _write(args, "exponents,coefficient", [
         ("|".join(map(str, e)), c if isinstance(c, Fraction) else float(c))

@@ -1,14 +1,13 @@
 """Hermite polynomials and the corrected Gaussian measures.
 
-The order-m corrector is a linear combination of multivariate Hermite
-polynomials whose coefficients come from the operator algebra:
+The order-m corrector ``K_m`` is the Hermite image (each ``d_alpha``
+becomes ``H_alpha``) of one operator of the operator algebra,
 
-    K_m(x) = sum_{t = 3 v m, t-m even}^{3m}
-             sum_{i = 1 v (t-m)/2}^{[t/3]}  a_{i,(t-m)/2} * H^i_t(x),
+    O_m = sum_{h=1}^{m} sum_{i=h}^{[(m+2h)/3]}  a_{i,h} A^i_{m+2h},
 
-    H^i_t(x) = sum_{|alpha| = t} c^i_alpha H_alpha(x),
-
-and the corrected measure approximating the law of ``S_n`` at order r is
+with ``a_{i,h}`` the coefficient of ``n^h`` in ``P_i(n)``.  ``A^i_t`` reads
+no moment difference beyond order ``t - 3(i-1) <= m + 2``.  The corrected
+measure approximating the law of ``S_n`` at order r is
 
     Gamma_{n,r}(dx) = gamma(x) (1 + sum_{m=1}^{[r/3]} n^{-m/2} K_m(x)) dx,
 
@@ -35,7 +34,7 @@ from .exactmath import MultiIndex, a_coeffs
 from .moments import (Distribution, MomentTable, _coordinate_counts,
                       _gaussian_product_moment)
 from .numerics import GridDensity, _axis, default_grid_points, gauss_hermite
-from .opalg import MultiPoly, _power_table, a_op
+from .opalg import DiffOperator, MultiPoly, _power_table, _weighted_a, a_op
 
 __all__ = [
     "QuadratureNotConverged",
@@ -91,54 +90,47 @@ def hermite_multi(alpha: MultiIndex, dim: int) -> MultiPoly:
     return out
 
 
+def _hermite_image(op: DiffOperator) -> MultiPoly:
+    """``sum_S c_S H_S`` for ``op = sum_S c_S d_S``: each ``d_S`` becomes ``H_S``."""
+    return MultiPoly(op.dim, (
+        (e, c * h)
+        for key, c in op.terms.items()
+        for e, h in hermite_multi(key, op.dim).terms.items()
+    ))
+
+
 def h_poly(table: MomentTable, i: int, t: int) -> MultiPoly:
     """``H^i_t = sum_{|alpha|=t} c^i_alpha H_alpha``; zero when ``t < 3i``.
 
     ``H_alpha`` depends on ``alpha`` only through its multiset, so this is
-    the Hermite image of ``a_op(table, i, t, "direct")``: each sorted key
-    ``S`` contributes ``C^i_S H_S``, with ``C^i_S`` the sum of ``c^i`` over
-    the orderings of ``S``.
+    the Hermite image of ``a_op(table, i, t)``: each sorted key ``S``
+    contributes ``C^i_S H_S``, with ``C^i_S`` the sum of ``c^i`` over the
+    orderings of ``S``.
     """
-    def build():
-        return MultiPoly(table.dim, (
-            (e, c * h)
-            for key, c in a_op(table, i, t, "direct").terms.items()
-            for e, h in hermite_multi(key, table.dim).terms.items()
-        ))
-
-    return table.cache_get_or_build(("hpoly", i, t), build)
+    return table.cache_get_or_build(("hpoly", i, t),
+                                    lambda: _hermite_image(a_op(table, i, t)))
 
 
 def _corrector_terms(m: int):
-    """``(a_{i,(t-m)/2}, i, t)`` for each nonzero term of the order-m corrector."""
-    for t in range(max(3, m), 3 * m + 1):
-        if (t - m) % 2:
-            continue
-        half = (t - m) // 2
-        for i in range(max(1, half), t // 3 + 1):
-            a_row = a_coeffs(i)
-            if half < len(a_row) and a_row[half] != 0:
-                yield a_row[half], i, t
+    """``(a_{i,h}, i, m + 2h)`` for each term of ``O_m``, by increasing order."""
+    for h in range(1, m + 1):
+        t = m + 2 * h
+        for i in range(h, t // 3 + 1):
+            yield a_coeffs(i)[h], i, t
 
 
 def k_poly(table: MomentTable, m: int) -> MultiPoly:
-    """Order-m corrector polynomial; total degree at most ``3m``.
+    """Order-m corrector polynomial, the Hermite image of ``O_m``; degree <= ``3m``.
 
-    Requires the table to carry moment differences up to order ``3m``.
+    Requires the table to carry moment differences up to order ``m + 2``.
     Identically zero when every delta up to that order vanishes.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    if 3 * m > table.max_order:
-        raise ValueError(f"corrector order {m} needs table order >= {3 * m}")
-
-    def build():
-        out = MultiPoly.zero(table.dim)
-        for a, i, t in _corrector_terms(m):
-            out = out + a * h_poly(table, i, t)
-        return out
-
-    return table.cache_get_or_build(("kpoly", m), build)
+    if m + 2 > table.max_order:
+        raise ValueError(f"corrector order {m} needs table order >= {m + 2}")
+    return table.cache_get_or_build(
+        ("kpoly", m), lambda: _hermite_image(_weighted_a(table, _corrector_terms(m))))
 
 
 def gaussian_pdf(x, dim: int = 1):
@@ -276,20 +268,18 @@ def d_m_functional(model: EdgeworthModel, f, m: int):
 
     A polynomial ``f`` gets the exact value ``E((f K_m)(G))`` from Gaussian
     moments, returned as a float and cross-checked against the operator
-    form ``sum a_{i,(t-m)/2} E(A^i_t f(G))``: the two are equal on a
-    rational table and agree to 1e-10 on a float one.  Any other callable
-    is integrated by 64-node Gauss-Hermite quadrature; refining to 96
-    nodes must not move the answer, else :class:`QuadratureNotConverged`.
+    form ``E(O_m f(G))``: the two are equal on a rational table and agree
+    to 1e-10 on a float one.  Any other callable is integrated by 64-node
+    Gauss-Hermite quadrature; refining to 96 nodes must not move the
+    answer, else :class:`QuadratureNotConverged`.
     """
     if not 1 <= m <= len(model.k_polys):
         raise ValueError(f"m must be in 1..{len(model.k_polys)}")
     km = model.k_polys[m - 1]
     if isinstance(f, MultiPoly):
         val = float(gaussian_expect_poly(f * km))
-        op_val = float(sum(
-            a * gaussian_expect_poly(a_op(model.table, i, t, "direct").apply(f))
-            for a, i, t in _corrector_terms(m)
-        ))
+        o_m = _weighted_a(model.table, _corrector_terms(m))
+        op_val = float(gaussian_expect_poly(o_m.apply(f)))
         if abs(op_val - val) > 1e-10 * max(1.0, abs(val)):
             raise AssertionError(f"operator form {op_val!r} != exact form {val!r}")
         return val

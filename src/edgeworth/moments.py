@@ -760,6 +760,10 @@ class MomentTable:
     values (the fixture mode used by the exact identity tests).  Multiindex
     keys are canonicalized by sorting, which is sound because moments are
     symmetric under permutation of the index.
+
+    The operator memo (``cache_get_or_build``) is an unsynchronized dict.
+    Two threads may both build the same entry; the builders are pure, so
+    the results are equal and either one may be kept.
     """
 
     def __init__(self, dim, max_order, deltas, ell=None):

@@ -7,10 +7,12 @@ moment table:
 * ``a_op(table, i, t)``     -- their i-fold products, built by the
   convolution recursion, which is also the paper's coefficient form
   summed per sorted key (so its two modes share one construction),
-* ``psi_k_op(table, k, t)`` -- the summand-indexed operators obtained by
-  repeated convolution,
-* ``t_op(table, n, t)``     -- their partial sums over k = 1..n, which
-  collapse to polynomial-in-n combinations of the ``a_op`` family.
+* ``psi_k_op(table, k, t)`` -- the summand-indexed operators,
+  ``sum_i Q_{i-1}(k) A^i_t`` (the paper's recursion is a test oracle),
+* ``t_op(table, n, t)``     -- their partial sums ``sum_i P_i(n) A^i_t``.
+
+The last two, and the corrector operators of ``correctors``, are weighted
+sums of the ``a_op`` family, built in one place, ``_weighted_a``.
 
 Operators are keyed by sorted multiindex: they have constant coefficients,
 so mixed partials commute, and moments are symmetric, so a coefficient
@@ -43,6 +45,7 @@ from .exactmath import (
     p_value,
     prefix_splits,
     psi_scale,
+    q_value,
     theta,
 )
 from .moments import MomentTable
@@ -406,32 +409,36 @@ def a_op(table: MomentTable, i: int, t: int, mode: str = "direct") -> DiffOperat
     return table.cache_get_or_build(("a", i, t), build)
 
 
-def psi_k_op(table: MomentTable, k: int, t: int) -> DiffOperator:
-    """Summand-indexed operator: the (k-1)-fold convolution update.
+def _weighted_a(table: MomentTable, terms) -> DiffOperator:
+    """``sum w A^i_t`` over ``(w, i, t)`` triples, in one coefficient sum;
+    a zero weight skips its ``a_op`` altogether."""
+    return DiffOperator._wrap(table.dim, _summed(
+        (key, c * w)
+        for w, i, t in terms if w
+        for key, c in a_op(table, i, t).terms.items()
+    ))
 
-    ``psi^(1) = psi`` and ``psi^(k)_t = psi^(k-1)_t + sum_p psi_p
-    psi^(k-1)_{t-p}``; only ``3 <= p <= t-3`` contributes since the basic
-    operators vanish below order 3.
+
+def psi_k_op(table: MomentTable, k: int, t: int) -> DiffOperator:
+    """Summand-indexed operator ``psi^(k)_t = sum_i Q_{i-1}(k) A^i_t``.
+
+    The paper defines it by the update ``psi^(1) = psi``, ``psi^(k)_t =
+    psi^(k-1)_t + sum_p psi_p psi^(k-1)_{t-p}``; unrolled, that update
+    picks ``i`` of the ``k`` summands in ``Q_{i-1}(k) = C(k-1, i-1)`` ways.
+    The recursion is kept as a test oracle.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-
-    def build():
-        if k == 1:
-            return psi_op(table, t)
-        acc = psi_k_op(table, k - 1, t)
-        for p in range(3, t - 2):
-            acc = acc + psi_op(table, p).compose(psi_k_op(table, k - 1, t - p))
-        return acc
-
-    return table.cache_get_or_build(("psik", k, t), build)
+    terms = ((q_value(i - 1, k), i, t) for i in range(1, t // 3 + 1))
+    return table.cache_get_or_build(("psik", k, t), lambda: _weighted_a(table, terms))
 
 
 def t_op(table: MomentTable, n: int, t: int, mode: str = "direct") -> DiffOperator:
-    """Partial-sum operator over summands ``1..n``.
+    """Partial-sum operator ``T^n_t`` over summands ``1..n``.
 
-    ``mode="sum"`` adds up ``psi_k_op(k, t)``; ``mode="direct"`` uses the
-    polynomial collapse ``sum_i P_i(n) a_op(i, t)``.  Both agree exactly.
+    ``mode="sum"`` is the definition, ``sum_{k<=n} psi_k_op(k, t)``;
+    ``mode="direct"`` is its polynomial collapse ``sum_i P_i(n) A^i_t``.
+    Both agree exactly.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -444,9 +451,6 @@ def t_op(table: MomentTable, n: int, t: int, mode: str = "direct") -> DiffOperat
             for k in range(1, n + 1):
                 acc = acc + psi_k_op(table, k, t)
             return acc
-        acc = DiffOperator.zero(table.dim)
-        for i in range(1, t // 3 + 1):
-            acc = acc + p_value(i, n) * a_op(table, i, t, "direct")
-        return acc
+        return _weighted_a(table, ((p_value(i, n), i, t) for i in range(1, t // 3 + 1)))
 
     return table.cache_get_or_build(("t", mode, n, t), build)

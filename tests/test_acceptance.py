@@ -26,6 +26,7 @@ from edgeworth.opalg import DiffOperator, MultiPoly, a_op, psi_k_op, t_op
 from edgeworth.splitting import split
 from faulhaber_oracle import a_coeffs_faulhaber, b_coeffs, bernoulli
 from ordered_oracle import a_ordered
+from recursion_oracle import psi_k_recursive
 
 
 def _verdict(num, ok, detail):
@@ -37,12 +38,15 @@ def _verdict(num, ok, detail):
 def test_criterion_01_operator_collapse_identity():
     """Psi^(k)_t == sum_i Q_{i-1}(k) A^i_t exactly, t <= 9, k <= 20, 1-D and 2-D.
 
-    Each A^i_t is also checked against the ordered dim^t coefficient sum.
+    Psi^(k)_t is taken by the paper's convolution recursion; each A^i_t is
+    also checked against the ordered dim^t coefficient sum, and the
+    library's closed-form ``psi_k_op`` against the recursion.
     """
     t0 = time.perf_counter()
     checked = 0
     for dim in (1, 2):
         table = fixture_table(dim, 9)
+        rows = psi_k_recursive(table, 20, 9)
         for order in range(0, 10):
             base = [a_op(table, i, order, "direct") for i in range(1, order // 3 + 1)]
             for i, op in enumerate(base, start=1):
@@ -52,8 +56,9 @@ def test_criterion_01_operator_collapse_identity():
                 rhs = DiffOperator.zero(dim)
                 for i, op in enumerate(base, start=1):
                     rhs = rhs + q_value(i - 1, k) * op
-                assert psi_k_op(table, k, order) == rhs, (dim, order, k)
-                checked += 1
+                assert rows[k][order] == rhs, (dim, order, k)
+                assert psi_k_op(table, k, order) == rows[k][order], (dim, order, k)
+                checked += 2
     elapsed = time.perf_counter() - t0
     _verdict(1, elapsed < 10.0,
              f"{checked} exact operator equalities in {elapsed:.2f}s (< 10s)")
@@ -62,12 +67,14 @@ def test_criterion_01_operator_collapse_identity():
 def test_criterion_02_partial_sum_identity_and_a_table():
     """T^n_t collapse exact (t <= 9, n <= 30); a-table matches the summation oracle.
 
-    The A^i_t behind T^n_t are also checked against the ordered dim^t sum.
+    T^n_t is the running sum of Psi^(k)_t taken by the paper's recursion;
+    the A^i_t behind it are also checked against the ordered dim^t sum.
     """
     t0 = time.perf_counter()
     checked = 0
     for dim in (1, 2):
         table = fixture_table(dim, 9)
+        rows = psi_k_recursive(table, 30, 9)
         for order in range(0, 10):
             for i in range(1, order // 3 + 1):
                 assert a_op(table, i, order, "direct") == a_ordered(table, i, order), (
@@ -75,7 +82,7 @@ def test_criterion_02_partial_sum_identity_and_a_table():
                 checked += 1
             running = DiffOperator.zero(dim)
             for n in range(1, 31):
-                running = running + psi_k_op(table, n, order)
+                running = running + rows[n][order]
                 assert running == t_op(table, n, order, "direct"), (dim, order, n)
                 checked += 1
 

@@ -23,6 +23,7 @@ from edgeworth.correctors import (
     hermite_multi,
     k_poly,
 )
+from edgeworth.exactmath import multisets
 from edgeworth.moments import MomentTable, fixture_table, make_distribution, shipped_labels
 from edgeworth.numerics import gauss_hermite
 from edgeworth.opalg import MultiPoly
@@ -179,9 +180,30 @@ def test_k_zero_when_moments_match():
 
 
 def test_k_needs_table_order():
-    table = fixture_table(1, 5)
+    table = fixture_table(1, 3)
     with pytest.raises(ValueError):
         k_poly(table, 2)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_k_reads_no_delta_beyond_m_plus_2(data):
+    # a term a_{i,(t-m)/2} A^i_t has t <= m + 2i, so its basic operators
+    # stop at order m + 2: truncating the table there leaves K_m exactly,
+    # and K_m is the sum of the per-(i, t) Hermite images H^i_t
+    dim = data.draw(st.integers(1, 2), label="dim")
+    m = data.draw(st.integers(1, 4 if dim == 1 else 3), label="m")
+    keys = [a for t in range(3, 3 * m + 1) for a in multisets(dim, t)]
+    values = data.draw(st.lists(st.fractions(-3, 3, max_denominator=6),
+                                min_size=len(keys), max_size=len(keys)), label="deltas")
+    deltas = dict(zip(keys, values))
+    full = MomentTable.from_deltas(dim, 3 * m, deltas)
+    cut = MomentTable.from_deltas(dim, m + 2, {a: v for a, v in deltas.items()
+                                               if len(a) <= m + 2})
+    km = k_poly(cut, m)
+    assert km == k_poly(full, m)
+    assert km == sum((a * h_poly(full, i, t) for a, i, t in correctors._corrector_terms(m)),
+                     MultiPoly.zero(dim))
 
 
 # --- corrected measures ------------------------------------------------------------------

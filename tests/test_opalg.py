@@ -11,6 +11,7 @@ from edgeworth.moments import MomentTable, fixture_table, make_distribution
 from edgeworth.opalg import DiffOperator, MultiPoly, a_op, c_coeff, psi_k_op, psi_op, t_op
 from edgeworth.correctors import h_poly
 from ordered_oracle import a_ordered, h_ordered, psi_ordered
+from recursion_oracle import psi_k_recursive
 
 
 @pytest.fixture(scope="module")
@@ -262,15 +263,17 @@ def test_psi_k_full_range_convolution_equivalent(rational_table):
 
 
 def test_psi_k_collapse_identity(rational_table):
-    # psi^(k)_t == sum_i Q_{i-1}(k) A^i_t, exactly
+    # the paper's recursion == sum_i Q_{i-1}(k) A^i_t == psi_k_op, exactly
     t = rational_table
+    rows = psi_k_recursive(t, 12, 9)
     for order in range(0, 10):
         ops = [a_op(t, i, order, "direct") for i in range(1, order // 3 + 1)]
         for k in range(1, 13):
             rhs = DiffOperator.zero(t.dim)
             for i, op in enumerate(ops, start=1):
                 rhs = rhs + q_value(i - 1, k) * op
-            assert psi_k_op(t, k, order) == rhs, (order, k)
+            assert rows[k][order] == rhs, (order, k)
+            assert psi_k_op(t, k, order) == rows[k][order], (order, k)
 
 
 # --- T^n -----------------------------------------------------------------------------
@@ -292,6 +295,8 @@ def test_t_op_sum_equals_direct(rational_table):
 
 
 def test_table_cache_is_thread_safe():
+    # the memo is an unsynchronized dict: racing threads may both build an
+    # entry, and the pure builders make every result equal
     from concurrent.futures import ThreadPoolExecutor
 
     table = fixture_table(2, 9)
