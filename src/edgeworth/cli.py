@@ -166,7 +166,7 @@ def cmd_split(args) -> bool:
     dist = _dist_1d(args, "split")
     rep = splitting.split(dist)
     xs = np.linspace(*dist.support(), 4096)
-    err = np.abs(rep.m0 * rep.v_pdf(xs) + (1 - rep.m0) * rep.w_pdf(xs) - dist.pdf(xs))
+    err = rep.reconstruction_residual(xs)
     rec = float(err.max())
     rng = np.random.default_rng(args.seed)
     ks = _ks_2samp(rep.sample(rng, args.samples), dist.sample(rng, args.samples))
@@ -235,9 +235,10 @@ def build_parser() -> argparse.ArgumentParser:
     seeded = argparse.ArgumentParser(add_help=False, parents=[common])
     seeded.add_argument("--seed", type=int, default=0, help="master seed")
     gridded = argparse.ArgumentParser(add_help=False, parents=[common])
+    defaults = ", ".join(f"2^{numerics.default_grid_points(dim).bit_length() - 1} in {dim}-D"
+                         for dim in (1, 2, 3))
     gridded.add_argument("--points", type=int, default=None,
-                         help="points per axis (default 2^14 in 1-D, 2^10 in 2-D, "
-                         "2^7 in 3-D)")
+                         help=f"points per axis (default {defaults})")
     gridded.add_argument("--halfwidth", type=float, default=16.0)
 
     p = argparse.ArgumentParser(

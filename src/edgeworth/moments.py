@@ -7,6 +7,7 @@ standardization to zero mean / identity covariance, and the moment tables
 consumed by the operator algebra:
 
 * ``delta(alpha) = E(F^alpha) - E(G^alpha)`` with G standard Gaussian,
+  computed on first read and kept,
 * the normalized 1-D ratios ``ell_t = E(F^t) / Var(F)^{t/2}``.
 
 Moments are closed-form and exact (``Fraction``) wherever the parameters
@@ -46,7 +47,6 @@ __all__ = [
     "MomentTable",
     "make_distribution",
     "shipped_labels",
-    "fixture_deltas",
     "fixture_table",
     "moments_to_cumulants",
     "cumulants_to_moments",
@@ -152,7 +152,10 @@ class Distribution:
 
     Subclasses provide a density evaluator for the absolutely continuous
     component (vectorized over numpy arrays), the characteristic function,
-    exact raw moments up to ``max_order``, and a direct sampler.
+    a direct sampler, and, in 1-D, the hook ``_raw_moment(k)``: the raw
+    moment ``E(F^k)``, exact where closed forms allow, up to ``max_order``.
+    ``raw_moment`` calls the hook once per order and law and keeps the
+    value.
 
     A 1-D law may also give ``char_envelope(t)``: a bound ``e(t)`` on the
     modulus of the characteristic function of its absolutely continuous
@@ -187,7 +190,13 @@ class Distribution:
         raise NotImplementedError
 
     def raw_moment(self, k: int):
-        """1-D raw moment E(F^k); exact where closed forms allow."""
+        """1-D raw moment E(F^k), computed by ``_raw_moment`` on first read."""
+        memo = self.__dict__.setdefault("_raw_memo", {})
+        if k not in memo:
+            memo[k] = self._raw_moment(k)
+        return memo[k]
+
+    def _raw_moment(self, k: int):
         raise NotImplementedError
 
     def sample(self, rng, size):
@@ -223,17 +232,13 @@ class Distribution:
     def central_moment(self, k: int):
         """1-D central moment, exact when raw moments and mean are exact.
 
-        The raw moments are memoized per instance, so order k costs the
-        O(k) binomial sum once the lower orders are known.
+        The raw moments are memoized, so order k costs the O(k) binomial
+        sum once the lower orders are known.
         """
-        ms = self.__dict__.setdefault("_central_raw", {})
-        for j in range(max(k, 1) + 1):
-            if j not in ms:
-                ms[j] = self.raw_moment(j)
-        mu = ms[1]
+        mu = self.raw_moment(1)
         acc = 0
         for j in range(k + 1):
-            acc += math.comb(k, j) * ms[j] * (-mu) ** (k - j)
+            acc += math.comb(k, j) * self.raw_moment(j) * (-mu) ** (k - j)
         return acc
 
     # -- convenience -------------------------------------------------------
@@ -280,7 +285,6 @@ class _Standardized1D(Distribution):
             ((float(a) - self._mu_f) / self._sd_f, m) for a, m in base.atoms
         )
         self.is_standardized = True
-        self._raw_moments: dict = {}
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -301,13 +305,8 @@ class _Standardized1D(Distribution):
         sd = self._sd_f
         return lambda t: env(np.abs(np.asarray(t, dtype=float)) / sd)
 
-    def raw_moment(self, k: int):
-        """Exact where the base law allows; each order is computed once per law."""
-        if k not in self._raw_moments:
-            self._raw_moments[k] = self._standardized_moment(k)
-        return self._raw_moments[k]
-
-    def _standardized_moment(self, k: int):
+    def _raw_moment(self, k: int):
+        """Exact where the base law allows."""
         if k == 0:
             return Fraction(1)
         c = self.base.central_moment(k)
@@ -369,7 +368,7 @@ class Uniform(Distribution):
         t = np.abs(np.asarray(t, dtype=float))
         return 2.0 / np.maximum((self._bf - self._af) * t, 2.0)
 
-    def raw_moment(self, k):
+    def _raw_moment(self, k):
         return (self.b ** (k + 1) - self.a ** (k + 1)) / ((k + 1) * (self.b - self.a))
 
     def sample(self, rng, size):
@@ -410,7 +409,7 @@ class Normal(Distribution):
         t = np.asarray(t, dtype=float)
         return np.exp(-0.5 * (self._sf * t) ** 2) + _TERM_ROUNDING
 
-    def raw_moment(self, k):
+    def _raw_moment(self, k):
         return _normal_raw_moment(k, self.mu, self.sigma)
 
     def sample(self, rng, size):
@@ -438,7 +437,7 @@ class Exponential(Distribution):
         t = np.asarray(t, dtype=float)
         return 1.0 / np.sqrt(1.0 + (t / self._rf) ** 2)
 
-    def raw_moment(self, k):
+    def _raw_moment(self, k):
         return Fraction(math.factorial(k)) / self.rate**k
 
     def sample(self, rng, size):
@@ -467,7 +466,7 @@ class Laplace(Distribution):
         t = np.asarray(t, dtype=float)
         return 1.0 / (1.0 + (self._bf * t) ** 2)
 
-    def raw_moment(self, k):
+    def _raw_moment(self, k):
         acc = ZERO
         for j in range(0, k + 1, 2):
             acc += math.comb(k, j) * math.factorial(j) * self.b**j * self.mu ** (k - j)
@@ -506,7 +505,7 @@ class Gamma(Distribution):
         t = np.asarray(t, dtype=float)
         return np.exp(-0.5 * self._kf * np.log1p((self._sf * t) ** 2))
 
-    def raw_moment(self, k):
+    def _raw_moment(self, k):
         acc = Fraction(1)
         for j in range(k):
             acc *= self.shape + j
@@ -561,7 +560,7 @@ class GaussianMixture(Distribution):
             out = out + w * np.exp(-0.5 * (s * t) ** 2)
         return out
 
-    def raw_moment(self, k):
+    def _raw_moment(self, k):
         acc = ZERO
         for w, m, s in zip(self.weights, self.means, self.sigmas):
             acc += w * _normal_raw_moment(k, m, s)
@@ -605,7 +604,7 @@ class AtomMixture(Distribution):
         t = np.asarray(t, dtype=float)
         return self._pf * np.exp(-0.5 * t * t)
 
-    def raw_moment(self, k):
+    def _raw_moment(self, k):
         return self.p * _normal_raw_moment(k, ZERO, 1) + (1 - self.p) * self.atom**k
 
     def sample(self, rng, size):
@@ -632,23 +631,20 @@ class UserDensity(Distribution):
         self._support = (float(support[0]), float(support[1]))
         self.label = label
         self.max_order = max_order
-        self._moment_cache: dict[int, float] = {}
         self._nodes = None
 
     def pdf(self, x):
         return np.asarray(self._pdf(np.asarray(x, dtype=float)), dtype=float)
 
-    def raw_moment(self, k):
-        if k not in self._moment_cache:
-            from scipy import integrate
+    def _raw_moment(self, k):
+        from scipy import integrate
 
-            lo, hi = self._support
-            val, _ = integrate.quad(
-                lambda x: x**k * float(self._pdf(x)), lo, hi,
-                epsabs=1e-12, epsrel=1e-12, limit=400,
-            )
-            self._moment_cache[k] = val
-        return self._moment_cache[k]
+        lo, hi = self._support
+        val, _ = integrate.quad(
+            lambda x: x**k * float(self._pdf(x)), lo, hi,
+            epsabs=1e-12, epsrel=1e-12, limit=400,
+        )
+        return val
 
     def char_fn(self, t):
         """Trapezoid rule over 8193 support points, factored by node runs.
@@ -753,24 +749,25 @@ def delta(dist: Distribution, alpha: MultiIndex):
 
 
 class MomentTable:
-    """Precomputed ``delta`` values (and 1-D ``ell`` ratios) up to an order.
+    """``delta`` values up to an order, each computed on its first read.
 
-    The table is what the operator algebra consumes; it can be built from a
-    standardized distribution or directly from a dictionary of rational
-    values (the fixture mode used by the exact identity tests).  Multiindex
-    keys are canonicalized by sorting, which is sound because moments are
-    symmetric under permutation of the index.
+    The table is what the operator algebra consumes; its one source is a
+    standardized distribution, a dictionary of rational values or the
+    closed-form fixture (the last two drive the exact identity tests).
+    Multiindex keys are canonicalized by sorting, which is sound because
+    moments are symmetric under permutation of the index.
 
-    The operator memo (``cache_get_or_build``) is an unsynchronized dict.
-    Two threads may both build the same entry; the builders are pure, so
-    the results are equal and either one may be kept.
+    The memos, ``delta``'s entries and the operator cache
+    (``cache_get_or_build``), are unsynchronized dicts.  Two threads may
+    both compute the same entry; the sources and builders are pure, so the
+    results are equal and either one may be kept.
     """
 
-    def __init__(self, dim, max_order, deltas, ell=None):
+    def __init__(self, dim, max_order, source):
         self.dim = dim
         self.max_order = max_order
-        self._deltas = {tuple(sorted(k)): v for k, v in deltas.items() if v != 0}
-        self._ell = dict(ell or {})
+        self._source = source
+        self._deltas: dict = {}
         self._cache: dict = {}
 
     @classmethod
@@ -781,15 +778,7 @@ class MomentTable:
             raise OrderExceeded(
                 f"requested order {max_order} > declared {dist.max_order}"
             )
-        deltas = {}
-        for t in range(3, max_order + 1):
-            for alpha in multisets(dist.dim, t):
-                deltas[alpha] = delta(dist, alpha)
-        ell = {}
-        if dist.dim == 1:
-            for t in range(3, max_order + 1):
-                ell[t] = dist.moment(tuple([1] * t))
-        return cls(dist.dim, max_order, deltas, ell)
+        return cls(dist.dim, max_order, functools.partial(delta, dist))
 
     @classmethod
     def from_deltas(cls, dim, max_order, deltas) -> "MomentTable":
@@ -797,27 +786,36 @@ class MomentTable:
         for k in deltas:
             if len(k) <= 2:
                 raise ValueError("delta values for |alpha| <= 2 must be zero")
-        return cls(dim, max_order, deltas)
+        deltas = {tuple(sorted(k)): v for k, v in deltas.items()}
+        return cls(dim, max_order, lambda key: deltas.get(key, ZERO))
 
     def delta(self, alpha: MultiIndex):
         if len(alpha) <= 2:
             return ZERO
         if len(alpha) > self.max_order:
             raise OrderExceeded(f"|alpha|={len(alpha)} > max_order={self.max_order}")
-        return self._deltas.get(tuple(sorted(alpha)), ZERO)
+        key = tuple(sorted(alpha))
+        try:
+            return self._deltas[key]
+        except KeyError:
+            if not 1 <= key[0] <= key[-1] <= self.dim:
+                raise ValueError(f"coordinates of {alpha} outside 1..{self.dim}") from None
+            value = self._deltas[key] = self._source(key)
+            return value
 
     def ell(self, t: int):
-        """Normalized moment ratio ``ell_t`` (1-D tables only)."""
+        """Normalized moment ``ell_t = E(F^t)`` of the standardized 1-D law:
+        ``delta_{(1,...,1)}`` plus the Gaussian moment."""
         if self.dim != 1:
             raise ValueError("ell ratios are 1-D only")
-        if t not in self._ell:
-            raise OrderExceeded(f"ell_{t} beyond table order {self.max_order}")
-        return self._ell[t]
+        ones = (1,) * t
+        return self.delta(ones) + gaussian_moment(ones, 1)
 
     def sup_delta(self, r: int) -> float:
         """``sup_{|alpha| <= r} |delta_alpha|``."""
-        vals = [abs(float(v)) for k, v in self._deltas.items() if len(k) <= r]
-        return max(vals, default=0.0)
+        return max((abs(float(self.delta(alpha)))
+                    for t in range(3, min(r, self.max_order) + 1)
+                    for alpha in multisets(self.dim, t)), default=0.0)
 
     def cache_sizes(self) -> dict[str, int]:
         """Entry count per cache family, read without side effects.
@@ -881,21 +879,15 @@ def shipped_labels():
     return ["uniform", "exponential", "laplace", "gamma", "gauss_mixture", "atom_mixture"]
 
 
-def fixture_deltas(dim: int, max_order: int = 9) -> dict:
-    """Deterministic rational moment-difference fixture for exact tests.
-
-    Arbitrary nonzero Fractions keyed by sorted multiindex; permutation
-    symmetry and the vanishing below order 3 hold by construction.
-    """
-    deltas = {}
-    for t in range(3, max_order + 1):
-        for alpha in multisets(dim, t):
-            num = (-1) ** t * (1 + sum(alpha) + t)
-            den = 2 + (t + sum(alpha)) % 5
-            deltas[alpha] = Fraction(num, den)
-    return deltas
+def _fixture_delta(alpha: MultiIndex) -> Fraction:
+    t, s = len(alpha), sum(alpha)
+    return Fraction((-1) ** t * (1 + s + t), 2 + (t + s) % 5)
 
 
 def fixture_table(dim: int, max_order: int = 9) -> "MomentTable":
-    """Rational fixture table driving the exact operator-identity tests."""
-    return MomentTable.from_deltas(dim, max_order, fixture_deltas(dim, max_order))
+    """Rational fixture table driving the exact operator-identity tests.
+
+    Arbitrary nonzero Fractions in closed form per multiindex; permutation
+    symmetry and the vanishing below order 3 hold by construction.
+    """
+    return MomentTable(dim, max_order, _fixture_delta)

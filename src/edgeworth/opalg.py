@@ -291,9 +291,6 @@ class DiffOperator(_SparseTerms):
         return sum((c * f.diff(gamma) for gamma, c in self.terms.items()),
                    MultiPoly.zero(f.dim))
 
-    def order(self) -> int:
-        return max((len(k) for k in self.terms), default=0)
-
     def items(self):
         return sorted(self.terms.items())
 

@@ -370,10 +370,14 @@ class SplitRep:
             out[~chi] = self.sample_w(rng, size - nv)
         return out
 
-    def reconstruction_error(self, xs) -> float:
-        """Sup over the grid of ``|m0 p_V + (1-m0) p_W - p_F|`` (a.c. parts)."""
+    def reconstruction_residual(self, xs) -> np.ndarray:
+        """``|m0 p_V + (1-m0) p_W - p_F|`` at each point of ``xs`` (a.c. parts)."""
         lhs = self.m0 * self.v_pdf(xs) + (1.0 - self.m0) * self.w_pdf(xs)
-        return float(np.max(np.abs(lhs - self.base.pdf(xs))))
+        return np.abs(lhs - self.base.pdf(xs))
+
+    def reconstruction_error(self, xs) -> float:
+        """Sup of ``reconstruction_residual`` over the grid ``xs``."""
+        return float(np.max(self.reconstruction_residual(xs)))
 
 
 def split(dist: Distribution) -> SplitRep:

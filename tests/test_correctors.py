@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from edgeworth import correctors
+from edgeworth import correctors, moments
 from edgeworth.correctors import (
     EdgeworthModel,
     QuadratureNotConverged,
@@ -204,6 +204,21 @@ def test_k_reads_no_delta_beyond_m_plus_2(data):
     assert km == k_poly(full, m)
     assert km == sum((a * h_poly(full, i, t) for a, i, t in correctors._corrector_terms(m)),
                      MultiPoly.zero(dim))
+
+
+@pytest.mark.parametrize("spec,m", [("exponential", m) for m in range(1, 6)]
+                         + [("exponential*gamma", m) for m in range(1, 5)]
+                         + [("exponential*uniform*laplace", m) for m in range(1, 4)])
+def test_k_evaluates_each_delta_up_to_m_plus_2_once(spec, m, monkeypatch):
+    # an order-3m table computes a delta only when K_m reads it
+    calls = []
+    source = moments.delta
+    monkeypatch.setattr(moments, "delta",
+                        lambda dist, alpha: calls.append(alpha) or source(dist, alpha))
+    table = MomentTable.from_distribution(make_distribution(spec), 3 * m)
+    k_poly(table, m)
+    assert calls and max(map(len, calls)) <= m + 2
+    assert len(calls) == len(set(calls))
 
 
 # --- corrected measures ------------------------------------------------------------------

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from edgeworth.exactmath import multisets
 from edgeworth.moments import (
     AtomMixture,
     Distribution,
@@ -34,6 +35,7 @@ from edgeworth.moments import (
     standardize,
 )
 from edgeworth.numerics import _int_power, law_of_sn
+from fixture_oracle import fixture_deltas
 from grid_oracle import user_char_fn
 
 
@@ -315,12 +317,54 @@ def test_fixture_table_is_exact_and_symmetric():
     assert t.delta((1, 2)) == 0
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_fixture_table_matches_eager_oracle(dim):
+    want = fixture_deltas(dim, 9)
+    t = fixture_table(dim, 9)
+    for order in range(10):
+        for alpha in multisets(dim, order):
+            got = t.delta(alpha)
+            assert got == want.get(alpha, 0) and isinstance(got, F), alpha
+
+
+def test_table_rejects_coordinates_outside_its_dimension():
+    tables = [fixture_table(2, 5), MomentTable.from_deltas(2, 5, {}),
+              MomentTable.from_distribution(make_distribution("exponential*uniform"), 5)]
+    for t in tables:
+        for alpha in [(1, 3, 3), (0, 1, 1)]:
+            with pytest.raises(ValueError, match="outside"):
+                t.delta(alpha)
+
+
 def test_table_ell_values():
     ex = make_distribution("exponential")
     t = MomentTable.from_distribution(ex, 6)
     assert (t.ell(3), t.ell(4), t.ell(5)) == (2, 9, 44)
+    with pytest.raises(OrderExceeded):
+        t.ell(7)
+    assert fixture_table(1, 5).ell(4) == fixture_deltas(1, 5)[(1, 1, 1, 1)] + 3
     with pytest.raises(ValueError):
         fixture_table(2, 5).ell(3)
+
+
+@pytest.mark.parametrize("name", shipped_labels() + ["normal"])
+def test_table_ell_is_the_law_moment(name):
+    d = make_distribution(name)
+    t = MomentTable.from_distribution(d, 16)
+    for order in range(17):
+        assert t.ell(order) == d.moment((1,) * order), order
+
+
+@pytest.mark.parametrize("table", [
+    fixture_table(2, 6),
+    MomentTable.from_distribution(make_distribution("exponential"), 7),
+    MomentTable.from_distribution(make_distribution("uniform*laplace"), 6),
+], ids=["fixture2d", "exponential", "uniform*laplace"])
+def test_sup_delta_stops_at_table_order(table):
+    top = table.sup_delta(table.max_order)
+    assert top > 0
+    for r in range(table.max_order + 1, table.max_order + 4):
+        assert table.sup_delta(r) == top
 
 
 def test_table_requires_standardized():
@@ -400,8 +444,8 @@ def test_central_moment_memoizes_raw_moments(name):
     law = type(make_distribution(name).base)
     base, fresh = law(), law()
     calls = []
-    raw = base.raw_moment
-    base.raw_moment = lambda j: calls.append(j) or raw(j)
+    raw = base._raw_moment
+    base._raw_moment = lambda j: calls.append(j) or raw(j)
     got = [base.central_moment(k) for k in range(17)]
     assert all(count == 1 for count in Counter(calls).values())
     assert sorted(calls) == list(range(17))

@@ -295,14 +295,16 @@ def test_t_op_sum_equals_direct(rational_table):
 
 
 def test_table_cache_is_thread_safe():
-    # the memo is an unsynchronized dict: racing threads may both build an
-    # entry, and the pure builders make every result equal
+    # the delta and operator memos are unsynchronized dicts: racing threads
+    # may both compute an entry, and the pure sources and builders make
+    # every result equal to a serial build on a fresh table
     from concurrent.futures import ThreadPoolExecutor
 
     table = fixture_table(2, 9)
     with ThreadPoolExecutor(8) as pool:
         res = list(pool.map(lambda k: psi_k_op(table, k, 9), [6] * 32))
     assert all(r == res[0] for r in res)
+    assert res[0] == psi_k_op(fixture_table(2, 9), 6, 9)
 
 
 def test_t_op_float_tables_close(exp_table):
