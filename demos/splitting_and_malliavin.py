@@ -44,7 +44,7 @@ for n in (10, 50, 200):
     t = sigma_tail(rep, n, 200_000, rng)
     print(
         f"  n={n:>3}  estimate {t.estimate:.3e}  exact {t.exact:.3e} "
-        f" exponential bound {t.bound:.3e}"
+        f" Chernoff bound {t.bound:.3e}"
     )
 
 print("\nBackward Gaussian Taylor identity residuals (polynomial test cases):")

@@ -205,9 +205,7 @@ def cmd_sigtail(args) -> bool:
     rows, ok = [], True
     for n in ns:
         r = malliavin.sigma_tail(rep, n, args.samples, rng)
-        ok = ok and r.z_score < 4.0
-        if n >= malliavin.TAIL_CALIBRATION_N:
-            ok = ok and r.exact <= r.bound * (1 + 1e-9)
+        ok = ok and r.z_score < 4.0 and r.exact <= r.bound * (1 + 1e-9)
         rows.append((n, r.samples, r.estimate, r.se, r.exact, r.bound, r.z_score))
     _write(args, "n,samples,estimate,se,exact_binomial,exponential_bound,z", rows)
     return ok

@@ -59,10 +59,6 @@ CHUNK_SAMPLES = 200_000
 #: Most summands ``ibp_battery`` draws per chunk (samples times ``n``).
 SUMMAND_BUDGET = 1 << 21
 
-#: The ``n`` at which ``sigma_tail`` calibrates its exponential bound; the
-#: bound is claimed for ``n >= TAIL_CALIBRATION_N`` only.
-TAIL_CALIBRATION_N = 10
-
 
 class DegenerateSigma(Exception):
     """Nonzero localizer met a draw with no active smooth noise."""
@@ -226,7 +222,7 @@ def ibp_battery(rep: SplitRep, n: int, funcs, samples: int, rng) -> list[IbpRepo
 
 @dataclass
 class SigmaTailReport:
-    """Degeneracy probability: Monte Carlo vs exact binomial vs exponential bound."""
+    """Degeneracy probability: Monte Carlo vs exact binomial vs Chernoff bound."""
 
     n: int
     samples: int
@@ -234,7 +230,7 @@ class SigmaTailReport:
     estimate: float
     se: float
     exact: float            # binomial CDF oracle
-    bound: float            # calibrated exponential bound
+    bound: float            # Chernoff bound exp(-n D(threshold/n || m0))
 
     @property
     def z_score(self) -> float:
@@ -250,10 +246,16 @@ def _tail_threshold(rep: SplitRep, n: int) -> int:
 def sigma_tail(rep: SplitRep, n: int, samples: int, rng) -> SigmaTailReport:
     """``P(det sigma_{S_n} <= eps*/2)`` three ways.
 
-    The event is exactly ``{sum chi <= n (eps*/2)^{1/N}}``, so the binomial
-    CDF is an exact oracle; the exponential bound
-    ``C exp(-n / (4 (1/m0 - 1)))`` has its constant calibrated at
-    ``n = TAIL_CALIBRATION_N``.
+    The event is exactly ``{sum chi <= k}`` with ``k = floor(n (eps*/2)^{1/N})``
+    and ``sum chi ~ Bin(n, m0)``, so the binomial CDF is an exact oracle.
+    The bound is Chernoff's ``exp(-n D(k/n || m0))``, with ``D`` the
+    Bernoulli relative entropy (Chernoff 1952; Hoeffding 1963).  It holds
+    for ``k <= n m0``, which is always the case here:
+    ``k/n <= (eps*/2)^{1/N} = m0 2^{-1-1/N} < m0/2``.  It needs no fitted
+    constant and holds at every ``n``; where ``k = 0`` it equals the exact
+    tail ``(1 - m0)^n``.  The Monte Carlo half draws
+    ``rng.binomial(n, m0)``, so it checks numpy's generator against
+    ``special.bdtr``, not the splitting's own ``chi`` stream.
     """
     from scipy import special
 
@@ -268,10 +270,8 @@ def sigma_tail(rep: SplitRep, n: int, samples: int, rng) -> SigmaTailReport:
     exact = float(special.bdtr(thr, n, rep.m0))
     # SE under the oracle probability: valid even when no hit is observed
     se = math.sqrt(max(exact * (1 - exact), est * (1 - est)) / samples)
-    rate = 1.0 / (4.0 * (1.0 / rep.m0 - 1.0))
-    n_c = TAIL_CALIBRATION_N
-    c = float(special.bdtr(_tail_threshold(rep, n_c), n_c, rep.m0)) * math.exp(rate * n_c)
-    bound = c * math.exp(-rate * n)
+    q = thr / n
+    bound = math.exp(-n * (special.rel_entr(q, rep.m0) + special.rel_entr(1 - q, 1 - rep.m0)))
     return SigmaTailReport(n, samples, thr, est, se, exact, bound)
 
 

@@ -227,7 +227,7 @@ def test_criterion_10_covariance_degeneracy_tail():
     reports = {n: sigma_tail(rep, n, 1_000_000, rng) for n in (10, 50, 200)}
     zs = {n: r.z_score for n, r in reports.items()}
     ok = all(z < 4.0 for z in zs.values())
-    # decay at least exponential: the calibrated bound C e^{-cn} dominates
+    # decay at least exponential: the Chernoff bound exp(-n D(k/n || m0)) dominates
     ok = ok and all(r.exact <= r.bound * (1 + 1e-12) for r in reports.values())
     ok = ok and reports[10].exact > reports[50].exact > reports[200].exact
     _verdict(10, ok,

@@ -27,6 +27,7 @@ from edgeworth.exactmath import multisets
 from edgeworth.moments import MomentTable, fixture_table, make_distribution, shipped_labels
 from edgeworth.numerics import gauss_hermite
 from edgeworth.opalg import MultiPoly
+from cumulant_oracle import k_poly_from_cumulants
 from grid_oracle import edgeworth_grid_2d
 
 
@@ -165,6 +166,42 @@ def test_k4_three_dimensional_product_matches_cumulant_series():
     elapsed = time.perf_counter() - t0
     assert got == cumulant_series_k(spec, 4)
     assert elapsed < 5.0, f"3-D K_1..K_4 took {elapsed:.2f}s"
+
+
+# --- K_m vs the classical cumulant expansion ------------------------------------------
+
+# (table, largest m): every delta is a Fraction, so the two routes agree with ==.
+# atom_mixture's odd deltas are floats (its sigma is irrational); at m <= 2 both
+# routes do the same float operations, from m = 3 on they differ in the last bits.
+CUMULANT_ORACLE_CASES = (
+    [(name, 6) for name in ("exponential", "gamma", "laplace", "uniform", "normal")]
+    + [("atom_mixture", 2), ("exponential*gamma", 4), ("exponential*uniform*laplace", 4)]
+)
+
+
+@pytest.mark.parametrize("name, m_max", CUMULANT_ORACLE_CASES)
+def test_k_poly_matches_cumulant_oracle(name, m_max):
+    table = MomentTable.from_distribution(make_distribution(name), m_max + 2)
+    for m in range(1, m_max + 1):
+        assert k_poly(table, m) == k_poly_from_cumulants(table, m), m
+
+
+@pytest.mark.parametrize("dim, m_max", [(1, 7), (2, 5), (3, 4)])
+def test_k_poly_matches_cumulant_oracle_on_fixture(dim, m_max):
+    # the fixture's deltas mix coordinates, which no product law does
+    table = fixture_table(dim, m_max + 2)
+    for m in range(1, m_max + 1):
+        assert k_poly(table, m) == k_poly_from_cumulants(table, m), m
+
+
+@pytest.mark.parametrize("name", ["uniform", "laplace", "normal"])
+def test_odd_correctors_vanish_on_symmetric_laws(name):
+    # odd cumulants vanish, and K_m for odd m needs an odd number of odd-order
+    # cumulants: so the corrected measure of order r gains nothing at odd r
+    table = MomentTable.from_distribution(make_distribution(name), 7)
+    for m in (1, 3, 5):
+        assert k_poly(table, m).is_zero(), m
+        assert k_poly_from_cumulants(table, m).is_zero(), m
 
 
 def test_k_degree_bound():

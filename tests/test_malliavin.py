@@ -22,7 +22,7 @@ from edgeworth.malliavin import (
     sigma_tail,
     sn_batch,
 )
-from edgeworth.moments import make_distribution
+from edgeworth.moments import make_distribution, shipped_labels
 from edgeworth.opalg import MultiPoly
 from edgeworth.splitting import split
 
@@ -344,11 +344,24 @@ def test_sigma_tail_grid(urep):
         r = sigma_tail(urep, n, 300_000, rng)
         assert r.z_score < 4.0
         assert r.estimate <= r.exact + 4 * r.se
-        if n >= 10:
-            assert r.exact <= r.bound * (1 + 1e-12)
+        assert r.exact <= r.bound * (1 + 1e-12)
         if prev is not None:
             assert r.exact < prev
         prev = r.exact
+
+
+@pytest.mark.parametrize(
+    "name", shipped_labels() + ["normal", "exponential*uniform", "laplace*gamma"])
+def test_sigma_tail_bound_holds_at_every_n(name):
+    # every n, so no chosen n_list can step around the floor's jumps
+    rep = split(make_distribution(name))
+    rng = np.random.default_rng(24)
+    for n in range(1, 501):
+        r = sigma_tail(rep, n, 1, rng)
+        assert r.exact <= r.bound * (1 + 1e-12), n
+        if r.threshold == 0:
+            # both sides are (1 - m0)^n: a looser bound (Hoeffding's) fails here
+            assert r.bound == pytest.approx(r.exact, rel=1e-12), n
 
 
 @pytest.mark.parametrize("samples", [0, -1])
