@@ -31,8 +31,6 @@ from .moments import (
 from .opalg import DiffOperator, MultiPoly, a_op, c_coeff, psi_k_op, psi_op, t_op
 from .correctors import (
     EdgeworthModel,
-    QuadratureNotConverged,
-    d_m_functional,
     edgeworth_density,
     edgeworth_grid,
     h_poly,
@@ -45,7 +43,6 @@ from .numerics import (
     GridDensity,
     GridMismatch,
     TVInterval,
-    gauss_hermite,
     law_of_sn,
     tv_distance,
 )

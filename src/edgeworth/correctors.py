@@ -33,11 +33,10 @@ import numpy as np
 from .exactmath import MultiIndex, a_coeffs
 from .moments import (Distribution, MomentTable, _coordinate_counts,
                       _gaussian_product_moment)
-from .numerics import GridDensity, _axis, default_grid_points, gauss_hermite
+from .numerics import GridDensity, _axis, default_grid_points
 from .opalg import DiffOperator, MultiPoly, _power_table, _weighted_a, a_op
 
 __all__ = [
-    "QuadratureNotConverged",
     "hermite_1d",
     "hermite_multi",
     "h_poly",
@@ -45,14 +44,9 @@ __all__ = [
     "EdgeworthModel",
     "edgeworth_density",
     "edgeworth_grid",
-    "d_m_functional",
     "gaussian_expect_poly",
     "gaussian_pdf",
 ]
-
-
-class QuadratureNotConverged(Exception):
-    """Gauss-Hermite evaluations at increasing node counts disagree."""
 
 
 @lru_cache(maxsize=None)
@@ -261,35 +255,3 @@ def edgeworth_grid(model: EdgeworthModel, n: int, points: int | None = None,
         tail_mass_bound=_corrector_tail_bound(model, n, halfwidth),
         label=f"Gamma_{n},r={model.r}[{model.dist.label}]",
     )
-
-
-def d_m_functional(model: EdgeworthModel, f, m: int):
-    """The order-m functional coefficient ``E(f(G) K_m(G))``.
-
-    A polynomial ``f`` gets the exact value ``E((f K_m)(G))`` from Gaussian
-    moments, returned as a float and cross-checked against the operator
-    form ``E(O_m f(G))``: the two are equal on a rational table and agree
-    to 1e-10 on a float one.  Any other callable is integrated by 64-node
-    Gauss-Hermite quadrature; refining to 96 nodes must not move the
-    answer, else :class:`QuadratureNotConverged`.
-    """
-    if not 1 <= m <= len(model.k_polys):
-        raise ValueError(f"m must be in 1..{len(model.k_polys)}")
-    km = model.k_polys[m - 1]
-    if isinstance(f, MultiPoly):
-        val = float(gaussian_expect_poly(f * km))
-        o_m = _weighted_a(model.table, _corrector_terms(m))
-        op_val = float(gaussian_expect_poly(o_m.apply(f)))
-        if abs(op_val - val) > 1e-10 * max(1.0, abs(val)):
-            raise AssertionError(f"operator form {op_val!r} != exact form {val!r}")
-        return val
-
-    def integrand(x):
-        return np.asarray(f(x)) * km(x)
-
-    val, refined = (gauss_hermite(integrand, model.dim, nodes) for nodes in (64, 96))
-    if abs(val - refined) > 1e-9 * max(1.0, abs(val)):
-        raise QuadratureNotConverged(
-            f"order-{m} functional moved from {val!r} to {refined!r} on refinement"
-        )
-    return val

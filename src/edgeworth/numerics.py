@@ -44,7 +44,6 @@ __all__ = [
     "GridDensity",
     "TVInterval",
     "default_grid_points",
-    "gauss_hermite",
     "law_of_sn",
     "sn_tail_bound",
     "tv_distance",
@@ -90,6 +89,10 @@ class GridDensity:
             _check_power_of_two(len(a))
             vol *= a[1] - a[0]
         self.cell_volume = vol
+        shape = tuple(len(a) for a in self.axes)
+        if np.shape(self.values) != shape:
+            raise ValueError(f"grid values of shape {np.shape(self.values)} "
+                             f"do not match axes of lengths {shape}")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("grid density contains non-finite values")
 
@@ -370,23 +373,3 @@ def tv_distance(p: GridDensity, q: GridDensity) -> TVInterval:
     raw = float(np.abs(p.values - q.values).sum() * p.cell_volume)
     slack = p.tail_mass_bound + q.tail_mass_bound + p.singular_mass + q.singular_mass
     return TVInterval(raw, slack)
-
-
-def gauss_hermite(f, dim: int = 1, nodes: int = 64) -> float:
-    """``E f(G)`` for standard Gaussian G by tensor Gauss-Hermite quadrature.
-
-    Probabilists' weight; exact for polynomials of per-axis degree
-    ``<= 2*nodes - 1``.  For ``dim == 1`` the integrand receives a flat
-    array of points, otherwise an array of shape ``(K, dim)``.
-    """
-    if nodes < 2:
-        raise ValueError("nodes must be >= 2")
-    x, w = np.polynomial.hermite_e.hermegauss(nodes)
-    norm = math.sqrt(2 * math.pi)
-    if dim == 1:
-        return float(np.sum(w * np.asarray(f(x))) / norm)
-    grids = np.meshgrid(*([x] * dim), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    wgrids = np.meshgrid(*([w] * dim), indexing="ij")
-    wts = np.prod(np.stack([g.ravel() for g in wgrids], axis=-1), axis=-1)
-    return float(np.sum(wts * np.asarray(f(pts))) / norm**dim)

@@ -21,11 +21,11 @@ from edgeworth.malliavin import (
     sigma_tail,
 )
 from edgeworth.moments import MomentTable, fixture_table, make_distribution, shipped_labels
-from edgeworth.numerics import gauss_hermite
 from edgeworth.opalg import DiffOperator, MultiPoly, a_op, psi_k_op, t_op
 from edgeworth.splitting import split
 from faulhaber_oracle import a_coeffs_faulhaber, b_coeffs, bernoulli
 from ordered_oracle import a_ordered
+from quadrature_oracle import gauss_hermite
 from recursion_oracle import psi_k_recursive
 
 

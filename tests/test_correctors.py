@@ -12,8 +12,6 @@ from hypothesis import given, settings, strategies as st
 from edgeworth import correctors, moments
 from edgeworth.correctors import (
     EdgeworthModel,
-    QuadratureNotConverged,
-    d_m_functional,
     edgeworth_density,
     edgeworth_grid,
     gaussian_expect_poly,
@@ -25,10 +23,10 @@ from edgeworth.correctors import (
 )
 from edgeworth.exactmath import multisets
 from edgeworth.moments import MomentTable, fixture_table, make_distribution, shipped_labels
-from edgeworth.numerics import gauss_hermite
 from edgeworth.opalg import MultiPoly
 from cumulant_oracle import k_poly_from_cumulants
 from grid_oracle import edgeworth_grid_2d
+from quadrature_oracle import gauss_hermite
 
 
 @pytest.fixture(scope="module")
@@ -114,57 +112,13 @@ def test_k1_multid_display():
     assert k_poly(table, 1) == want
 
 
-def _cumulants(ms):
-    # kappa_r = m_r - sum_{j<r} C(r-1, j-1) kappa_j m_{r-j}
-    kappa = [F(0)] * len(ms)
-    for r in range(1, len(ms)):
-        kappa[r] = ms[r] - sum(math.comb(r - 1, j - 1) * kappa[j] * ms[r - j]
-                               for j in range(1, r))
-    return kappa
-
-
-def cumulant_series_k(spec, m_max):
-    """``[K_1, ..., K_m_max]`` of an independent product of 1-D laws.
-
-    The characteristic function of the product factorizes, so the expansion
-    is ``exp(sum_axis sum_j kappa_j s_axis^j u^(j-2) / j!)`` in powers of
-    ``u = n^(-1/2)``; the coefficient of ``u^m s^k`` weights ``H_k`` in K_m.
-    """
-    factors = [make_distribution(part) for part in spec.split("*")]
-    dim = len(factors)
-    exponent = {}
-    for axis, law in enumerate(factors):
-        kappa = _cumulants([F(1)] + [law.moment((1,) * r) for r in range(1, m_max + 3)])
-        for j in range(3, m_max + 3):
-            key = [j - 2] + [0] * dim
-            key[1 + axis] = j
-            exponent[tuple(key)] = kappa[j] / math.factorial(j)
-    series = {(0,) * (dim + 1): F(1)}
-    power = dict(series)
-    for r in range(1, m_max + 1):  # exp = sum_r exponent^r / r!, truncated in u
-        nxt = {}
-        for k1, c1 in power.items():
-            for k2, c2 in exponent.items():
-                if k1[0] + k2[0] <= m_max:
-                    k = tuple(a + b for a, b in zip(k1, k2))
-                    nxt[k] = nxt.get(k, 0) + c1 * c2 / r
-        power = nxt
-        for k, c in power.items():
-            series[k] = series.get(k, 0) + c
-    out = [MultiPoly.zero(dim) for _ in range(m_max + 1)]
-    for (u, *counts), c in series.items():
-        alpha = tuple(a for a, n in enumerate(counts, start=1) for _ in range(n))
-        out[u] = out[u] + c * hermite_multi(alpha, dim)
-    return out[1:]
-
-
 def test_k4_three_dimensional_product_matches_cumulant_series():
     spec = "exponential*uniform*laplace"
     t0 = time.perf_counter()
     table = MomentTable.from_distribution(make_distribution(spec), 12)
     got = [k_poly(table, m) for m in range(1, 5)]
     elapsed = time.perf_counter() - t0
-    assert got == cumulant_series_k(spec, 4)
+    assert got == [k_poly_from_cumulants(table, m) for m in range(1, 5)]
     assert elapsed < 5.0, f"3-D K_1..K_4 took {elapsed:.2f}s"
 
 
@@ -321,24 +275,30 @@ def test_third_moment_identity(name, n):
 
 
 # --- functional coefficients ----------------------------------------------------------------
+# For a polynomial f, E f(G) K_m(G) is the exact Gaussian moment of f K_m.
+
+def _operator_form(table, f, m):
+    """``E (O_m f)(G)``, one term ``a_{i,h} A^i_{m+2h}`` of ``O_m`` at a time."""
+    return sum(a * gaussian_expect_poly(correctors.a_op(table, i, t).apply(f))
+               for a, i, t in correctors._corrector_terms(m))
+
 
 def test_d_m_of_constant_vanishes():
     model = EdgeworthModel.build(make_distribution("exponential"), 9)
-    one = MultiPoly.constant(1, F(1))
     for m in (1, 2, 3):
-        assert abs(d_m_functional(model, one, m)) < 1e-12
+        assert gaussian_expect_poly(model.k_polys[m - 1]) == 0
 
 
 def test_d_1_of_cube_is_ell3():
     model = EdgeworthModel.build(make_distribution("exponential"), 3)
     x3 = MultiPoly(1, {(3,): F(1)})
-    assert d_m_functional(model, x3, 1) == 2.0
+    assert gaussian_expect_poly(x3 * model.k_polys[0]) == model.table.ell(3) == 2
 
 
 def test_d_2_of_h4_is_excess_kurtosis():
     model = EdgeworthModel.build(make_distribution("exponential"), 6)
-    got = d_m_functional(model, hermite_1d(4), 2)
-    assert got == float(model.table.ell(4)) - 3.0 == 6.0
+    got = gaussian_expect_poly(hermite_1d(4) * model.k_polys[1])
+    assert got == model.table.ell(4) - 3 == 6
 
 
 @pytest.mark.parametrize("name", ["exponential", "uniform", "laplace", "gamma"])
@@ -348,29 +308,26 @@ def test_d_m_of_polynomial_is_the_exact_gaussian_moment(name):
     x = MultiPoly.variable(1, 1)
     for f in (x * x * x, hermite_1d(4), x * x * x * x * x * x + 3 * x - 1):
         for m in (1, 2):
-            km = model.k_polys[m - 1]
-            exact = gaussian_expect_poly(f * km)
-            op_form = sum(
-                a * gaussian_expect_poly(correctors.a_op(model.table, i, t).apply(f))
-                for a, i, t in correctors._corrector_terms(m)
-            )
-            assert isinstance(exact, (int, F)) and exact == op_form
-            assert d_m_functional(model, f, m) == float(exact)
+            exact = gaussian_expect_poly(f * model.k_polys[m - 1])
+            assert isinstance(exact, (int, F)) and exact == _operator_form(model.table, f, m)
 
 
-def test_d_m_accepts_plain_callables():
-    model = EdgeworthModel.build(make_distribution("exponential"), 3)
-    got = d_m_functional(model, lambda x: np.sin(x), 1)
-    # oracle: E(sin(G) K_1(G)) with K_1 = (l3/6) H_3; E(sin(G) H_3(G)) = -E(cos...)
-    oracle = gauss_hermite(lambda x: np.sin(x) * float(F(2, 6)) * hermite_1d(3)(x), 1, 96)
-    assert got == pytest.approx(oracle, abs=1e-10)
+# (dim, table order, f as {exponents: coefficient}, m, E(f K_m)(G)); no value is 0
+FIXTURE_IDENTITY_CASES = [
+    (2, 5, {(2, 1): 1}, 1, F(-2)),
+    (2, 5, {(2, 2): 1, (1, 0): 3, (0, 0): -1}, 2, F(11, 2)),
+    (2, 5, {(5, 0): 1}, 3, F(107, 6)),
+    (3, 4, {(1, 1, 1): 1}, 1, F(-5, 3)),
+    (3, 4, {(1, 1, 2): 1}, 2, F(14, 5)),
+]
 
 
-def test_d_m_quadrature_not_converged():
-    model = EdgeworthModel.build(make_distribution("exponential"), 3)
-    with pytest.raises(QuadratureNotConverged):
-        # oscillation beyond what 64 nodes resolve; refinement moves the value
-        d_m_functional(model, lambda x: np.sin(16.0 * x), 1)
+@pytest.mark.parametrize("dim, order, terms, m, want", FIXTURE_IDENTITY_CASES)
+def test_d_m_operator_form_on_fixture(dim, order, terms, m, want):
+    # the fixture's deltas mix coordinates, so the identity is checked beyond 1-D
+    table = fixture_table(dim, order)
+    f = MultiPoly(dim, {e: F(c) for e, c in terms.items()})
+    assert gaussian_expect_poly(f * k_poly(table, m)) == _operator_form(table, f, m) == want
 
 
 def test_gaussian_expect_poly():

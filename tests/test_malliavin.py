@@ -439,7 +439,7 @@ def test_taylor_exact_for_rational_polynomials(coeffs, L):
 def test_taylor_truncation_values():
     # x^4 at L=1: truncated sum is -3, the remainder restores it to 0
     g = poly([0, 0, 0, 0, 1])
-    from edgeworth.numerics import gauss_hermite
+    from quadrature_oracle import gauss_hermite
 
     truncated = sum(
         (-1) ** level / (2**level * math.factorial(level))

@@ -30,13 +30,13 @@ from edgeworth.numerics import (
     _invert_charfn,
     _spectrum_prefix,
     default_grid_points,
-    gauss_hermite,
     law_of_sn,
     sn_tail_bound,
     tv_distance,
 )
 from closed_form_oracle import atom_mixture_sn, gauss_mixture_sn, normal_pdf
 from grid_oracle import law_of_sn_2d, law_of_sn_full
+from quadrature_oracle import gauss_hermite
 
 
 # --- gauss_hermite ---------------------------------------------------------------
@@ -166,6 +166,16 @@ def test_law_of_sn_requires_standardized():
 def test_grid_rejects_non_power_of_two():
     with pytest.raises(ValueError):
         law_of_sn(make_distribution("normal"), 2, points=1000)
+
+
+def test_grid_rejects_values_off_its_axes():
+    # 8 values on 4 unit cells would report twice the mass the axes hold
+    xs = np.linspace(-2.0, 2.0, 4, endpoint=False)
+    with pytest.raises(ValueError, match="do not match"):
+        GridDensity((xs,), np.full(8, 0.5))
+    with pytest.raises(ValueError, match="do not match"):
+        GridDensity((xs, xs), np.full(4, 0.5))
+    assert GridDensity((xs,), np.full(4, 0.5)).mass() == 2.0
 
 
 # --- tv_distance ------------------------------------------------------------------
