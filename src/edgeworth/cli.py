@@ -237,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
                          for dim in (1, 2, 3))
     gridded.add_argument("--points", type=int, default=None,
                          help=f"points per axis (default {defaults})")
-    gridded.add_argument("--halfwidth", type=float, default=16.0)
+    gridded.add_argument("--halfwidth", type=float, default=numerics.DEFAULT_HALFWIDTH)
 
     p = argparse.ArgumentParser(
         prog="edgeworth",

@@ -33,7 +33,7 @@ import numpy as np
 from .exactmath import MultiIndex, a_coeffs
 from .moments import (Distribution, MomentTable, _coordinate_counts,
                       _gaussian_product_moment)
-from .numerics import GridDensity, _axis, default_grid_points
+from .numerics import DEFAULT_HALFWIDTH, GridDensity, _axis, default_grid_points
 from .opalg import DiffOperator, MultiPoly, _power_table, _weighted_a, a_op
 
 __all__ = [
@@ -101,8 +101,7 @@ def h_poly(table: MomentTable, i: int, t: int) -> MultiPoly:
     contributes ``C^i_S H_S``, with ``C^i_S`` the sum of ``c^i`` over the
     orderings of ``S``.
     """
-    return table.cache_get_or_build(("hpoly", i, t),
-                                    lambda: _hermite_image(a_op(table, i, t)))
+    return _hermite_image(a_op(table, i, t))
 
 
 def _corrector_terms(m: int):
@@ -123,8 +122,7 @@ def k_poly(table: MomentTable, m: int) -> MultiPoly:
         raise ValueError("m must be >= 1")
     if m + 2 > table.max_order:
         raise ValueError(f"corrector order {m} needs table order >= {m + 2}")
-    return table.cache_get_or_build(
-        ("kpoly", m), lambda: _hermite_image(_weighted_a(table, _corrector_terms(m))))
+    return _hermite_image(_weighted_a(table, _corrector_terms(m)))
 
 
 def gaussian_pdf(x, dim: int = 1):
@@ -148,7 +146,7 @@ class EdgeworthModel:
 
     The correctors do not depend on ``n``, so the model keeps what the
     grid path derives from them alone: the exact ``E K_m(G)^2`` of the
-    tail bound, and the axis, Gaussian and ``K_m`` values of the last grid
+    tail bound, and the Gaussian and ``K_m`` values of the last grid
     layout ``(points, halfwidth)`` that ``edgeworth_grid`` was asked for.
     """
 
@@ -224,7 +222,7 @@ def _poly_on_grid(poly: MultiPoly, x: np.ndarray) -> np.ndarray:
 
 
 def edgeworth_grid(model: EdgeworthModel, n: int, points: int | None = None,
-                   halfwidth: float = 16.0) -> GridDensity:
+                   halfwidth: float = DEFAULT_HALFWIDTH) -> GridDensity:
     """``Gamma_{n,r}`` evaluated on the same grid layout as ``law_of_sn``.
 
     ``points`` per axis defaults to ``default_grid_points`` of the model's
@@ -232,26 +230,27 @@ def edgeworth_grid(model: EdgeworthModel, n: int, points: int | None = None,
     product of its 1-D densities, and each corrector is evaluated from its
     coefficients and the axes alone.  Neither depends on ``n``: the model
     keeps them for the last ``(points, halfwidth)``, so a call for another
-    ``n`` only weights and adds them.
+    ``n`` only weights and adds them.  Raises :class:`AliasingDetected` when
+    the grid, of mass 1 as ``E K_m(G) = 0``, fails its signed mass check.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if points is None:
         points = default_grid_points(model.dim)
-    key = (points, halfwidth)
-    terms = model._grid_terms
-    if terms is None or terms[0] != key:
+    if model._grid_terms is None or model._grid_terms[0] != (points, halfwidth):
         x = _axis(halfwidth, points)
         gauss = functools.reduce(np.multiply.outer, [gaussian_pdf(x)] * model.dim)
         ks = [(m, _poly_on_grid(km, x))
               for m, km in enumerate(model.k_polys, start=1) if not km.is_zero()]
-        terms = model._grid_terms = (key, (x, gauss, ks))
-    x, gauss, ks = terms[1]
+        model._grid_terms = ((points, halfwidth), gauss, ks)
+    _, gauss, ks = model._grid_terms
     factor = np.ones((points,) * model.dim)
     for m, km in ks:
         factor = factor + n ** (-m / 2.0) * km
-    return GridDensity(
-        (x,) * model.dim, gauss * factor,
+    g = GridDensity(
+        halfwidth, gauss * factor,
         tail_mass_bound=_corrector_tail_bound(model, n, halfwidth),
         label=f"Gamma_{n},r={model.r}[{model.dist.label}]",
     )
+    g.check_mass(signed=True)
+    return g

@@ -18,11 +18,12 @@ CSV.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .correctors import EdgeworthModel, edgeworth_grid
 from .moments import make_distribution
-from .numerics import TVInterval, default_grid_points, law_of_sn, tv_distance
+from .numerics import (DEFAULT_HALFWIDTH, TVInterval, _axis, default_grid_points,
+                       law_of_sn, tv_distance)
 
 __all__ = [
     "ConfigError",
@@ -76,7 +77,7 @@ class RateConfig:
     r: int
     n_list: tuple
     grid_points: int | None = None
-    grid_halfwidth: float = 16.0
+    grid_halfwidth: float = DEFAULT_HALFWIDTH
     out: str | None = None
     slope_tol: float = 0.2
 
@@ -144,10 +145,10 @@ def _validate(cfg: RateConfig):
         raise ConfigError("n values must be >= 1")
     if list(cfg.n_list) != sorted(set(cfg.n_list)):
         raise ConfigError("n_list must be strictly increasing")
-    if cfg.grid_points < 2 or cfg.grid_points & (cfg.grid_points - 1):
-        raise ConfigError(f"grid_points must be a power of two >= 2, got {cfg.grid_points}")
-    if not 0 < cfg.grid_halfwidth < math.inf:
-        raise ConfigError(f"grid_halfwidth must be finite and > 0, got {cfg.grid_halfwidth}")
+    try:
+        _axis(cfg.grid_halfwidth, cfg.grid_points)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 @dataclass
@@ -161,7 +162,6 @@ class RateReport:
     expected_slope: float
     verdict: str  # "pass" or "fail"
     reason: str = ""
-    config: RateConfig | None = field(default=None, repr=False)
 
 
 def expected_slope(table, r: int) -> float:
@@ -235,7 +235,6 @@ def run_rate(config: RateConfig) -> RateReport:
         expected_slope=expected,
         verdict=verdict,
         reason=reason,
-        config=config,
     )
 
 

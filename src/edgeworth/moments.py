@@ -820,9 +820,9 @@ class MomentTable:
     def cache_sizes(self) -> dict[str, int]:
         """Entry count per cache family, read without side effects.
 
-        A family is the first element of the cache keys its builder uses
-        (``psi``, ``a``, ``c``, ``hpoly``, ``kpoly``, ``psik``, ``t``);
-        families with no entries are absent.
+        A family is the first element of the cache keys its builder uses:
+        ``psi`` and ``a``, which the other operators and ``K_m`` are built
+        from, and ``c``; families with no entries are absent.
         """
         return dict(Counter(key[0] for key in self._cache))
 

@@ -16,6 +16,10 @@ the spectrum is left 0 instead of evaluated: there every entry would
 round to 0 anyway.  A law without an envelope has its whole spectrum
 evaluated.
 
+A grid is a half-width and an ``m^N`` array of values, with the axis
+``_axis(halfwidth, m)``, the one check of a layout, in every coordinate;
+two grids are comparable only on exactly the same layout.
+
 Total variation follows the no-half convention:
 ``d_TV(mu, nu) = sup_{|f| <= 1} |int f dmu - int f dnu|``, i.e. the full
 L1 distance between densities, which is why disjoint probability measures
@@ -58,41 +62,32 @@ class GridMismatch(Exception):
     """Total variation requires both densities on the identical grid."""
 
 
-def _check_power_of_two(m: int):
-    if m < 2 or m & (m - 1):
-        raise ValueError(f"points per axis must be a power of two, got {m}")
-
-
 @dataclass
 class GridDensity:
-    """Density values on a uniform tensor grid with mass accounting.
+    """Density values on the grid ``[-halfwidth, halfwidth)^N`` with mass
+    accounting: ``values`` is an ``m^N`` array, each axis ``_axis(halfwidth, m)``.
 
     ``tail_mass_bound`` certifies how much probability may live outside the
     grid window; ``singular_mass`` is the exactly-known weight of the purely
-    atomic part that the density values do not carry.  For a probability
-    law the grid mass therefore satisfies
-    ``1 - (mass + singular_mass) in [0, tail_mass_bound]`` up to numerical
-    tolerance.
+    atomic part that the density values do not carry, so for a probability
+    law ``1 - (mass + singular_mass) in [0, tail_mass_bound]`` up to rounding.
     """
 
-    axes: tuple
+    halfwidth: float
     values: np.ndarray
     tail_mass_bound: float = 0.0
     singular_mass: float = 0.0
     label: str = ""
+    axes: tuple = field(init=False)
     cell_volume: float = field(init=False)
 
     def __post_init__(self):
-        self.axes = tuple(np.asarray(a, dtype=float) for a in self.axes)
-        vol = 1.0
-        for a in self.axes:
-            _check_power_of_two(len(a))
-            vol *= a[1] - a[0]
-        self.cell_volume = vol
-        shape = tuple(len(a) for a in self.axes)
-        if np.shape(self.values) != shape:
-            raise ValueError(f"grid values of shape {np.shape(self.values)} "
-                             f"do not match axes of lengths {shape}")
+        shape = np.shape(self.values)
+        if not shape or len(set(shape)) > 1:
+            raise ValueError(f"grid values of shape {shape} do not match an m^N layout")
+        x = _axis(self.halfwidth, shape[0])
+        self.axes = (x,) * len(shape)
+        self.cell_volume = math.prod([x[1] - x[0]] * len(shape))
         if not np.all(np.isfinite(self.values)):
             raise ValueError("grid density contains non-finite values")
 
@@ -108,10 +103,10 @@ class GridDensity:
         return float(np.maximum(-self.values, 0.0).sum() * self.cell_volume)
 
     def mass_defect(self) -> float:
-        """``1 - grid mass - singular mass``; should lie in [0, tail bound]."""
+        """``1 - grid mass - singular mass``; see :meth:`check_mass`."""
         return 1.0 - self.mass() - self.singular_mass
 
-    def check_mass(self):
+    def check_mass(self, signed: bool = False):
         """Validate the mass budget.
 
         Fails when the defect ``1 - mass - singular`` escapes
@@ -119,17 +114,19 @@ class GridDensity:
         the certified tail bound exceeds 0.05, so that the window cannot
         certify anything (a periodizing FFT keeps total mass exact even
         when the window folds the density onto itself, so an uncertifiable
-        window is the honest aliasing signal).
+        window is the honest aliasing signal).  A ``signed`` measure may
+        have negative mass outside the window: its defect may be negative.
         """
-        if self.tail_mass_bound > 0.05:
+        tail = self.tail_mass_bound
+        if tail > 0.05:
             raise AliasingDetected(
-                f"window too small: certified tail bound "
-                f"{self.tail_mass_bound:.3g} for {self.label!r}"
+                f"window too small: certified tail bound {tail:.3g} for {self.label!r}"
             )
         d, tol = self.mass_defect(), 1e-4
-        if d < -tol or d > self.tail_mass_bound + tol:
+        lo, lo_text = (-tail, f"{-tail:.3e}") if signed else (0.0, "0")
+        if d < lo - tol or d > tail + tol:
             raise AliasingDetected(
-                f"mass defect {d:.3e} outside [0, {self.tail_mass_bound:.3e}] "
+                f"mass defect {d:.3e} outside [{lo_text}, {tail:.3e}] "
                 f"(tol {tol:g}) for {self.label!r}"
             )
 
@@ -143,6 +140,9 @@ def default_grid_points(dim: int) -> int:
     return 2 ** min(14, 21 // dim)
 
 
+DEFAULT_HALFWIDTH = 16.0
+
+
 @functools.lru_cache(maxsize=8)
 def _axis(halfwidth: float, m: int) -> np.ndarray:
     """The grid axis ``-halfwidth + j * 2 halfwidth / m``, ``j < m``.
@@ -151,7 +151,8 @@ def _axis(halfwidth: float, m: int) -> np.ndarray:
     The axis is cached per layout as a read-only array, so every grid of a
     layout holds the same object; a rejected layout raises on every call.
     """
-    _check_power_of_two(m)
+    if m < 2 or m & (m - 1):
+        raise ValueError(f"points per axis must be a power of two, got {m}")
     if not 0 < halfwidth < math.inf:
         raise ValueError(f"grid halfwidth must be finite and > 0, got {halfwidth}")
     x = -halfwidth + 2 * halfwidth / m * np.arange(m)
@@ -291,7 +292,7 @@ def _sn_char_fn(law: Distribution, n: int, t):
 
 
 def law_of_sn(dist: Distribution, n: int, points: int | None = None,
-              halfwidth: float = 16.0) -> GridDensity:
+              halfwidth: float = DEFAULT_HALFWIDTH) -> GridDensity:
     """Density of ``S_n = n^{-1/2} sum_k F_k`` on a centered grid.
 
     ``dist`` must be standardized, and a 1-D law or a product law; the
@@ -313,11 +314,11 @@ def law_of_sn(dist: Distribution, n: int, points: int | None = None,
     laws = dist.factors()
     if points is None:
         points = default_grid_points(dist.dim)
-    x = _axis(halfwidth, points)
+    _axis(halfwidth, points)  # reject a bad layout before computing on it
     vals = _invert_charfn([functools.partial(_sn_char_fn, law, n) for law in laws],
                           halfwidth, points)
     g = GridDensity(
-        (x,) * len(laws), vals,
+        halfwidth, vals,
         tail_mass_bound=sn_tail_bound(dist, n, halfwidth),
         singular_mass=dist.singular_mass ** n,
         label=f"S_{n}[{dist.label}]",
@@ -360,16 +361,10 @@ def tv_distance(p: GridDensity, q: GridDensity) -> TVInterval:
     The raw value is the grid L1 distance; the slack adds the tail bounds
     and singular masses of both arguments.  The interval accounts for the
     mass the grids do not carry, not for the discretization error of the
-    grid values themselves.
+    grid values themselves.  Both must have the same half-width and shape.
     """
-    if p.dim != q.dim or p.values.shape != q.values.shape:
-        raise GridMismatch("grids have different shapes")
-    for a, b in zip(p.axes, q.axes):
-        # exact equality is the common case and ten times cheaper than allclose
-        if a is b or np.array_equal(a, b):
-            continue
-        if len(a) != len(b) or not np.allclose(a, b, rtol=0, atol=1e-12):
-            raise GridMismatch("grids have different axes")
+    if (p.halfwidth, p.values.shape) != (q.halfwidth, q.values.shape):
+        raise GridMismatch("grids have different layouts")
     raw = float(np.abs(p.values - q.values).sum() * p.cell_volume)
     slack = p.tail_mass_bound + q.tail_mass_bound + p.singular_mass + q.singular_mass
     return TVInterval(raw, slack)

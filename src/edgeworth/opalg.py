@@ -426,8 +426,7 @@ def psi_k_op(table: MomentTable, k: int, t: int) -> DiffOperator:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    terms = ((q_value(i - 1, k), i, t) for i in range(1, t // 3 + 1))
-    return table.cache_get_or_build(("psik", k, t), lambda: _weighted_a(table, terms))
+    return _weighted_a(table, ((q_value(i - 1, k), i, t) for i in range(1, t // 3 + 1)))
 
 
 def t_op(table: MomentTable, n: int, t: int, mode: str = "direct") -> DiffOperator:
@@ -441,13 +440,9 @@ def t_op(table: MomentTable, n: int, t: int, mode: str = "direct") -> DiffOperat
         raise ValueError("n must be >= 1")
     if mode not in ("direct", "sum"):
         raise ValueError("mode must be 'direct' or 'sum'")
-
-    def build():
-        if mode == "sum":
-            acc = DiffOperator.zero(table.dim)
-            for k in range(1, n + 1):
-                acc = acc + psi_k_op(table, k, t)
-            return acc
-        return _weighted_a(table, ((p_value(i, n), i, t) for i in range(1, t // 3 + 1)))
-
-    return table.cache_get_or_build(("t", mode, n, t), build)
+    if mode == "sum":
+        acc = DiffOperator.zero(table.dim)
+        for k in range(1, n + 1):
+            acc = acc + psi_k_op(table, k, t)
+        return acc
+    return _weighted_a(table, ((p_value(i, n), i, t) for i in range(1, t // 3 + 1)))

@@ -86,7 +86,7 @@ def cache_sizes_from(err):
 def test_kpoly_matches_library(capsys):
     code, out, err = run(capsys, "kpoly", "--dist", "fixture1d", "--m", "2")
     assert code == 0
-    assert cache_sizes_from(err) == {"psi": 2, "a": 1, "kpoly": 1}
+    assert cache_sizes_from(err) == {"psi": 2, "a": 1}
     lines = out.strip().splitlines()
     assert lines[0] == "exponents,coefficient"
     got = {}
@@ -360,13 +360,17 @@ def test_ibp_nan_z_fails(capsys, monkeypatch):
     (["tv", "--dist", "exponential(rate=-1)", "--n", "8"],
      "exponential parameter rate must be > 0"),
     (["kpoly", "--dist", "uniform(a=0,b=0)"], "uniform parameters need a < b"),
+    (["tv", "--dist", "uniform", "--n", "1", "--points", "2"], "mass defect"),
+    (["density", "--dist", "exponential", "--n", "4", "--points", "4", "--kind", "edgeworth"],
+     "mass defect"),
 ], ids=["singular-covariance", "aliasing", "order-exceeded", "sigtail-no-samples",
         "ibp-no-samples", "sigtail-no-n", "ibp-n-zero", "sigtail-n-zero", "taylor-no-coeffs",
         "tv-negative-halfwidth", "tv-zero-halfwidth", "density-negative-halfwidth",
         "density-zero-halfwidth", "tv-infinite-halfwidth", "split-no-samples",
         "taylor-negative-level", "ops-psi-negative-t", "ops-a-negative-t",
         "ops-t-negative-t", "rate-r-zero", "rate-empty-n-list",
-        "tv-negative-exponential-rate", "kpoly-empty-uniform"])
+        "tv-negative-exponential-rate", "kpoly-empty-uniform", "tv-coarse-gamma-grid",
+        "density-coarse-gamma-grid"])
 def test_runtime_errors_exit_2(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2

@@ -23,6 +23,7 @@ from edgeworth.correctors import (
 )
 from edgeworth.exactmath import multisets
 from edgeworth.moments import MomentTable, fixture_table, make_distribution, shipped_labels
+from edgeworth.numerics import _axis
 from edgeworth.opalg import MultiPoly
 from cumulant_oracle import k_poly_from_cumulants
 from grid_oracle import edgeworth_grid_2d
@@ -386,12 +387,12 @@ def test_edgeworth_grid_memo_holds_last_layout(monkeypatch):
                         lambda p: calls.append(p) or expect(p))
     edgeworth_grid(model, 32, 64)
     edgeworth_grid(model, 64, 128)
-    key, (x, gauss, ks) = model._grid_terms
+    key, gauss, ks = model._grid_terms
     assert key == (128, 16.0)
-    assert x.shape == gauss.shape == (128,)
+    assert gauss.shape == (128,)
     assert [m for m, _ in ks] == [1, 2] and all(k.shape == (128,) for _, k in ks)
-    edgeworth_grid(model, 32, 128, 8.0)
+    g = edgeworth_grid(model, 32, 128, 8.0)
     assert model._grid_terms[0] == (128, 8.0)
     # the exact E K_m(G)^2 of the tail bound: once per nonzero corrector
     assert len(calls) == 2
-    assert not model._grid_terms[1][0].flags.writeable
+    assert g.axes[0] is _axis(8.0, 128) and not g.axes[0].flags.writeable

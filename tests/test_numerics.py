@@ -26,6 +26,7 @@ from edgeworth.numerics import (
     AliasingDetected,
     GridDensity,
     GridMismatch,
+    _axis,
     _int_power,
     _invert_charfn,
     _spectrum_prefix,
@@ -112,7 +113,7 @@ def test_atom_mixture_rate_tv_matches_closed_form():
     model = EdgeworthModel.build(d, 6)
     for n in [32, 64, 128, 256, 512, 1024]:
         g, gam = law_of_sn(d, n), edgeworth_grid(model, n)
-        exact = GridDensity(g.axes, atom_mixture_sn(g.axes[0], n, raw))
+        exact = GridDensity(g.halfwidth, atom_mixture_sn(g.axes[0], n, raw))
         assert abs(tv_distance(g, gam).raw - tv_distance(exact, gam).raw) <= 1e-12, n
 
 
@@ -169,20 +170,46 @@ def test_grid_rejects_non_power_of_two():
 
 
 def test_grid_rejects_values_off_its_axes():
-    # 8 values on 4 unit cells would report twice the mass the axes hold
-    xs = np.linspace(-2.0, 2.0, 4, endpoint=False)
+    # a layout is a half-width and an m^N array: a 4 x 8 array has no one
+    # axis length, and a 0-d value has no axis at all
     with pytest.raises(ValueError, match="do not match"):
-        GridDensity((xs,), np.full(8, 0.5))
+        GridDensity(2.0, np.full((4, 8), 0.5))
     with pytest.raises(ValueError, match="do not match"):
-        GridDensity((xs, xs), np.full(4, 0.5))
-    assert GridDensity((xs,), np.full(4, 0.5)).mass() == 2.0
+        GridDensity(2.0, np.float64(0.5))
+    with pytest.raises(ValueError, match="power of two"):
+        GridDensity(2.0, np.full(6, 0.5))
+    assert GridDensity(2.0, np.full(4, 0.5)).mass() == 2.0
+    assert GridDensity(2.0, np.full((4, 4), 0.5)).mass() == 8.0
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_grid_built_directly_holds_the_cached_axis(dim):
+    g = GridDensity(12.0, np.zeros((8,) * dim))
+    assert g.dim == dim
+    assert all(a is _axis(12.0, 8) for a in g.axes)
+    assert g.cell_volume == 3.0**dim
+
+
+@pytest.mark.parametrize("spec,n,points", [("uniform", 1, 2), ("exponential*uniform", 2, 4)])
+def test_edgeworth_grid_checks_its_mass(spec, n, points):
+    # int K_m dgamma = 0, so Gamma_{n,r} has mass 1; at dx = 16 (2 points)
+    # or dx = 8 (4 points) the sampled Gaussian is far from it
+    model = EdgeworthModel.build(make_distribution(spec), 3)
+    with pytest.raises(AliasingDetected, match="mass defect"):
+        edgeworth_grid(model, n, points)
+
+
+def test_edgeworth_grid_mass_check_is_signed():
+    # uniform's K_2 is negative in the tails, so Gamma_{1,6} has negative
+    # mass outside [-4, 4): its defect is negative, and certified
+    g = edgeworth_grid(EdgeworthModel.build(make_distribution("uniform"), 6), 1, 2**10, 4.0)
+    assert -g.tail_mass_bound <= g.mass_defect() < -1e-4
 
 
 # --- tv_distance ------------------------------------------------------------------
 
-def _grid_from(fn, lo=-16.0, hi=16.0, m=2**12, **kw):
-    xs = lo + (hi - lo) / m * np.arange(m)
-    return GridDensity((xs,), fn(xs), **kw)
+def _grid_from(fn, halfwidth=16.0, m=2**12, **kw):
+    return GridDensity(halfwidth, fn(_axis(halfwidth, m)), **kw)
 
 
 def test_tv_identical_is_zero():
@@ -201,12 +228,12 @@ def test_tv_mean_shifted_normals_closed_form():
 def test_tv_disjoint_supports_is_two():
     # build unit masses exactly on disjoint cell ranges
     m = 2**12
-    xs = -16.0 + 32.0 / m * np.arange(m)
+    xs = _axis(16.0, m)
     dx = xs[1] - xs[0]
     pv, qv = np.zeros(m), np.zeros(m)
     pv[100:300] = 1.0 / (200 * dx)
     qv[3000:3400] = 1.0 / (400 * dx)
-    p, q = GridDensity((xs,), pv), GridDensity((xs,), qv)
+    p, q = GridDensity(16.0, pv), GridDensity(16.0, qv)
     assert p.mass() == pytest.approx(1.0, abs=1e-12)
     assert tv_distance(p, q).raw == pytest.approx(2.0, abs=1e-6)
 
@@ -234,23 +261,9 @@ def test_tv_grid_mismatch():
     q = _grid_from(normal_pdf, m=2**11)
     with pytest.raises(GridMismatch):
         tv_distance(p, q)
-    r = _grid_from(normal_pdf, lo=-15.0, hi=17.0, m=2**10)
+    r = _grid_from(normal_pdf, halfwidth=15.0, m=2**10)
     with pytest.raises(GridMismatch):
         tv_distance(p, r)
-
-
-@pytest.mark.parametrize("dim", [1, 2])
-def test_tv_axes_match_within_1e12(dim):
-    # axes that differ by rounding still match; a real shift still raises
-    xs = np.linspace(-8.0, 8.0, 64, endpoint=False)
-    values = np.exp(-np.add.outer(xs**2, xs**2) / 2) if dim == 2 else np.exp(-xs**2 / 2)
-    p = GridDensity((xs,) * dim, values)
-    near = GridDensity((xs,) * (dim - 1) + (xs + 1e-13,), values)
-    assert not np.array_equal(p.axes[-1], near.axes[-1])
-    assert tv_distance(p, near).raw == 0.0
-    off = GridDensity((xs,) * (dim - 1) + (xs + 1e-9,), values)
-    with pytest.raises(GridMismatch):
-        tv_distance(p, off)
 
 
 def test_grid_axis_shared_per_layout():
@@ -346,8 +359,7 @@ def test_non_product_multivariate_law_is_rejected():
 # --- observability and memory ------------------------------------------------------
 
 def test_negative_mass():
-    xs = -16.0 + 32.0 / 8 * np.arange(8)
-    g = GridDensity((xs,), np.array([0.0, -0.25, 0.5, 0.0, -0.5, 0.25, 0.0, 0.0]))
+    g = GridDensity(16.0, np.array([0.0, -0.25, 0.5, 0.0, -0.5, 0.25, 0.0, 0.0]))
     assert g.negative_mass() == pytest.approx(4.0 * 0.75)
     assert _grid_from(normal_pdf).negative_mass() == 0.0
 
