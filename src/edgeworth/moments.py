@@ -112,9 +112,9 @@ def _gaussian_product_moment(counts) -> int:
     return out
 
 
-def _sqrt_exact(x: Fraction) -> Fraction | None:
-    """Exact square root of a nonnegative Fraction, or None."""
-    if x < 0:
+def _sqrt_exact(x) -> Fraction | None:
+    """Exact square root of a nonnegative Fraction; None for anything else."""
+    if not isinstance(x, Fraction) or x < 0:
         return None
     n, d = x.numerator, x.denominator
     rn, rd = math.isqrt(n), math.isqrt(d)
@@ -255,32 +255,33 @@ def standardize(dist: Distribution) -> Distribution:
     and identity covariance.
 
     Every supported law is 1-D or a product of 1-D laws, so ``C(F)`` is
-    diagonal and each factor is standardized on its own.  Raises
-    :class:`NonInvertibleCovariance` when a factor's variance is not
-    positive.
+    diagonal and each factor is standardized on its own.  A factor must be
+    a probability law (a user density must integrate to 1, within 1e-9) or
+    ``ValueError`` is raised, and :class:`NonInvertibleCovariance` is
+    raised when its variance is not positive.
     """
     if dist.dim > 1:
         return ProductDistribution([standardize(c) for c in dist.factors()])
-    var = dist.central_moment(2)
-    if not var > 0:
-        raise NonInvertibleCovariance(
-            f"variance {var} of {dist.label} is degenerate: it must be > 0")
     return _Standardized1D(dist)
 
 
 class _Standardized1D(Distribution):
-    """Affine image ``(F - mean) / std`` of a 1-D law."""
+    """Affine image ``(F - mean) / std`` of a 1-D probability law."""
 
     def __init__(self, base: Distribution):
+        mass = base.raw_moment(0)
+        if abs(mass - 1) > 1e-9:
+            raise ValueError(f"{base.label} has mass {mass}; a probability law has mass 1")
+        self._var = base.central_moment(2)
+        if not self._var > 0:
+            raise NonInvertibleCovariance(
+                f"variance {self._var} of {base.label} is degenerate: it must be > 0")
         self.base = base
         self.label = base.label
         self.max_order = base.max_order
-        self._mu = base.raw_moment(1)
-        self._var = base.central_moment(2)
-        self._mu_f = float(self._mu)
+        self._mu_f = float(base.raw_moment(1))
         self._sd_f = math.sqrt(float(self._var))
-        sd_exact = _sqrt_exact(self._var) if isinstance(self._var, Fraction) else None
-        self._sd_exact = sd_exact
+        self._sd_exact = _sqrt_exact(self._var)
         self.atoms = tuple(
             ((float(a) - self._mu_f) / self._sd_f, m) for a, m in base.atoms
         )
@@ -758,9 +759,7 @@ class MomentTable:
     moments are symmetric under permutation of the index.
 
     The memos, ``delta``'s entries and the operator cache
-    (``cache_get_or_build``), are unsynchronized dicts.  Two threads may
-    both compute the same entry; the sources and builders are pure, so the
-    results are equal and either one may be kept.
+    (``cache_get_or_build``), are plain dicts, filled on first read.
     """
 
     def __init__(self, dim, max_order, source):

@@ -208,41 +208,31 @@ def _int_power(z, n: int):
         z = z * z
 
 
-def _summand_cumulants(dist: Distribution, order: int) -> list:
-    """Float cumulants ``k_1..k_order`` of a 1-D law, memoized per instance."""
-    cache = dist.__dict__.setdefault("_float_cumulants", {})
-    if order not in cache:
-        ms = [float(dist.moment(tuple([1] * k))) for k in range(1, order + 1)]
-        cache[order] = moments_to_cumulants(ms)
-    return cache[order]
-
-
-def _sn_even_moment(dist: Distribution, n: int, order: int):
-    """Exact-ish even moments of S_n via cumulant scaling of the summand."""
-    ks = _summand_cumulants(dist, order)
-    ks_n = [k * n ** (1 - j / 2.0) for j, k in enumerate(ks, start=1)]
-    return cumulants_to_moments(ks_n)
-
-
 def sn_tail_bound(dist: Distribution, n: int, L: float) -> float:
-    """Chebyshev bound on ``P(|coordinate of S_n| > L)``, best even order.
+    """Chebyshev bound on the mass of ``S_n`` outside ``[-L, L]^N``.
 
-    Uses the exact moments of S_n obtained from the standardized summand's
-    cumulants (scaled by ``n^{1-j/2}``), which are computed once per law
-    instance and reused for every ``n``; for a product law the coordinate
-    bounds add, and any other multivariate law raises
-    ``NotImplementedError``.
+    Per 1-D factor, the summand's float cumulants up to the even order
+    ``min(16, max_order)``, kept on the law for every ``n``, times
+    ``n^{1-j/2}`` are those of the coordinate ``X`` of ``S_n``; the least of
+    1 and the ratios ``E X^{2k} / L^{2k}`` of their float moments bounds
+    ``P(|X| > L)``.  The factors' bounds add, capped at 1; a multivariate
+    law that is not a product raises ``NotImplementedError``.
     """
-    if dist.dim > 1:
-        return min(sum(sn_tail_bound(law, n, L) for law in dist.factors()), 1.0)
-    order = min(16, dist.max_order)
-    order -= order % 2
-    ms = _sn_even_moment(dist, n, order)
-    best = 1.0
-    for m2 in range(2, order + 1, 2):
-        b = max(ms[m2 - 1], 0.0) / L**m2
-        best = min(best, b)
-    return best
+    total = 0.0
+    for law in dist.factors():
+        order = min(16, law.max_order)
+        order -= order % 2
+        ks = law.__dict__.get("_float_cumulants")
+        if ks is None:
+            ms = [float(law.moment((1,) * k)) for k in range(1, order + 1)]
+            ks = law.__dict__["_float_cumulants"] = moments_to_cumulants(ms)
+        ms = cumulants_to_moments(
+            [k * n ** (1 - j / 2.0) for j, k in enumerate(ks, start=1)])
+        best = 1.0
+        for m2 in range(2, order + 1, 2):
+            best = min(best, max(ms[m2 - 1], 0.0) / L**m2)
+        total += best
+    return min(total, 1.0)
 
 
 #: ``log(2^-1074)``: a spectrum entry bounded below the smallest positive

@@ -118,6 +118,18 @@ def test_standardize_rejects_degenerate():
         standardize(AtomMixture(p=0))  # pure point mass
 
 
+def test_standardize_rejects_a_density_of_mass_other_than_1():
+    # twice the unit triangle on [0, 2]: its quadrature "moments" give mean 2
+    # and variance 2.33, and law_of_sn would blame the window for the mass
+    def tri(x):
+        return np.clip(1 - np.abs(np.asarray(x, dtype=float) - 1), 0, None)
+
+    with pytest.raises(ValueError, match=r"twice has mass (2\.0|1\.9999)"):
+        standardize(UserDensity(lambda x: 2 * tri(x), (0, 2), label="twice"))
+    with pytest.raises(ValueError, match="has mass"):
+        standardize(ProductDistribution([Uniform(0, 1), UserDensity(tri, (0, 1))]))
+
+
 # --- moment differences ---------------------------------------------------------
 
 def test_delta_examples():

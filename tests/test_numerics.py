@@ -356,6 +356,65 @@ def test_non_product_multivariate_law_is_rejected():
         law_of_sn(Plane(), 16, points=32)
 
 
+# sn_tail_bound(make_distribution(spec), n, L) for L = 16, 4 and 1, as the
+# per-factor recursion computed them; at L = 1 the cap at 1 binds for products
+_TAIL_BOUND_BITS = {
+    "uniform": {
+        1: (2.092191309924123e-17, 8.985893253099508e-08, 1.0),
+        32: (7.718903230527811e-14, 0.00033152436936105696, 1.0),
+        1024: (1.0868956032272863e-13, 0.0004668181070027387, 1.0),
+    },
+    "exponential": {
+        1: (4.1725868917512213e-07, 0.03515625, 1.0),
+        32: (1.8566333076598175e-12, 0.002516782726161182, 1.0),
+        1024: (1.32633098735868e-13, 0.000569654821437692, 1.0),
+    },
+    "laplace": {
+        1: (4.430573095903778e-09, 0.02197265625, 1.0),
+        32: (2.479150340586456e-13, 0.0009319161116169705, 1.0),
+        1024: (1.1292386528050864e-13, 0.0004850043083176945, 1.0),
+    },
+    "gamma": {
+        1: (5.476485854161075e-10, 0.013427734375, 1.0),
+        32: (3.356919075088146e-13, 0.001064708704947126, 1.0),
+        1024: (1.1543802601552645e-13, 0.0004958025464514833, 1.0),
+    },
+    "gauss_mixture": {
+        1: (4.9131062052838016e-14, 0.0002110163047346859, 1.0),
+        32: (1.0863085676675094e-13, 0.00046656597714965557, 1.0),
+        1024: (1.098640831466334e-13, 0.00047186264411981524, 1.0),
+    },
+    "atom_mixture": {
+        1: (1.2827033742424594e-14, 5.509169042840212e-05, 1.0),
+        32: (9.339928844836136e-14, 0.00040114688935538264, 1.0),
+        1024: (1.093122535945554e-13, 0.0004694925542406739, 1.0),
+    },
+    "normal": {
+        1: (1.0988524543412148e-13, 0.0004719535354524851, 1.0),
+        32: (1.0988524543412148e-13, 0.0004719535354524851, 1.0),
+        1024: (1.0988524543412148e-13, 0.0004719535354524851, 1.0),
+    },
+    "exponential*uniform": {
+        1: (4.1725868919604406e-07, 0.03515633985893253, 1.0),
+        32: (1.9338223399650956e-12, 0.002848307095522239, 1.0),
+        1024: (2.4132265905859665e-13, 0.0010364729284404307, 1.0),
+    },
+    "laplace*gamma": {
+        1: (4.978221681319886e-09, 0.035400390625, 1.0),
+        32: (5.836069415674602e-13, 0.0019966248165640965, 1.0),
+        1024: (2.283618912960351e-13, 0.0009808068547691778, 1.0),
+    },
+}
+
+
+@pytest.mark.parametrize("spec", sorted(_TAIL_BOUND_BITS))
+def test_sn_tail_bound_bits_are_pinned(spec):
+    d = make_distribution(spec)
+    for n, want in _TAIL_BOUND_BITS[spec].items():
+        for L, bound in zip((16.0, 4.0, 1.0), want):
+            # the first call computes the law's cumulants, the rest reuse them
+            assert sn_tail_bound(d, n, L) == bound, (n, L)
+
 # --- observability and memory ------------------------------------------------------
 
 def test_negative_mass():
