@@ -242,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="edgeworth",
         description="Corrected-Gaussian CLT toolkit: exact operator algebra, "
-        "corrector polynomials, FFT-exact total variation, splitting and "
+        "corrector polynomials, FFT total variation, splitting and "
         "Malliavin Monte Carlo checks.",
     )
     sub = p.add_subparsers(dest="command", required=True)

@@ -140,6 +140,11 @@ def gaussian_expect_poly(poly: MultiPoly):
     return sum(c * _gaussian_product_moment(e) for e, c in poly.terms.items())
 
 
+#: Points per block in which ``edgeworth_grid`` scales a corrector's grid
+#: values: 2^14 doubles, 128 KiB, and no scratch array of grid size.
+TERM_BLOCK = 2**14
+
+
 @dataclass
 class EdgeworthModel:
     """A standardized law together with its correctors up to order r.
@@ -244,11 +249,19 @@ def edgeworth_grid(model: EdgeworthModel, n: int, points: int | None = None,
               for m, km in enumerate(model.k_polys, start=1) if not km.is_zero()]
         model._grid_terms = ((points, halfwidth), gauss, ks)
     _, gauss, ks = model._grid_terms
-    factor = np.ones((points,) * model.dim)
+    # (1 + sum_m n^(-m/2) K_m) gamma, the terms added in order of m, in one
+    # fresh array; each K_m is scaled a block at a time, and the kept gamma
+    # and K_m are only read
+    values = np.ones(gauss.shape)  # C order: the rows below are views of it
+    rows = values.reshape(-1, min(values.size, TERM_BLOCK))
+    scaled = np.empty(rows.shape[1])
     for m, km in ks:
-        factor = factor + n ** (-m / 2.0) * km
+        w = n ** (-m / 2.0)
+        for row, k_row in zip(rows, km.reshape(rows.shape)):
+            row += np.multiply(k_row, w, out=scaled)
+    values *= gauss
     g = GridDensity(
-        halfwidth, gauss * factor,
+        halfwidth, values,
         tail_mass_bound=_corrector_tail_bound(model, n, halfwidth),
         label=f"Gamma_{n},r={model.r}[{model.dist.label}]",
     )

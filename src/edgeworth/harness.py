@@ -1,7 +1,7 @@
 """Rate experiments: total variation against the corrected measures.
 
 For a shipped law and expansion order ``r`` the harness computes
-``d_TV(mu_n, Gamma_{n,r})`` over a grid of ``n`` (FFT-exact densities),
+``d_TV(mu_n, Gamma_{n,r})`` over a grid of ``n`` (FFT grid densities),
 fits the log-log slope, and compares it with the theoretical exponent:
 
 * ``-([r/3] + 1) / 2`` in general,

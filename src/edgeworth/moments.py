@@ -70,13 +70,37 @@ def double_factorial(n: int) -> int:
     return out
 
 
-def _normal_raw_moment(k: int, mu, sigma):
+def _binomial_moment(z, s, c) -> Fraction:
+    """Exact ``sum_j C(k, j) z_j s^j c^(k-j)``, ``k = len(z) - 1``, for
+    rational (``int`` or ``Fraction``) ``z_j``, ``s`` and ``c``.
+
+    With ``s = p/q`` and ``c = u/v``, term ``j`` is
+    ``C(k, j) z_j (pv)^j (uq)^(k-j) / (qv)^k``, so over the common
+    denominator ``lcm_j(den z_j) (qv)^k`` every term is an integer: the sum
+    is integer products and additions, and one ``Fraction`` is built (one
+    gcd) where a ``Fraction`` sum normalizes about three times per term.
+    The value, and so the ``Fraction``, is the same either way.
+    """
+    k = len(z) - 1
+    x, y = s.numerator * c.denominator, c.numerator * s.denominator
+    den = math.lcm(*[zj.denominator for zj in z])
+    y_powers = [1]
+    for _ in range(k):
+        y_powers.append(y_powers[-1] * y)
+    acc, x_power = 0, 1
+    for j, zj in enumerate(z):
+        if zj:
+            acc += (math.comb(k, j) * zj.numerator * (den // zj.denominator)
+                    * x_power * y_powers[k - j])
+        x_power *= x
+    return Fraction(acc, den * (s.denominator * c.denominator) ** k)
+
+
+def _normal_raw_moment(k: int, mu, sigma) -> Fraction:
     """``E(X^k)`` for ``X ~ N(mu, sigma^2)``, exact for exact ``mu``, ``sigma``:
     ``sum_{j even} C(k, j) (j-1)!! sigma^j mu^(k-j)``."""
-    acc = ZERO
-    for j in range(0, k + 1, 2):
-        acc += math.comb(k, j) * double_factorial(j - 1) * sigma**j * mu ** (k - j)
-    return acc
+    return _binomial_moment(
+        [0 if j % 2 else double_factorial(j - 1) for j in range(k + 1)], sigma, mu)
 
 
 def _coordinate_counts(alpha: MultiIndex, dim: int) -> tuple[int, ...]:
@@ -230,15 +254,21 @@ class Distribution:
             f"{self.label}: beyond 1-D only product laws are supported")
 
     def central_moment(self, k: int):
-        """1-D central moment, exact when raw moments and mean are exact.
+        """1-D central moment ``sum_j C(k, j) E(F^j) (-mu)^(k-j)``.
 
-        The raw moments are memoized, so order k costs the O(k) binomial
-        sum once the lower orders are known.
+        Exact raw moments give the exact ``Fraction`` of
+        ``_binomial_moment``: integer terms over one common denominator.
+        Float raw moments (``UserDensity``) are summed as floats, term by
+        term in order of ``j``.  The raw moments are memoized, so each is
+        computed once whatever the order asked for.
         """
         mu = self.raw_moment(1)
+        z = [self.raw_moment(j) for j in range(k + 1)]
+        if all(isinstance(v, (int, Fraction)) for v in (mu, *z)):
+            return _binomial_moment(z, 1, -mu)
         acc = 0
         for j in range(k + 1):
-            acc += math.comb(k, j) * self.raw_moment(j) * (-mu) ** (k - j)
+            acc += math.comb(k, j) * z[j] * (-mu) ** (k - j)
         return acc
 
     # -- convenience -------------------------------------------------------
@@ -468,10 +498,9 @@ class Laplace(Distribution):
         return 1.0 / (1.0 + (self._bf * t) ** 2)
 
     def _raw_moment(self, k):
-        acc = ZERO
-        for j in range(0, k + 1, 2):
-            acc += math.comb(k, j) * math.factorial(j) * self.b**j * self.mu ** (k - j)
-        return acc
+        """``sum_{j even} C(k, j) j! b^j mu^(k-j)``."""
+        return _binomial_moment(
+            [0 if j % 2 else math.factorial(j) for j in range(k + 1)], self.b, self.mu)
 
     def sample(self, rng, size):
         return rng.laplace(self._muf, self._bf, size)
@@ -507,10 +536,12 @@ class Gamma(Distribution):
         return np.exp(-0.5 * self._kf * np.log1p((self._sf * t) ** 2))
 
     def _raw_moment(self, k):
-        acc = Fraction(1)
-        for j in range(k):
-            acc *= self.shape + j
-        return acc * self.scale**k
+        """``m_k = m_(k-1) (shape + k - 1) scale``, from the kept ``m_(k-1)``."""
+        if k == 0:
+            return Fraction(1)
+        for j in range(1, k):  # lowest first: a cold high order recurses one level
+            self.raw_moment(j)
+        return self.raw_moment(k - 1) * (self.shape + k - 1) * self.scale
 
     def sample(self, rng, size):
         return rng.gamma(self._kf, self._sf, size)

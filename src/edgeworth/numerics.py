@@ -186,7 +186,9 @@ def _invert_charfn(chars, halfwidth, m):
         spec = np.conj(char(t))
         spec[1::2] *= -1
         # irfft of an empty spectrum returns uninitialized memory
-        axes.append(np.fft.irfft(spec, m) / dx if len(spec) else np.zeros(m))
+        axis = np.fft.irfft(spec, m) if len(spec) else np.zeros(m)
+        axis /= dx
+        axes.append(axis)
     return functools.reduce(np.multiply.outer, axes)
 
 
@@ -352,9 +354,12 @@ def tv_distance(p: GridDensity, q: GridDensity) -> TVInterval:
     and singular masses of both arguments.  The interval accounts for the
     mass the grids do not carry, not for the discretization error of the
     grid values themselves.  Both must have the same half-width and shape.
+    ``|p - q|`` is formed in one fresh array, in place; neither grid is
+    written.
     """
     if (p.halfwidth, p.values.shape) != (q.halfwidth, q.values.shape):
         raise GridMismatch("grids have different layouts")
-    raw = float(np.abs(p.values - q.values).sum() * p.cell_volume)
+    diff = np.subtract(p.values, q.values)
+    raw = float(np.abs(diff, out=diff).sum() * p.cell_volume)
     slack = p.tail_mass_bound + q.tail_mass_bound + p.singular_mass + q.singular_mass
     return TVInterval(raw, slack)

@@ -379,6 +379,28 @@ def test_edgeworth_grid_memo_matches_fresh_model(spec, points):
         assert got.tail_mass_bound == want.tail_mass_bound
 
 
+@pytest.mark.parametrize("spec,points", [("exponential", None), ("laplace*gamma", 512)])
+def test_edgeworth_grid_writes_only_its_own_array(spec, points):
+    # r = 8 has two correctors; a 512^2 grid is several blocks of TERM_BLOCK
+    model = EdgeworthModel.build(make_distribution(spec), 8)
+    first = edgeworth_grid(model, 32, points)
+    kept = first.values.copy()
+    _, gauss, ks = model._grid_terms
+    cached = [gauss.copy()] + [km.copy() for _, km in ks]
+    assert len(ks) == 2
+    # the allocating form (1 + n^(-1/2) K_1 + n^(-1) K_2) gamma, in that order
+    factor = np.ones(gauss.shape)
+    for m, km in ks:
+        factor = factor + 32 ** (-m / 2.0) * km
+    assert np.array_equal(kept, gauss * factor)
+    edgeworth_grid(model, 1024, points)
+    again = edgeworth_grid(model, 32, points)
+    assert again.values is not first.values
+    assert np.array_equal(again.values, kept) and np.array_equal(first.values, kept)
+    assert all(np.array_equal(a, b)
+               for a, b in zip([gauss] + [km for _, km in ks], cached))
+
+
 def test_edgeworth_grid_memo_holds_last_layout(monkeypatch):
     model = EdgeworthModel.build(make_distribution("exponential"), 6)
     calls = []

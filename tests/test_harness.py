@@ -200,6 +200,29 @@ n,tv_mid,tv_lo,tv_hi
 }
 
 
+#: ``(raw, slack)`` of the product runs at r = 3 on a 512^2 grid, as
+#: ``float.hex``, by n
+GOLDEN_2D_TV = {
+    "exponential*uniform": {
+        32: ("0x1.bc57ebee44b40p-7", "0x1.10294ae509b11p-39"),
+        1024: ("0x1.b5be78b0a853fp-12", "0x1.0fb48552c7fb9p-42"),
+    },
+    "laplace*gamma": {
+        32: ("0x1.85ecd2900f99ap-7", "0x1.488a9fc80e752p-41"),
+        1024: ("0x1.8841f293c612dp-12", "0x1.011cd575af397p-42"),
+    },
+}
+
+
+@pytest.mark.parametrize("dist", sorted(GOLDEN_2D_TV))
+def test_2d_report_matches_golden_bits(dist):
+    want = GOLDEN_2D_TV[dist]
+    report = run_rate(RateConfig(dist=dist, r=3, n_list=tuple(want), grid_points=512))
+    got = {n: (tv.raw.hex(), tv.slack.hex())
+           for n, tv in zip(report.n_values, report.tv_values)}
+    assert got == want
+
+
 @pytest.mark.parametrize("dist,r", sorted(GOLDEN_1D_REPORTS))
 def test_1d_report_matches_golden_csv(dist, r):
     buf = io.StringIO()

@@ -25,6 +25,7 @@ from edgeworth.moments import (
     ProductDistribution,
     Uniform,
     UserDensity,
+    _binomial_moment,
     cumulants_to_moments,
     delta,
     fixture_table,
@@ -466,6 +467,70 @@ def test_central_moment_memoizes_raw_moments(name):
         plain = sum(math.comb(k, j) * fresh.raw_moment(j) * (-mu) ** (k - j)
                     for j in range(k + 1))
         assert got[k] == plain
+
+
+def _plain_normal(k, mu, sigma):
+    return sum(math.comb(k, j) * math.prod(range(j - 1, 0, -2)) * sigma**j * mu ** (k - j)
+               for j in range(0, k + 1, 2))
+
+
+# raw moments of the base laws as plain Fraction sums and products, for
+# parameters other than the registry defaults
+PLAIN_RAW_MOMENTS = {
+    "laplace(mu=1/3,b=2)": lambda k: sum(
+        math.comb(k, j) * math.factorial(j) * F(2) ** j * F(1, 3) ** (k - j)
+        for j in range(0, k + 1, 2)),
+    "normal(mu=-1/2,sigma=3/2)": lambda k: _plain_normal(k, F(-1, 2), F(3, 2)),
+    "gamma(shape=3/2,scale=2/3)": lambda k: math.prod(
+        [F(3, 2) + i for i in range(k)], start=F(1)) * F(2, 3) ** k,
+    "uniform(a=-1,b=5)": lambda k: (F(5) ** (k + 1) - F(-1) ** (k + 1)) / (6 * (k + 1)),
+    "exponential(rate=3)": lambda k: F(math.factorial(k), 3**k),
+    "atom_mixture(p=1/10,atom=-3)": lambda k: (
+        F(1, 10) * _plain_normal(k, F(0), F(1)) + F(9, 10) * F(-3) ** k),
+    "gauss_mixture": lambda k: (F(3, 10) * _plain_normal(k, F(-1), F(1, 2))
+                                + F(7, 10) * _plain_normal(k, F(3, 7), F(1))),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(PLAIN_RAW_MOMENTS))
+def test_exact_moments_match_plain_fraction_formulas(spec):
+    d = make_distribution(spec)
+    raw = [PLAIN_RAW_MOMENTS[spec](k) for k in range(17)]
+    mu = raw[1]
+    central = [sum(math.comb(k, j) * raw[j] * (-mu) ** (k - j) for j in range(k + 1))
+               for k in range(17)]
+    for k in range(17):
+        got_raw, got_central = d.base.raw_moment(k), d.base.central_moment(k)
+        assert type(got_raw) is F and got_raw == raw[k], k
+        assert type(got_central) is F and got_central == central[k], k
+        if k % 2 == 0:  # the standardized law's even moments need no square root
+            assert d.raw_moment(k) == central[k] / central[2] ** (k // 2), k
+
+
+def test_gamma_recurrence_reaches_a_cold_high_order():
+    # filled from the lowest order up, so a cold order 600 does not recurse 600 deep
+    got = Gamma(shape=F(3, 2), scale=F(2, 3)).raw_moment(600)
+    assert got == PLAIN_RAW_MOMENTS["gamma(shape=3/2,scale=2/3)"](600)
+
+
+@given(st.lists(st.fractions(max_denominator=50), min_size=1, max_size=17),
+       st.fractions(max_denominator=50), st.fractions(max_denominator=50))
+def test_binomial_moment_matches_fraction_sum(z, s, c):
+    k = len(z) - 1
+    want = sum((math.comb(k, j) * z[j] * s**j * c ** (k - j) for j in range(k + 1)), F(0))
+    got = _binomial_moment(z, s, c)
+    assert type(got) is F and got == want
+
+
+def test_user_density_central_moments_keep_the_float_sum():
+    d = UserDensity(lambda x: (x + 3) / 32, (-3, 5), label="ramp", max_order=10)
+    mu = d.raw_moment(1)
+    for k in range(11):
+        acc = 0
+        for j in range(k + 1):
+            acc += math.comb(k, j) * d.raw_moment(j) * (-mu) ** (k - j)
+        got = d.central_moment(k)
+        assert type(got) is float and got.hex() == float(acc).hex(), k
 
 
 def test_gauss_mixture_char_fn_matches_component_matmul():

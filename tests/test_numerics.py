@@ -256,6 +256,20 @@ def test_tv_interval_accounting():
     assert tv.mid == pytest.approx(1.5e-3)
 
 
+@pytest.mark.parametrize("m", [2**12, 256])
+def test_tv_leaves_both_grids_unchanged(m):
+    x = _axis(16.0, m)
+    if m == 256:  # a product grid
+        p = GridDensity(16.0, np.multiply.outer(normal_pdf(x), normal_pdf(x, mu=0.2)))
+        q = GridDensity(16.0, np.multiply.outer(normal_pdf(x, s=1.3), normal_pdf(x)))
+    else:
+        p, q = _grid_from(normal_pdf, m=m), _grid_from(lambda t: normal_pdf(t, mu=0.2), m=m)
+    pv, qv = p.values.copy(), q.values.copy()
+    raw = tv_distance(p, q).raw
+    assert np.array_equal(p.values, pv) and np.array_equal(q.values, qv)
+    assert raw == float(np.abs(pv - qv).sum() * p.cell_volume)
+
+
 def test_tv_grid_mismatch():
     p = _grid_from(normal_pdf, m=2**10)
     q = _grid_from(normal_pdf, m=2**11)
