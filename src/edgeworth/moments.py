@@ -783,9 +783,9 @@ def delta(dist: Distribution, alpha: MultiIndex):
 class MomentTable:
     """``delta`` values up to an order, each computed on its first read.
 
-    The table is what the operator algebra consumes; its one source is a
-    standardized distribution, a dictionary of rational values or the
-    closed-form fixture (the last two drive the exact identity tests).
+    The table is what the operator algebra consumes; its one source is
+    ``delta`` of a standardized distribution or the closed-form fixture
+    (which drives the exact identity tests).
     Multiindex keys are canonicalized by sorting, which is sound because
     moments are symmetric under permutation of the index.
 
@@ -809,15 +809,6 @@ class MomentTable:
                 f"requested order {max_order} > declared {dist.max_order}"
             )
         return cls(dist.dim, max_order, functools.partial(delta, dist))
-
-    @classmethod
-    def from_deltas(cls, dim, max_order, deltas) -> "MomentTable":
-        """Fixture constructor for exact rational moment differences."""
-        for k in deltas:
-            if len(k) <= 2:
-                raise ValueError("delta values for |alpha| <= 2 must be zero")
-        deltas = {tuple(sorted(k)): v for k, v in deltas.items()}
-        return cls(dim, max_order, lambda key: deltas.get(key, ZERO))
 
     def delta(self, alpha: MultiIndex):
         if len(alpha) <= 2:

@@ -88,8 +88,10 @@ class GridDensity:
         x = _axis(self.halfwidth, shape[0])
         self.axes = (x,) * len(shape)
         self.cell_volume = math.prod([x[1] - x[0]] * len(shape))
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("grid density contains non-finite values")
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = float(self.values.sum())
+        if not math.isfinite(total):  # NaN or inf; no grid-sized temporary
+            raise ValueError("grid density contains non-finite values or its sum overflows")
 
     @property
     def dim(self) -> int:

@@ -149,9 +149,6 @@ class _SparseTerms:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def max_coeff_diff(self, other) -> float:
-        return max((abs(float(c)) for c in (self - other).terms.values()), default=0.0)
-
 
 def _power_table(x: np.ndarray, top: int) -> list:
     """``[x^0, x^1, ..., x^top]`` by repeated multiplication, ``x^p = x^{p-1} x``.

@@ -24,6 +24,7 @@ from edgeworth.moments import MomentTable, fixture_table, make_distribution, shi
 from edgeworth.opalg import DiffOperator, MultiPoly, a_op, psi_k_op, t_op
 from edgeworth.splitting import split
 from faulhaber_oracle import a_coeffs_faulhaber, b_coeffs, bernoulli
+from fixture_oracle import max_coeff_diff
 from ordered_oracle import a_ordered
 from quadrature_oracle import gauss_hermite
 from recursion_oracle import psi_k_recursive
@@ -141,7 +142,7 @@ def test_criterion_04_classical_edgeworth_recovery():
         )
         for got, want in ((k_poly(table, 1), k1c), (k_poly(table, 2), k2c),
                           (k_poly(table, 3), k3c)):
-            worst = max(worst, got.max_coeff_diff(want))
+            worst = max(worst, max_coeff_diff(got, want))
     _verdict(4, worst <= 1e-12,
              f"coefficient-wise deviation {worst:.2e} (<= 1e-12) on 3 laws")
 

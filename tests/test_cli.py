@@ -1,5 +1,6 @@
 """CLI surface: schemas, exit codes, determinism."""
 
+import re
 import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
@@ -73,10 +74,6 @@ def test_rate_config_with_inline_flags_exits_2(tmp_path, capsys):
     assert "--dist" in err and "--r" in err and "--n-list" not in err
 
 
-def test_rate_missing_args_exit_2(capsys):
-    assert run(capsys, "rate")[0] == 2
-
-
 def cache_sizes_from(err):
     line = next(l for l in err.splitlines() if l.startswith("# table cache entries:"))
     fields = dict(f.split("=") for f in line.split(":", 1)[1].split())
@@ -107,14 +104,6 @@ def test_ops_fixture_table_exact(capsys):
     assert len(lines) > 1
     key, num, den = lines[1].split(",")
     assert den.lstrip("-").isdigit() and num.lstrip("-").isdigit()
-
-
-def test_ops_operator_order_below_one_exit_2(capsys):
-    code, out, err = run(capsys, "ops", "--dist", "fixture2d", "--family", "a",
-                         "--t", "6", "--i", "0")
-    assert code == 2
-    assert out == ""
-    assert "error:" in err and "i must be >= 1" in err
 
 
 def test_ops_float_table(capsys):
@@ -226,10 +215,6 @@ def test_taylor_command(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "L,residual"
     assert [r.split(",")[1] for r in lines[1:]] == ["0"] * 3
-
-
-def test_unknown_distribution_exit_2(capsys):
-    assert run(capsys, "kpoly", "--dist", "zeta")[0] == 2
 
 
 # --- flag surface: each flag only where its command reads it ---------------------
@@ -363,6 +348,10 @@ def test_ibp_nan_z_fails(capsys, monkeypatch):
     (["tv", "--dist", "uniform", "--n", "1", "--points", "2"], "mass defect"),
     (["density", "--dist", "exponential", "--n", "4", "--points", "4", "--kind", "edgeworth"],
      "mass defect"),
+    (["ibp", "--dist", "uniform", "--n", "4", "--samples", "1"], "samples must be >= 2"),
+    (["rate"], "rate needs --config or --dist/--r/--n-list"),
+    (["ops", "--dist", "fixture2d", "--family", "a", "--t", "6", "--i", "0"], "i must be >= 1"),
+    (["kpoly", "--dist", "zeta"], "unknown distribution 'zeta'"),
 ], ids=["singular-covariance", "aliasing", "order-exceeded", "sigtail-no-samples",
         "ibp-no-samples", "sigtail-no-n", "ibp-n-zero", "sigtail-n-zero", "taylor-no-coeffs",
         "tv-negative-halfwidth", "tv-zero-halfwidth", "density-negative-halfwidth",
@@ -370,10 +359,60 @@ def test_ibp_nan_z_fails(capsys, monkeypatch):
         "taylor-negative-level", "ops-psi-negative-t", "ops-a-negative-t",
         "ops-t-negative-t", "rate-r-zero", "rate-empty-n-list",
         "tv-negative-exponential-rate", "kpoly-empty-uniform", "tv-coarse-gamma-grid",
-        "density-coarse-gamma-grid"])
+        "density-coarse-gamma-grid", "ibp-one-sample", "rate-missing-args", "ops-a-order-zero",
+        "unknown-distribution"])
 def test_runtime_errors_exit_2(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+# --- entry-point runs: each exits 0, and its table matches the pattern given -----
+
+NO_RUNTIME_WARNING = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+
+@pytest.mark.parametrize("row", [
+    ("split --dist uniform --samples 2000", ""),
+    ("sigtail --dist uniform --n-list 10,50 --samples 10000", ""),
+    # the Chernoff bound holds at every n: no calibration point, no exempt small n
+    ("sigtail --dist uniform --n-list 12 --samples 10000", ""),
+    ("sigtail --dist laplace --n-list 17 --samples 10000", ""),
+    ("sigtail --dist uniform --n-list 1,2,3 --samples 10000", ""),
+    # the Taylor identity is exact: every residual cell reads 0
+    ("taylor --out {out}", r"L,residual\n(\d+,0\n)+\Z"),
+    # both sides of the IBP identity on one paired stream: its SE is a column
+    ("ibp --dist exponential --n 16 --samples 20000 --out {out}",
+     "f,n,samples,lhs,lhs_se,rhs,rhs_se,diff_se,z\n"),
+    # the spectrum cut takes logs of envelopes that underflow: no warning may escape
+    pytest.param(("rate --dist atom_mixture --r 3 --n-list 32,1024", ""),
+                 marks=NO_RUNTIME_WARNING),
+    pytest.param(("tv --dist uniform --n 1", ""), marks=NO_RUNTIME_WARNING),
+    # a product grid is one real irfft per axis; its tail bound loops over the factors
+    pytest.param(("tv --dist exponential*uniform --n 4", ""), marks=NO_RUNTIME_WARNING),
+    pytest.param(("tv --dist exponential*uniform*laplace --n 8", ""), marks=NO_RUNTIME_WARNING),
+    ("ops --dist fixture2d --family a --i 2 --t 7", "multiindex,numerator,denominator\n"),
+    ("ops --dist fixture2d --family t --n 12 --t 9", "multiindex,numerator,denominator\n"),
+    # K_6 from an order-8 table, a 3-D table filled on first read, non-integer Gamma moments
+    ("kpoly --dist exponential --m 6", "exponents,coefficient\n"),
+    ("kpoly --dist exponential*uniform*laplace --m 3", "exponents,coefficient\n"),
+    ("kpoly --dist gamma(shape=3/2,scale=2/3) --m 4", "exponents,coefficient\n"),
+], ids=lambda row: row[0])
+def test_entry_point_runs(tmp_path, capsys, row):
+    command, pattern = row
+    out_file = tmp_path / "table.csv"
+    code, out, _ = run(capsys, *(arg.format(out=out_file) for arg in command.split()))
+    assert code == 0
+    assert re.match(pattern, out_file.read_text() if "{out}" in command else out)
+
+
+@NO_RUNTIME_WARNING
+@pytest.mark.parametrize("spec", ["exponential*uniform", "laplace*gamma"])
+def test_product_rate_runs_on_512_grids(tmp_path, capsys, spec):
+    # the benchmark's product rate runs, summed in place; rate has no --points flag
+    cfg = tmp_path / "rate2d.cfg"
+    cfg.write_text(f"dist = {spec}\nr = 3\nn_list = 32, 64, 128, 256, 512, 1024\n"
+                   "grid_points = 512\n")
+    assert run(capsys, "rate", "--config", str(cfg))[0] == 0

@@ -1,0 +1,13 @@
+"""Each demo script runs to its end in-process, under the suite's warning filters."""
+
+import runpy
+from pathlib import Path
+
+import pytest
+
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=[p.stem for p in DEMOS])
+def test_demo_runs(path):
+    runpy.run_path(str(path), run_name="__main__")

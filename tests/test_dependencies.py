@@ -34,15 +34,6 @@ def test_runtime_imports_are_stdlib_numpy_or_scipy():
     assert foreign == []
 
 
-def test_import_does_not_load_scipy_stats():
-    # scipy.stats costs a large share of the import time and no library path needs it
-    code = "import sys, edgeworth; print('scipy.stats' in sys.modules)"
-    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env=env)
-    assert out.stdout.strip() == "False"
-
-
 def _run_python(code: str) -> str:
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -51,6 +42,12 @@ def _run_python(code: str) -> str:
 
 
 SCIPY_MODULES = "[m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]"
+
+
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats costs a large share of the import time and no library path needs it
+    code = "import sys, edgeworth; print('scipy.stats' in sys.modules)"
+    assert _run_python(code) == "False"
 
 
 def test_import_loads_no_scipy():

@@ -36,7 +36,7 @@ from edgeworth.moments import (
     standardize,
 )
 from edgeworth.numerics import _int_power, law_of_sn
-from fixture_oracle import fixture_deltas
+from fixture_oracle import fixture_deltas, table_from_deltas
 from grid_oracle import user_char_fn
 
 
@@ -341,7 +341,7 @@ def test_fixture_table_matches_eager_oracle(dim):
 
 
 def test_table_rejects_coordinates_outside_its_dimension():
-    tables = [fixture_table(2, 5), MomentTable.from_deltas(2, 5, {}),
+    tables = [fixture_table(2, 5), table_from_deltas(2, 5, {}),
               MomentTable.from_distribution(make_distribution("exponential*uniform"), 5)]
     for t in tables:
         for alpha in [(1, 3, 3), (0, 1, 1)]:

@@ -182,6 +182,13 @@ def test_grid_rejects_values_off_its_axes():
     assert GridDensity(2.0, np.full((4, 4), 0.5)).mass() == 8.0
 
 
+@pytest.mark.parametrize("bad", [[math.nan], [math.inf], [-math.inf], [math.inf, -math.inf],
+                                 [1e308, 1e308]])
+def test_grid_rejects_values_whose_sum_is_not_finite(bad):
+    with pytest.raises(ValueError, match="non-finite values or its sum overflows"):
+        GridDensity(2.0, np.array(bad + [0.0] * (8 - len(bad))))
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_grid_built_directly_holds_the_cached_axis(dim):
     g = GridDensity(12.0, np.zeros((8,) * dim))
