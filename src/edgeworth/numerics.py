@@ -86,6 +86,7 @@ class GridDensity:
         if not shape or len(set(shape)) > 1:
             raise ValueError(f"grid values of shape {shape} do not match an m^N layout")
         x = _axis(self.halfwidth, shape[0])
+        self.values = np.ascontiguousarray(self.values)  # tv_distance sums in C order
         self.axes = (x,) * len(shape)
         self.cell_volume = math.prod([x[1] - x[0]] * len(shape))
         with np.errstate(over="ignore", invalid="ignore"):
@@ -219,8 +220,10 @@ def sn_tail_bound(dist: Distribution, n: int, L: float) -> float:
     ``min(16, max_order)``, kept on the law for every ``n``, times
     ``n^{1-j/2}`` are those of the coordinate ``X`` of ``S_n``; the least of
     1 and the ratios ``E X^{2k} / L^{2k}`` of their float moments bounds
-    ``P(|X| > L)``.  The factors' bounds add, capped at 1; a multivariate
-    law that is not a product raises ``NotImplementedError``.
+    ``P(|X| > L)``; an order whose ``L^{2k}`` underflows gives no ratio, and
+    one whose ``L^{2k}`` overflows gives 0.  The factors' bounds add, capped
+    at 1; a multivariate law that is not a product raises
+    ``NotImplementedError``.
     """
     total = 0.0
     for law in dist.factors():
@@ -234,7 +237,12 @@ def sn_tail_bound(dist: Distribution, n: int, L: float) -> float:
             [k * n ** (1 - j / 2.0) for j, k in enumerate(ks, start=1)])
         best = 1.0
         for m2 in range(2, order + 1, 2):
-            best = min(best, max(ms[m2 - 1], 0.0) / L**m2)
+            try:
+                power = L**m2
+            except OverflowError:  # the ratio is 0 to a double
+                power = math.inf
+            if power:  # one that underflows to 0 bounds nothing
+                best = min(best, max(ms[m2 - 1], 0.0) / power)
         total += best
     return min(total, 1.0)
 
@@ -242,6 +250,8 @@ def sn_tail_bound(dist: Distribution, n: int, L: float) -> float:
 #: ``log(2^-1074)``: a spectrum entry bounded below the smallest positive
 #: double is left 0 rather than computed.
 _LOG_TINY = -1074 * math.log(2)
+#: ``_spectrum_prefix`` bounds every ``_CUT_STRIDE``-th entry, then one block between two.
+_CUT_STRIDE = 64
 
 
 def _spectrum_prefix(law: Distribution, n: int, s) -> int:
@@ -253,20 +263,33 @@ def _spectrum_prefix(law: Distribution, n: int, s) -> int:
     ``n log a + log expm1(n log1p(e/a))``: the plain difference cancels to 0
     once ``e < eps a``, and ``a^n`` underflows at large ``n``.  A law without
     an envelope keeps the whole axis.
+
+    The envelope does not increase with ``|t|``, so neither does the bound,
+    and the index is the one a scan of the whole axis gives from about
+    ``len(s) / 64 + 64`` evaluations: the bound is taken on every
+    ``_CUT_STRIDE``-th entry, and then on the one block of entries between
+    the last of those at or above ``2^-1074`` and the next.
     """
-    env = law.char_envelope
-    if env is None:
+    if law.char_envelope is None:
         return len(s)
+    coarse = np.flatnonzero(_log_sn_bound(law, n, s[::_CUT_STRIDE]) >= _LOG_TINY)
+    if not coarse.size:
+        return 0
+    start = int(coarse[-1]) * _CUT_STRIDE + 1
+    fine = np.flatnonzero(_log_sn_bound(law, n, s[start:start + _CUT_STRIDE - 1]) >= _LOG_TINY)
+    return start + (int(fine[-1]) + 1 if fine.size else 0)
+
+
+def _log_sn_bound(law: Distribution, n: int, s):
+    """Log of the bound on ``|phi(s)^n|`` less its atomic part; see
+    ``_spectrum_prefix``."""
     a = law.singular_mass
     with np.errstate(divide="ignore", over="ignore"):
-        e = env(s)
+        e = law.char_envelope(s)
         if a:
             y = n * np.log1p(e / a)
-            log_bound = n * math.log(a) + y + np.log(-np.expm1(-y))
-        else:
-            log_bound = n * np.log(e)
-    above = np.flatnonzero(log_bound >= _LOG_TINY)
-    return int(above[-1]) + 1 if above.size else 0
+            return n * math.log(a) + y + np.log(-np.expm1(-y))
+        return n * np.log(e)
 
 
 def _sn_char_fn(law: Distribution, n: int, t):
@@ -321,6 +344,10 @@ def law_of_sn(dist: Distribution, n: int, points: int | None = None,
     return g
 
 
+#: Elements per block of ``tv_distance``'s sum: a 128 KiB buffer of doubles.
+_TV_BLOCK = 2**14
+
+
 @dataclass
 class TVInterval:
     """Total variation as an interval ``[raw, raw + slack]``.
@@ -356,12 +383,26 @@ def tv_distance(p: GridDensity, q: GridDensity) -> TVInterval:
     and singular masses of both arguments.  The interval accounts for the
     mass the grids do not carry, not for the discretization error of the
     grid values themselves.  Both must have the same half-width and shape.
-    ``|p - q|`` is formed in one fresh array, in place; neither grid is
-    written.
+    Neither grid is written.
+
+    ``|p - q|`` is summed in aligned blocks of ``_TV_BLOCK`` elements
+    through one reused buffer, and the block sums are added pairwise in
+    order, so no grid-sized temporary is formed.  numpy sums an array of
+    more than 128 elements by halving it, so on a power-of-two grid size,
+    which every ``m^N`` grid has, this is exactly its sum of the whole
+    ``|p - q|``, bit for bit.
     """
     if (p.halfwidth, p.values.shape) != (q.halfwidth, q.values.shape):
         raise GridMismatch("grids have different layouts")
-    diff = np.subtract(p.values, q.values)
-    raw = float(np.abs(diff, out=diff).sum() * p.cell_volume)
+    pv, qv = p.values.reshape(-1), q.values.reshape(-1)  # views: values are C-ordered
+    block = min(pv.size, _TV_BLOCK)  # both powers of two: the blocks tile the grid
+    buf, sums = np.empty(block), np.empty(pv.size // block)
+    for i in range(len(sums)):
+        lo = i * block
+        np.subtract(pv[lo:lo + block], qv[lo:lo + block], out=buf)
+        sums[i] = np.abs(buf, out=buf).sum()
+    while len(sums) > 1:
+        sums = sums[0::2] + sums[1::2]
+    raw = float(sums[0] * p.cell_volume)
     slack = p.tail_mass_bound + q.tail_mass_bound + p.singular_mass + q.singular_mass
     return TVInterval(raw, slack)

@@ -10,7 +10,9 @@ as references for the tests:
 * the 2-D characteristic-function inverter over a meshgrid of frequencies;
 * the 2-D corrected density evaluated point by point on a meshgrid;
 * the dense trapezoid characteristic function of a user density, which
-  builds the whole ``frequencies x 8193`` kernel at once.
+  builds the whole ``frequencies x 8193`` kernel at once;
+* the spectrum cut found by bounding every entry of the axis, where the
+  library bounds every 64th entry and one block between two.
 """
 
 import functools
@@ -19,7 +21,7 @@ import math
 import numpy as np
 
 from edgeworth.correctors import edgeworth_density
-from edgeworth.numerics import _axis
+from edgeworth.numerics import _LOG_TINY, _axis
 
 # numpy < 2.0 has only the older name
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -91,3 +93,20 @@ def user_char_fn(dist, t):
     t = np.atleast_1d(np.asarray(t, dtype=float))
     ker = np.exp(1j * np.outer(t, xs))
     return _trapezoid(ker * fx, xs, axis=-1)
+
+
+def spectrum_prefix_full(law, n, s):
+    """``_spectrum_prefix`` from the bound on every entry of the axis ``s``."""
+    env = law.char_envelope
+    if env is None:
+        return len(s)
+    a = law.singular_mass
+    with np.errstate(divide="ignore", over="ignore"):
+        e = env(s)
+        if a:
+            y = n * np.log1p(e / a)
+            log_bound = n * math.log(a) + y + np.log(-np.expm1(-y))
+        else:
+            log_bound = n * np.log(e)
+    above = np.flatnonzero(log_bound >= _LOG_TINY)
+    return int(above[-1]) + 1 if above.size else 0

@@ -352,6 +352,9 @@ def test_ibp_nan_z_fails(capsys, monkeypatch):
     (["rate"], "rate needs --config or --dist/--r/--n-list"),
     (["ops", "--dist", "fixture2d", "--family", "a", "--t", "6", "--i", "0"], "i must be >= 1"),
     (["kpoly", "--dist", "zeta"], "unknown distribution 'zeta'"),
+    # L^2k underflows (no bound: tail 1) or overflows (ratio 0) in sn_tail_bound
+    (["tv", "--dist", "uniform", "--n", "4", "--halfwidth", "1e-25"], "window too small"),
+    (["tv", "--dist", "uniform", "--n", "4", "--halfwidth", "1e300"], "mass defect"),
 ], ids=["singular-covariance", "aliasing", "order-exceeded", "sigtail-no-samples",
         "ibp-no-samples", "sigtail-no-n", "ibp-n-zero", "sigtail-n-zero", "taylor-no-coeffs",
         "tv-negative-halfwidth", "tv-zero-halfwidth", "density-negative-halfwidth",
@@ -360,7 +363,7 @@ def test_ibp_nan_z_fails(capsys, monkeypatch):
         "ops-t-negative-t", "rate-r-zero", "rate-empty-n-list",
         "tv-negative-exponential-rate", "kpoly-empty-uniform", "tv-coarse-gamma-grid",
         "density-coarse-gamma-grid", "ibp-one-sample", "rate-missing-args", "ops-a-order-zero",
-        "unknown-distribution"])
+        "unknown-distribution", "tv-tiny-halfwidth", "tv-huge-halfwidth"])
 def test_runtime_errors_exit_2(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2

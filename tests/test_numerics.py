@@ -36,7 +36,7 @@ from edgeworth.numerics import (
     tv_distance,
 )
 from closed_form_oracle import atom_mixture_sn, gauss_mixture_sn, normal_pdf
-from grid_oracle import law_of_sn_2d, law_of_sn_full
+from grid_oracle import law_of_sn_2d, law_of_sn_full, spectrum_prefix_full
 from quadrature_oracle import gauss_hermite
 
 
@@ -277,6 +277,45 @@ def test_tv_leaves_both_grids_unchanged(m):
     assert raw == float(np.abs(pv - qv).sum() * p.cell_volume)
 
 
+def _random_signed_values(shape, seed):
+    # magnitudes over about 17 decades, so the order of the additions shows
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(shape) * np.exp(rng.uniform(-30.0, 10.0, shape))
+
+
+@pytest.mark.parametrize("shape", [(2**k,) for k in range(4, 17)]
+                         + [(m, m) for m in (64, 128, 256, 512, 1024)] + [(128,) * 3],
+                         ids=lambda shape: "x".join(map(str, shape)))
+def test_blocked_tv_is_numpy_sum_bit_for_bit(shape):
+    # the blocks of 2^14 and their pairwise sums follow numpy's pairwise sum
+    # of the whole |p - q| on every power-of-two size
+    p = GridDensity(16.0, _random_signed_values(shape, 1))
+    q = GridDensity(16.0, _random_signed_values(shape, 2))
+    want = float(np.abs(p.values - q.values).sum() * p.cell_volume)
+    assert tv_distance(p, q).raw == want
+
+
+def test_blocked_tv_of_fortran_ordered_grids():
+    # the grid keeps C order, so the blocks run over the elements in the order
+    # numpy sums a C-ordered |p - q|
+    pv, qv = _random_signed_values((256, 256), 3), _random_signed_values((256, 256), 4)
+    p, q = GridDensity(16.0, np.asfortranarray(pv)), GridDensity(16.0, np.asfortranarray(qv))
+    assert p.values.flags.c_contiguous and np.array_equal(p.values, pv)
+    assert tv_distance(p, q).raw == float(np.abs(pv - qv).sum() * p.cell_volume)
+
+
+def test_blocked_tv_allocates_no_grid_sized_temporary():
+    p = GridDensity(16.0, _random_signed_values((512, 512), 5))
+    q = GridDensity(16.0, _random_signed_values((512, 512), 6))
+    tracemalloc.start()
+    try:
+        tv_distance(p, q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < p.values.nbytes / 4
+
+
 def test_tv_grid_mismatch():
     p = _grid_from(normal_pdf, m=2**10)
     q = _grid_from(normal_pdf, m=2**11)
@@ -436,6 +475,15 @@ def test_sn_tail_bound_bits_are_pinned(spec):
             # the first call computes the law's cumulants, the rest reuse them
             assert sn_tail_bound(d, n, L) == bound, (n, L)
 
+@pytest.mark.parametrize("spec", ["uniform", "atom_mixture", "exponential*uniform"])
+def test_sn_tail_bound_at_extreme_halfwidths(spec):
+    # L^2k underflows to 0 at L = 1e-25 (those orders bound nothing) and
+    # overflows at L = 1e300 (their ratios are 0)
+    d = make_distribution(spec)
+    assert sn_tail_bound(d, 4, 1e-25) == 1.0
+    assert sn_tail_bound(d, 4, 1e300) == 0.0
+
+
 # --- observability and memory ------------------------------------------------------
 
 def test_negative_mass():
@@ -549,6 +597,27 @@ def test_atom_spectrum_prefix_is_the_exact_cut(n):
     tiny, tol = Fraction(2) ** -1074, Fraction(1, 10**9)
     assert bound(k - 1) >= tiny * (1 - tol)
     assert bound(k) < tiny * (1 + tol)
+
+
+_CUT_LAWS = shipped_labels() + [
+    "normal", "atom_mixture(p=0.1)", "atom_mixture(p=0.02)", "gamma(shape=3/2,scale=2/3)",
+    "exponential*uniform[0]", "exponential*uniform[1]", "laplace*gamma[0]", "laplace*gamma[1]"]
+
+
+@pytest.mark.parametrize("spec", _CUT_LAWS)
+def test_spectrum_prefix_matches_full_scan(spec):
+    # the cut is found from every 64th entry and one block between two; the
+    # full scan bounds every entry of the axis
+    name, _, i = spec.partition("[")
+    law = make_distribution(name).factors()[int(i[:-1]) if i else 0]
+    ns = list(range(1, 40)) + [64, 100, 128, 256, 512, 1000, 1024, 4096]
+    for m in [64, 512, 2**10, 2**14, 2**16]:
+        for halfwidth in [12.0, 16.0, 40.0]:
+            t = np.arange(m // 2 + 1) * (math.pi / halfwidth)
+            for n in ns:
+                s = t / math.sqrt(n)
+                want = spectrum_prefix_full(law, n, s)
+                assert _spectrum_prefix(law, n, s) == want, (m, halfwidth, n)
 
 
 @pytest.mark.parametrize("name", shipped_labels() + ["normal"])
