@@ -13,8 +13,10 @@ Only a prefix of each axis's spectrum is computed.  A law's
 ``Distribution``), and past the first frequency where the bound on
 ``phi(t/sqrt(n))^n`` is below ``2^-1074``, the smallest positive double,
 the spectrum is left 0 instead of evaluated: there every entry would
-round to 0 anyway.  A law without an envelope has its whole spectrum
-evaluated.
+round to 0 anyway.  The envelope does not increase with ``|t|``, so that
+frequency is found from the bound on every 64th frequency and on one
+block of 63 between two.  A law without an envelope has its whole
+spectrum evaluated.
 
 A grid is a half-width and an ``m^N`` array of values, with the axis
 ``_axis(halfwidth, m)``, the one check of a layout, in every coordinate;
@@ -23,7 +25,9 @@ two grids are comparable only on exactly the same layout.
 Total variation follows the no-half convention:
 ``d_TV(mu, nu) = sup_{|f| <= 1} |int f dmu - int f dnu|``, i.e. the full
 L1 distance between densities, which is why disjoint probability measures
-are at distance 2.
+are at distance 2.  It is summed in cache-sized blocks whose sums are
+added pairwise, which on the power-of-two size of every grid is numpy's
+sum of the whole ``|p - q|``, bit for bit, with no grid-sized temporary.
 
 Each grid carries two certificates: a bound on the mass outside the
 window and the exact singular mass.  The FFT's own discretization error
@@ -344,10 +348,6 @@ def law_of_sn(dist: Distribution, n: int, points: int | None = None,
     return g
 
 
-#: Elements per block of ``tv_distance``'s sum: a 128 KiB buffer of doubles.
-_TV_BLOCK = 2**14
-
-
 @dataclass
 class TVInterval:
     """Total variation as an interval ``[raw, raw + slack]``.
@@ -374,6 +374,10 @@ class TVInterval:
     @property
     def width(self) -> float:
         return self.slack
+
+
+#: Elements per block of ``tv_distance``'s sum: a 128 KiB buffer of doubles.
+_TV_BLOCK = 2**14
 
 
 def tv_distance(p: GridDensity, q: GridDensity) -> TVInterval:
