@@ -126,13 +126,15 @@ def k_poly(table: MomentTable, m: int) -> MultiPoly:
 
 
 def gaussian_pdf(x, dim: int = 1):
-    """Standard normal density on R^N, vectorized (last axis = coordinates)."""
+    """Standard normal density on R^N, vectorized (last axis = coordinates).
+
+    Past ``|x| ~ 1.3e154`` the square overflows to ``inf``, and
+    ``exp(-inf) = 0`` is the exact double, so the overflow is not reported.
+    """
     x = np.asarray(x, dtype=float)
-    if dim == 1:
-        sq = x * x
-    else:
-        sq = np.sum(x * x, axis=-1)
-    return np.exp(-0.5 * sq) / (2 * math.pi) ** (dim / 2)
+    with np.errstate(over="ignore"):
+        sq = x * x if dim == 1 else np.sum(x * x, axis=-1)
+        return np.exp(-0.5 * sq) / (2 * math.pi) ** (dim / 2)
 
 
 def gaussian_expect_poly(poly: MultiPoly):

@@ -318,8 +318,9 @@ class _Standardized1D(Distribution):
         self.is_standardized = True
 
     def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return self._sd_f * self.base.pdf(self._sd_f * x + self._mu_f)
+        y = self._sd_f * np.asarray(x, dtype=float)
+        y += self._mu_f
+        return self._sd_f * self.base.pdf(y)
 
     def char_fn(self, t):
         t = np.asarray(t, dtype=float)
@@ -351,11 +352,19 @@ class _Standardized1D(Distribution):
         return float(c) / self._sd_f**k
 
     def sample(self, rng, size):
-        return (self.base.sample(rng, size) - self._mu_f) / self._sd_f
+        return self._standardize(self.base.sample(rng, size))
 
     def sample_parts(self, rng, size):
         vals, mask = self.base.sample_parts(rng, size)
-        return (vals - self._mu_f) / self._sd_f, mask
+        return self._standardize(vals), mask
+
+    def _standardize(self, vals):
+        """``(vals - mean) / std`` in place on a fresh float array: the same
+        bits as the out-of-place expression, without its two temporaries."""
+        vals = np.asarray(vals, dtype=float)
+        vals -= self._mu_f
+        vals /= self._sd_f
+        return vals
 
     def support(self):
         lo, hi = self.base.support()

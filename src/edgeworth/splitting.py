@@ -76,19 +76,23 @@ def psi_loc(a: float, x):
     if a <= 0:
         raise ValueError("a must be > 0")
     x = np.asarray(x, dtype=float)
-    u = np.abs(x.reshape(-1))
-    out = (u <= a).astype(float)
-    band = np.flatnonzero((u > a) & (u < 2 * a))
-    if band.size:
-        # exp(1 - a^2 / (a^2 - (u - a)^2)), in place on the band gather
-        g = u[band]
-        g -= a
-        np.square(g, out=g)
-        np.subtract(a * a, g, out=g)
-        np.divide(-a * a, g, out=g)
-        g += 1.0
-        out[band] = np.exp(g, out=g)
+    out = _psi_radial(a, np.abs(x.reshape(-1)))
     return out.reshape(x.shape) if x.ndim else float(out[0])
+
+
+def _psi_radial(a: float, u: np.ndarray) -> np.ndarray:
+    """``psi_a`` at the radii ``u >= 0`` of a 1-D float array, written over ``u``."""
+    band = np.flatnonzero((u > a) & (u < 2 * a))
+    # exp(1 - a^2 / (a^2 - (u - a)^2)), in place on the band gather
+    g = u[band]
+    g -= a
+    np.square(g, out=g)
+    np.subtract(a * a, g, out=g)
+    np.divide(-a * a, g, out=g)
+    g += 1.0
+    np.less_equal(u, a, out=u)
+    u[band] = np.exp(g, out=g)
+    return u
 
 
 def log_psi_radial_derivative(a: float, u):
@@ -101,11 +105,17 @@ def log_psi_radial_derivative(a: float, u):
     value is never used; zero is returned for safety.
     """
     u = np.asarray(u, dtype=float)
-    out = np.zeros_like(u)
-    band = (u > a) & (u < 2 * a)
-    ub = u[band] - a
-    g = a * a - ub * ub
-    out[band] = -2.0 * a * a * ub / (g * g)
+    out = np.zeros(u.shape)
+    band = np.flatnonzero((u > a) & (u < 2 * a))
+    # -2 a^2 (u - a) / (a^2 - (u - a)^2)^2, in place on the band gather
+    ub = u.reshape(-1)[band]
+    ub -= a
+    g = ub * ub
+    np.subtract(a * a, g, out=g)
+    np.square(g, out=g)
+    ub *= -2.0 * a * a
+    ub /= g
+    out.reshape(-1)[band] = ub
     return out if out.shape else float(out)
 
 
@@ -250,10 +260,12 @@ class SplitRep:
 
     # -- densities ---------------------------------------------------------
     def _radius(self, x):
+        """``|x - v0|`` (row by row in N-D), computed in place on one copy of ``x``."""
+        d = np.array(x, dtype=float)
+        d -= self.v0
         if self.dim == 1:
-            return np.abs(np.asarray(x, dtype=float) - self.v0)
-        d = np.asarray(x, dtype=float) - np.asarray(self.v0)
-        return np.sqrt(np.sum(d * d, axis=-1))
+            return np.abs(d, out=d)
+        return np.sqrt(np.sum(np.square(d, out=d), axis=-1))
 
     def psi_bump(self, x):
         """``psi_{r0/2}(|x - v0|)``, the un-normalized bump."""
@@ -271,7 +283,9 @@ class SplitRep:
         a = self.r0 / 2
         if self.dim == 1:
             d = np.asarray(x, dtype=float) - self.v0
-            return log_psi_radial_derivative(a, np.abs(d)) * np.sign(d)
+            out = log_psi_radial_derivative(a, np.abs(d))
+            out *= np.sign(d)
+            return out
         d = np.asarray(x, dtype=float) - np.asarray(self.v0)
         u = np.sqrt(np.sum(d * d, axis=-1))
         rad = log_psi_radial_derivative(a, u)
@@ -333,28 +347,54 @@ class SplitRep:
 
         return self._reject(rng, size, rate, propose, "v")
 
+    def _thinned(self, prop, atomic):
+        """``(idx, psi)``: the proposals that ``sample_w`` thins, by index,
+        and ``psi`` at them.  These are the non-atomic rows of ``prop`` with
+        ``psi > 0``.
+
+        ``psi`` vanishes off the open ball of radius ``r0``, so only the rows
+        inside the cube ``v0 +- r0`` get a radius and ``psi``.  The cube is
+        widened past rounding, by ``1e-9`` times the larger of ``r0`` and
+        ``|v0|`` on each axis: a superset is safe, since ``psi > 0`` is
+        decided on the rows inside.
+        """
+        v0 = np.asarray(self.v0)
+        reach = self.r0 + 1e-9 * np.maximum(self.r0, np.abs(v0))
+        near = prop > v0 - reach
+        near &= prop < v0 + reach
+        if self.dim > 1:
+            near = near.all(axis=-1)
+        near[atomic] = False
+        idx = np.flatnonzero(near)
+        psi = _psi_radial(self.r0 / 2, self._radius(prop[idx]))
+        live = psi > 0
+        return idx[live], psi[live]
+
     def sample_w(self, rng, size: int) -> np.ndarray:
         """Draws from W by thinning draws of the base law.
 
         A base draw at ``v`` is kept with probability
-        ``1 - eps0 psi(v) / pdf(v)``, which is 1 off the bump's support; so
-        only the non-atomic draws with ``psi(v) > 0`` are thinned (atomic
-        draws are always kept: the bump is carved from the absolutely
-        continuous component only).  The acceptance rate is ``1 - m0``.
+        ``1 - eps0 psi(v) / pdf(v)``, which is 1 off the bump's support.
+        Only the proposals inside the cube ``v0 +- r0``, which holds that
+        support, get a radius and ``psi``; of those, the non-atomic ones with
+        ``psi(v) > 0`` get a density evaluation and a uniform (atomic draws
+        are always kept: the bump is carved from the absolutely continuous
+        component only).  The acceptance rate is ``1 - m0``.
         """
 
         def propose(rng, m):
             prop, atomic = self.base.sample_parts(rng, m)
-            psi = self.psi_bump(prop)
-            thin = np.flatnonzero((psi > 0) & ~atomic)
+            thin, ratio = self._thinned(prop, atomic)
             keep = np.ones(m, dtype=bool)
             if thin.size:
                 dens = self.base.pdf(prop[thin])
+                # 1 - eps0 psi / max(dens, 1e-300), and 1 where dens is not > 0
+                ratio *= self.eps0
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    ratio = np.where(
-                        dens > 0, self.eps0 * psi[thin] / np.maximum(dens, 1e-300), 0.0
-                    )
-                keep[thin] = rng.random(thin.size) < 1.0 - ratio
+                    ratio /= np.maximum(dens, 1e-300)
+                ratio[~(dens > 0)] = 0.0
+                np.subtract(1.0, ratio, out=ratio)
+                keep[thin] = rng.random(thin.size) < ratio
             return prop, keep
 
         return self._reject(rng, size, 1.0 - self.m0, propose, "w")

@@ -24,7 +24,8 @@ from edgeworth.malliavin import (
 )
 from edgeworth.moments import make_distribution, shipped_labels
 from edgeworth.opalg import MultiPoly
-from edgeworth.splitting import split
+from edgeworth.splitting import SplitRep, split
+from sampler_oracle import sample_w_full
 
 
 @pytest.fixture(scope="module")
@@ -229,6 +230,21 @@ def test_ibp_battery_smoke(urep):
     for r in reports:
         assert r.z_score < 4.0, (r.label, r.z_score)
         assert r.lhs_se > 0 and r.rhs_se > 0 and np.isfinite(r.z_score)
+
+
+@pytest.mark.parametrize("name", ["uniform", "exponential"])
+def test_ibp_battery_is_unchanged_on_the_full_array_sampler(name, monkeypatch):
+    # sn_batch draws W through the windowed sampler; on the full-array oracle
+    # the reports and the sampler tallies are the same to the bit
+    def battery():
+        rep = split(make_distribution(name))
+        reports = ibp_battery(rep, 64, default_test_functions(), 5_000,
+                              np.random.default_rng(33))
+        return reports, rep.counters
+
+    mine = battery()
+    monkeypatch.setattr(SplitRep, "sample_w", sample_w_full)
+    assert battery() == mine
 
 
 @pytest.mark.parametrize("n,samples", [(64, 25_000), (4096, 25_000), (1 << 22, 20)])

@@ -114,6 +114,25 @@ def test_standardize_idempotent():
         assert np.max(np.abs(again.pdf(xs) - d.pdf(xs))) < 1e-12, name
 
 
+@pytest.mark.parametrize("spec", [*shipped_labels(), "atom_mixture(p=0.1)"])
+def test_standardized_draws_are_the_affine_image_bit_for_bit(spec):
+    # draws and the density are standardized in place: the same bits as the
+    # out-of-place expressions, from a replayed generator
+    d = make_distribution(spec)
+    mu, sd = d._mu_f, d._sd_f
+    for size in (1, 63, 10_000):
+        vals, mask = d.sample_parts(np.random.default_rng(31), size)
+        raw, raw_mask = d.base.sample_parts(np.random.default_rng(31), size)
+        assert vals.tobytes() == ((raw - mu) / sd).tobytes()
+        assert mask.dtype == bool and mask.tobytes() == raw_mask.tobytes()
+        one = d.sample(np.random.default_rng(32), size)
+        assert one.tobytes() == ((d.base.sample(np.random.default_rng(32), size) - mu) / sd).tobytes()
+    if d.atoms:
+        assert mask.any()
+    xs = np.linspace(-6, 6, 4097)
+    assert d.pdf(xs).tobytes() == (sd * d.base.pdf(sd * xs + mu)).tobytes()
+
+
 def test_standardize_rejects_degenerate():
     with pytest.raises(NonInvertibleCovariance):
         standardize(AtomMixture(p=0))  # pure point mass

@@ -1,6 +1,8 @@
 """Splitting representation: localizer, ball search, reconstruction, sampling."""
 
 import math
+import tracemalloc
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -14,10 +16,12 @@ from edgeworth.splitting import (
     RejectionStall,
     SplitRep,
     find_lower_bound,
+    log_psi_radial_derivative,
     psi_integral,
     psi_loc,
     split,
 )
+from sampler_oracle import log_psi_radial_derivative_full, psi_loc_full, sample_w_full
 
 
 @pytest.fixture(scope="module")
@@ -357,3 +361,75 @@ def test_rejection_stall_signals_broken_rep():
     rng = np.random.default_rng(9)
     with pytest.raises(RejectionStall):
         bad.sample_w(rng, 1000)
+
+
+# --- the windowed residual sampler against the full-array oracle -------------------
+
+# atom=0 puts the atom inside the bump's support, where atomic draws are never thinned
+WINDOW_SPECS = [*shipped_labels(), "atom_mixture(p=0.1)", "atom_mixture(atom=0)",
+                "exponential*uniform", "laplace*gamma"]
+
+
+@lru_cache(maxsize=None)
+def _split_of(spec):
+    return split(make_distribution(spec))
+
+
+def _fresh(spec):
+    """A new ``SplitRep`` of ``spec`` with zeroed counters."""
+    rep = _split_of(spec)
+    return SplitRep(rep.base, rep.v0, rep.r0, rep.eps0, rep.m0)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("size", [1, 63, 64, 1000, 2**20])
+@pytest.mark.parametrize("spec", WINDOW_SPECS)
+def test_sample_w_matches_full_array_oracle(spec, size, seed):
+    mine, oracle = _fresh(spec), _fresh(spec)
+    rng_mine, rng_oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = mine.sample_w(rng_mine, size)
+    want = sample_w_full(oracle, rng_oracle, size)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert mine.counters == oracle.counters
+    # the generators were advanced by the same calls
+    assert rng_mine.bit_generator.state == rng_oracle.bit_generator.state
+
+
+def _peak_bytes(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+@pytest.mark.parametrize("name", shipped_labels())
+def test_sample_w_allocates_no_more_than_oracle(name):
+    # only the proposals near the bump get a radius, psi and masks of their own;
+    # exponential's ball holds about 4% of them
+    rep = _fresh(name)
+    mine = _peak_bytes(lambda: rep.sample_w(np.random.default_rng(11), 2**20))
+    oracle = _peak_bytes(lambda: sample_w_full(rep, np.random.default_rng(11), 2**20))
+    assert mine <= oracle, (mine, oracle)
+    if name == "exponential":
+        assert mine <= oracle / 2, (mine, oracle)
+
+
+def test_localizer_and_log_derivative_match_full_array_oracles():
+    x = np.random.default_rng(12).normal(0.0, 2.0, 100_000)
+    x[:4] = [0.0, 0.5, 1.0, -1.0]  # the plateau edge and the support edge of psi_{1/2}
+    u = np.abs(x)
+    for a in (0.5, 1.0, 0.0195 / 2):
+        assert psi_loc(a, x).tobytes() == psi_loc_full(a, x).tobytes()
+        assert psi_loc(a, x.reshape(-1, 4)).tobytes() == psi_loc_full(a, x).tobytes()
+        want = log_psi_radial_derivative_full(a, u)
+        assert log_psi_radial_derivative(a, u).tobytes() == want.tobytes()
+        # a Fortran-ordered 2-D array is read and written in its own layout
+        grid = np.asfortranarray(u.reshape(-1, 4))
+        assert np.array_equal(log_psi_radial_derivative(a, grid),
+                              log_psi_radial_derivative_full(a, grid))
+    assert psi_loc(0.5, 0.75) == psi_loc_full(0.5, 0.75)
+    assert log_psi_radial_derivative(0.5, 0.75) == log_psi_radial_derivative_full(0.5, 0.75)
