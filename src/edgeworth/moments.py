@@ -224,11 +224,14 @@ class Distribution:
         raise NotImplementedError
 
     def sample(self, rng, size):
+        """``size`` independent draws.  The array is the caller's: a new one
+        per call, which the caller may overwrite (``standardize`` does)."""
         raise NotImplementedError
 
     # -- generic helpers ---------------------------------------------------
     def sample_parts(self, rng, size):
-        """Draws plus a mask flagging which draws landed on an atom."""
+        """Draws plus a mask flagging which draws landed on an atom; both
+        new arrays per call, as for ``sample``."""
         return self.sample(rng, size), np.zeros(size, dtype=bool)
 
     def moment(self, alpha: MultiIndex):
@@ -318,9 +321,8 @@ class _Standardized1D(Distribution):
         self.is_standardized = True
 
     def pdf(self, x):
-        y = self._sd_f * np.asarray(x, dtype=float)
-        y += self._mu_f
-        return self._sd_f * self.base.pdf(y)
+        x = np.asarray(x, dtype=float)
+        return self._sd_f * self.base.pdf(self._sd_f * x + self._mu_f)
 
     def char_fn(self, t):
         t = np.asarray(t, dtype=float)
@@ -359,9 +361,12 @@ class _Standardized1D(Distribution):
         return self._standardize(vals), mask
 
     def _standardize(self, vals):
-        """``(vals - mean) / std`` in place on a fresh float array: the same
-        bits as the out-of-place expression, without its two temporaries."""
+        """``(vals - mean) / std``: the same bits as the out-of-place
+        expression, computed in place when ``vals`` is a writable float array
+        that owns its data, and on a copy otherwise."""
         vals = np.asarray(vals, dtype=float)
+        if not (vals.flags.writeable and vals.flags.owndata):
+            vals = vals.copy()
         vals -= self._mu_f
         vals /= self._sd_f
         return vals

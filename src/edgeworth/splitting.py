@@ -105,17 +105,11 @@ def log_psi_radial_derivative(a: float, u):
     value is never used; zero is returned for safety.
     """
     u = np.asarray(u, dtype=float)
-    out = np.zeros(u.shape)
-    band = np.flatnonzero((u > a) & (u < 2 * a))
-    # -2 a^2 (u - a) / (a^2 - (u - a)^2)^2, in place on the band gather
-    ub = u.reshape(-1)[band]
-    ub -= a
-    g = ub * ub
-    np.subtract(a * a, g, out=g)
-    np.square(g, out=g)
-    ub *= -2.0 * a * a
-    ub /= g
-    out.reshape(-1)[band] = ub
+    out = np.zeros_like(u)
+    band = (u > a) & (u < 2 * a)
+    ub = u[band] - a
+    g = a * a - ub * ub
+    out[band] = -2.0 * a * a * ub / (g * g)
     return out if out.shape else float(out)
 
 
@@ -260,16 +254,36 @@ class SplitRep:
 
     # -- densities ---------------------------------------------------------
     def _radius(self, x):
-        """``|x - v0|`` (row by row in N-D), computed in place on one copy of ``x``."""
-        d = np.array(x, dtype=float)
-        d -= self.v0
         if self.dim == 1:
-            return np.abs(d, out=d)
-        return np.sqrt(np.sum(np.square(d, out=d), axis=-1))
+            return np.abs(np.asarray(x, dtype=float) - self.v0)
+        d = np.asarray(x, dtype=float) - np.asarray(self.v0)
+        return np.sqrt(np.sum(d * d, axis=-1))
 
-    def psi_bump(self, x):
-        """``psi_{r0/2}(|x - v0|)``, the un-normalized bump."""
-        return psi_loc(self.r0 / 2, self._radius(x))
+    def psi_bump(self, x, nonzero: bool = False):
+        """``psi_{r0/2}(|x - v0|)``, the un-normalized bump.
+
+        With ``nonzero=True`` the result is ``(idx, psi)``: the indices of the
+        rows of ``x`` where the bump is positive, and its values there.  The
+        bump vanishes off the open ball of radius ``r0``, so only the rows
+        inside the cube ``v0 +- r0`` get a radius and ``psi``.  The cube is
+        widened past rounding, by ``1e-9`` times the larger of ``r0`` and
+        ``|v0|`` on each axis: a superset is safe, since ``psi > 0`` is
+        decided on the rows inside.  ``sample_w`` thins each round of
+        proposals this way, in one call that sees the whole round.
+        """
+        if not nonzero:
+            return psi_loc(self.r0 / 2, self._radius(x))
+        x = np.asarray(x, dtype=float)
+        v0 = np.asarray(self.v0)
+        reach = self.r0 + 1e-9 * np.maximum(self.r0, np.abs(v0))
+        near = x > v0 - reach
+        near &= x < v0 + reach
+        if self.dim > 1:
+            near = near.all(axis=-1)
+        idx = np.flatnonzero(near)
+        psi = _psi_radial(self.r0 / 2, self._radius(x[idx]))
+        live = psi > 0
+        return idx[live], psi[live]
 
     def v_pdf(self, x):
         return (self.eps0 / self.m0) * self.psi_bump(x)
@@ -283,9 +297,7 @@ class SplitRep:
         a = self.r0 / 2
         if self.dim == 1:
             d = np.asarray(x, dtype=float) - self.v0
-            out = log_psi_radial_derivative(a, np.abs(d))
-            out *= np.sign(d)
-            return out
+            return log_psi_radial_derivative(a, np.abs(d)) * np.sign(d)
         d = np.asarray(x, dtype=float) - np.asarray(self.v0)
         u = np.sqrt(np.sum(d * d, axis=-1))
         rad = log_psi_radial_derivative(a, u)
@@ -347,29 +359,6 @@ class SplitRep:
 
         return self._reject(rng, size, rate, propose, "v")
 
-    def _thinned(self, prop, atomic):
-        """``(idx, psi)``: the proposals that ``sample_w`` thins, by index,
-        and ``psi`` at them.  These are the non-atomic rows of ``prop`` with
-        ``psi > 0``.
-
-        ``psi`` vanishes off the open ball of radius ``r0``, so only the rows
-        inside the cube ``v0 +- r0`` get a radius and ``psi``.  The cube is
-        widened past rounding, by ``1e-9`` times the larger of ``r0`` and
-        ``|v0|`` on each axis: a superset is safe, since ``psi > 0`` is
-        decided on the rows inside.
-        """
-        v0 = np.asarray(self.v0)
-        reach = self.r0 + 1e-9 * np.maximum(self.r0, np.abs(v0))
-        near = prop > v0 - reach
-        near &= prop < v0 + reach
-        if self.dim > 1:
-            near = near.all(axis=-1)
-        near[atomic] = False
-        idx = np.flatnonzero(near)
-        psi = _psi_radial(self.r0 / 2, self._radius(prop[idx]))
-        live = psi > 0
-        return idx[live], psi[live]
-
     def sample_w(self, rng, size: int) -> np.ndarray:
         """Draws from W by thinning draws of the base law.
 
@@ -384,7 +373,10 @@ class SplitRep:
 
         def propose(rng, m):
             prop, atomic = self.base.sample_parts(rng, m)
-            thin, ratio = self._thinned(prop, atomic)
+            thin, ratio = self.psi_bump(prop, nonzero=True)
+            if atomic.any():
+                live = ~atomic[thin]
+                thin, ratio = thin[live], ratio[live]
             keep = np.ones(m, dtype=bool)
             if thin.size:
                 dens = self.base.pdf(prop[thin])

@@ -1,12 +1,12 @@
-"""Test oracles: the bump's localizer, its log-derivative and the residual
-sampler's proposal step, as they were before the library computed them in
-place and only near the bump.
+"""Test oracles: the bump's localizer and the residual sampler's proposal
+step, as they were before the library computed them in place and only near
+the bump.
 
 The library evaluates the radius, the localizer, the base density and the
 thinning uniform only for proposals inside the cube ``v0 +- r0`` around the
-bump, and writes the localizer and its log-derivative over arrays it owns.
-The older step here computes the radius and the localizer of every proposal,
-each into a fresh array, and thins the non-atomic ones where it is positive.
+bump, and writes the localizer over an array it owns.  The older step here
+computes the radius and the localizer of every proposal, each into a fresh
+array, and thins the non-atomic ones where it is positive.
 It draws through ``rep._reject``, so its draws, generator calls and
 ``rep.counters`` tallies are those the library must reproduce bit for bit.
 """
@@ -29,17 +29,6 @@ def psi_loc_full(a: float, x):
         g += 1.0
         out[band] = np.exp(g, out=g)
     return out.reshape(x.shape) if x.ndim else float(out[0])
-
-
-def log_psi_radial_derivative_full(a: float, u):
-    """``(d/du) ln psi_a(u)``, each step of the closed form in a fresh array."""
-    u = np.asarray(u, dtype=float)
-    out = np.zeros_like(u)
-    band = (u > a) & (u < 2 * a)
-    ub = u[band] - a
-    g = a * a - ub * ub
-    out[band] = -2.0 * a * a * ub / (g * g)
-    return out if out.shape else float(out)
 
 
 def _psi_bump(rep, x):

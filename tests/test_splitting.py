@@ -16,12 +16,11 @@ from edgeworth.splitting import (
     RejectionStall,
     SplitRep,
     find_lower_bound,
-    log_psi_radial_derivative,
     psi_integral,
     psi_loc,
     split,
 )
-from sampler_oracle import log_psi_radial_derivative_full, psi_loc_full, sample_w_full
+from sampler_oracle import psi_loc_full, sample_w_full
 
 
 @pytest.fixture(scope="module")
@@ -418,18 +417,44 @@ def test_sample_w_allocates_no_more_than_oracle(name):
         assert mine <= oracle / 2, (mine, oracle)
 
 
-def test_localizer_and_log_derivative_match_full_array_oracles():
+def test_localizer_matches_full_array_oracle():
     x = np.random.default_rng(12).normal(0.0, 2.0, 100_000)
     x[:4] = [0.0, 0.5, 1.0, -1.0]  # the plateau edge and the support edge of psi_{1/2}
-    u = np.abs(x)
     for a in (0.5, 1.0, 0.0195 / 2):
         assert psi_loc(a, x).tobytes() == psi_loc_full(a, x).tobytes()
         assert psi_loc(a, x.reshape(-1, 4)).tobytes() == psi_loc_full(a, x).tobytes()
-        want = log_psi_radial_derivative_full(a, u)
-        assert log_psi_radial_derivative(a, u).tobytes() == want.tobytes()
-        # a Fortran-ordered 2-D array is read and written in its own layout
-        grid = np.asfortranarray(u.reshape(-1, 4))
-        assert np.array_equal(log_psi_radial_derivative(a, grid),
-                              log_psi_radial_derivative_full(a, grid))
     assert psi_loc(0.5, 0.75) == psi_loc_full(0.5, 0.75)
-    assert log_psi_radial_derivative(0.5, 0.75) == log_psi_radial_derivative_full(0.5, 0.75)
+
+
+@pytest.mark.parametrize("spec", WINDOW_SPECS)
+def test_nonzero_bump_is_the_positive_part_of_the_dense_bump(spec):
+    rep = _split_of(spec)
+    x = rep.base.sample(np.random.default_rng(13), 200_000)
+    # the ball's edge, just inside and just outside, on the first axis
+    edge = np.array([np.nextafter(rep.r0, 0.0), rep.r0, np.nextafter(rep.r0, np.inf)])
+    if rep.dim == 1:
+        x[:3] = rep.v0 + edge
+    else:
+        x[:3] = np.asarray(rep.v0)
+        x[:3, 0] += edge
+    dense = rep.psi_bump(x)
+    idx, psi = rep.psi_bump(x, nonzero=True)
+    assert idx.tobytes() == np.flatnonzero(dense > 0).tobytes()
+    assert psi.tobytes() == dense[idx].tobytes()
+
+
+@pytest.mark.parametrize("spec", ["exponential", "atom_mixture(p=0.1)", "exponential*uniform"])
+def test_sample_w_passes_each_round_to_psi_bump(spec, monkeypatch):
+    # one psi_bump call per rejection round, with every proposal of the round:
+    # perfbench's tracer counts a sampler's proposals through these calls
+    seen = []
+    real = SplitRep.psi_bump
+
+    def psi_bump(self, x, nonzero=False):
+        seen.append(len(x))
+        return real(self, x, nonzero)
+
+    monkeypatch.setattr(SplitRep, "psi_bump", psi_bump)
+    rep = _fresh(spec)
+    rep.sample_w(np.random.default_rng(14), 50_000)
+    assert seen and sum(seen) == rep.counters["w"].proposed
