@@ -105,38 +105,50 @@ def ibp_weight(rep: SplitRep, n: int, counts, ls) -> np.ndarray:
         return np.where(counts > 0, phi * n / np.maximum(counts, 1) * ls, 0.0)
 
 
-def _segment_sum(idx: np.ndarray, vals: np.ndarray, size: int) -> np.ndarray:
-    """Sums of the rows of ``vals`` grouped by sample index, per coordinate."""
-    if vals.ndim == 1:
-        return np.bincount(idx, weights=vals, minlength=size)
-    return np.stack(
-        [np.bincount(idx, weights=col, minlength=size) for col in vals.T], axis=-1
-    )
+def _run_sums(vals: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Sums of consecutive runs of rows of ``vals``, ``lengths[j]`` rows in run ``j``.
+
+    ``lengths`` must add up to ``len(vals)``; an empty run sums to 0.  One
+    ``np.add.reduceat`` at the starts of the nonempty runs sums every
+    coordinate: the starts strictly increase and the last nonempty run ends
+    at the last row, so each reduceat segment is one run.  Within a run
+    numpy adds pairwise.
+    """
+    out = np.zeros((len(lengths), *vals.shape[1:]))
+    if not len(vals):
+        return out
+    full = lengths > 0
+    starts = np.cumsum(lengths) - lengths
+    out[full] = np.add.reduceat(vals, starts[full], axis=0)
+    return out
 
 
 def sn_batch(rep: SplitRep, n: int, size: int, rng):
     """Vectorized draws of ``(S_n, sum chi, L S_n)``.
 
     Avoids materializing the per-summand matrix: the Bernoulli count per
-    sample is drawn directly, the needed ``V``/``W`` values are drawn flat
-    and segment-summed back onto the samples, one coordinate at a time.
-    ``S_n`` and ``L S_n`` have shape ``(size,)`` in 1-D and ``(size, N)``
-    otherwise.
+    sample is drawn directly, then all the ``V`` draws and all the ``W``
+    draws flat, sample after sample.  Sample ``j`` owns the next
+    ``counts[j]`` rows of ``V`` and the next ``n - counts[j]`` rows of
+    ``W``, so its sums are run-length sums (:func:`_run_sums`) over those
+    rows, in every dimension at once; no per-summand index is built.
+    Each run is added pairwise by numpy, so ``S_n`` and ``L S_n`` may
+    differ from a sequential sum by rounding.  ``S_n`` and ``L S_n`` have
+    shape ``(size,)`` in 1-D and ``(size, N)`` otherwise.
     """
     counts = rng.binomial(n, rep.m0, size)
-    idx_v = np.repeat(np.arange(size), counts)
-    idx_w = np.repeat(np.arange(size), n - counts)
-    tot_v, tot_w = len(idx_v), len(idx_w)
+    tot_v = int(counts.sum())
+    tot_w = n * size - tot_v
     shape = (size,) if rep.dim == 1 else (size, rep.dim)
     sums = np.zeros(shape)
     ls = np.zeros(shape)
     if tot_v:
         v = rep.sample_v(rng, tot_v)
-        sums += _segment_sum(idx_v, v, size)
-        ls -= _segment_sum(idx_v, rep.log_psi_gradient(v), size)
+        sums += _run_sums(v, counts)
+        ls -= _run_sums(rep.log_psi_gradient(v), counts)
+        del v  # not alive while W is drawn
     if tot_w:
-        w = rep.sample_w(rng, tot_w)
-        sums += _segment_sum(idx_w, w, size)
+        sums += _run_sums(rep.sample_w(rng, tot_w), n - counts)
     rt = math.sqrt(n)
     return sums / rt, counts, ls / rt
 

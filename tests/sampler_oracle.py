@@ -1,6 +1,6 @@
-"""Test oracles: the bump's localizer and the residual sampler's proposal
-step, as they were before the library computed them in place and only near
-the bump.
+"""Test oracles: the bump's localizer, the residual sampler's proposal step
+and the Monte Carlo batch's per-sample sums, as they were before the library
+computed them in place, only near the bump and by run length.
 
 The library evaluates the radius, the localizer, the base density and the
 thinning uniform only for proposals inside the cube ``v0 +- r0`` around the
@@ -9,7 +9,14 @@ computes the radius and the localizer of every proposal, each into a fresh
 array, and thins the non-atomic ones where it is positive.
 It draws through ``rep._reject``, so its draws, generator calls and
 ``rep.counters`` tallies are those the library must reproduce bit for bit.
+
+The batch of ``(S_n, sum chi, L S_n)`` once tagged every summand with its
+sample's index (an ``np.repeat``) and summed each coordinate with
+``np.bincount``, in sequence; the library sums runs of rows pairwise, so
+the two agree up to rounding.
 """
+
+import math
 
 import numpy as np
 
@@ -58,3 +65,38 @@ def sample_w_full(rep, rng, size: int) -> np.ndarray:
         return prop, keep
 
     return rep._reject(rng, size, 1.0 - rep.m0, propose, "w")
+
+
+def _segment_sum(idx: np.ndarray, vals: np.ndarray, size: int) -> np.ndarray:
+    """Sums of the rows of ``vals`` grouped by sample index, per coordinate."""
+    if vals.ndim == 1:
+        return np.bincount(idx, weights=vals, minlength=size)
+    return np.stack(
+        [np.bincount(idx, weights=col, minlength=size) for col in vals.T], axis=-1
+    )
+
+
+def sn_batch_bincount(rep, n: int, size: int, rng, magnitude: bool = False):
+    """``malliavin.sn_batch`` through per-summand indices and ``np.bincount``.
+
+    With ``magnitude=True`` it sums ``|V|``, ``|W|`` and ``|grad ln psi|``
+    instead (``L S_n`` then keeps its minus sign): the scale that bounds
+    the rounding of any order of summation.
+    """
+    mag = np.abs if magnitude else (lambda a: a)
+    counts = rng.binomial(n, rep.m0, size)
+    idx_v = np.repeat(np.arange(size), counts)
+    idx_w = np.repeat(np.arange(size), n - counts)
+    tot_v, tot_w = len(idx_v), len(idx_w)
+    shape = (size,) if rep.dim == 1 else (size, rep.dim)
+    sums = np.zeros(shape)
+    ls = np.zeros(shape)
+    if tot_v:
+        v = rep.sample_v(rng, tot_v)
+        sums += _segment_sum(idx_v, mag(v), size)
+        ls -= _segment_sum(idx_v, mag(rep.log_psi_gradient(v)), size)
+    if tot_w:
+        w = rep.sample_w(rng, tot_w)
+        sums += _segment_sum(idx_w, mag(w), size)
+    rt = math.sqrt(n)
+    return sums / rt, counts, ls / rt

@@ -1,6 +1,7 @@
 """Malliavin objects for S_n: covariance, OU images, IBP, tails, Taylor."""
 
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -25,7 +26,7 @@ from edgeworth.malliavin import (
 from edgeworth.moments import make_distribution, shipped_labels
 from edgeworth.opalg import MultiPoly
 from edgeworth.splitting import SplitRep, split
-from sampler_oracle import sample_w_full
+from sampler_oracle import sample_w_full, sn_batch_bincount
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +76,74 @@ def test_state_invariants(urep, u2rep):
                 rt = math.sqrt(n)
                 assert s[j] == pytest.approx(total / rt, rel=1e-12, abs=1e-12)
                 assert ls[j] == pytest.approx(-grad / rt, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 64])
+@pytest.mark.parametrize("spec", ["uniform", "exponential", "atom_mixture(p=0.1)",
+                                  "uniform*uniform", "laplace*gamma"])
+def test_sn_batch_matches_the_bincount_oracle(spec, n):
+    # same draws, summed by run length instead of by per-summand index: equal
+    # counts, and sums within 1e-12 of the summed magnitudes (n = 1 leaves
+    # most V runs empty, n = 2 some of both)
+    rep = split(make_distribution(spec))
+    size = 3000
+    s, counts, ls = sn_batch(rep, n, size, np.random.default_rng(41))
+    want_s, want_counts, want_ls = sn_batch_bincount(rep, n, size, np.random.default_rng(41))
+    scale_s, _, scale_ls = sn_batch_bincount(rep, n, size, np.random.default_rng(41),
+                                             magnitude=True)
+    assert np.array_equal(counts, want_counts)
+    assert s.shape == want_s.shape and ls.shape == want_ls.shape
+    assert np.all(np.abs(s - want_s) <= 1e-12 * scale_s)
+    assert np.all(np.abs(ls - want_ls) <= 1e-12 * np.abs(scale_ls))
+    if n == 1:
+        assert np.mean(counts == 0) > 0.5
+
+
+def _fsum_runs(vals, lengths):
+    """Per-run ``math.fsum`` of the rows of ``vals``, per coordinate."""
+    ends = np.cumsum(lengths)
+    cols = vals.reshape(len(vals), math.prod(vals.shape[1:]))
+    out = [[math.fsum(cols[e - k:e, c]) for c in range(cols.shape[1])]
+           for e, k in zip(ends, lengths)]
+    return np.array(out).reshape((len(lengths), *vals.shape[1:]))
+
+
+@pytest.mark.parametrize("lengths", [[0, 3, 5], [4, 0, 0, 2, 7], [3, 5, 0], [0, 0, 0, 0],
+                                     [0, 9, 0], [9], [0, 0, 6, 0, 1, 0, 0],
+                                     [1, 1, 1, 1, 1]])
+@pytest.mark.parametrize("cols", [None, 1, 3])
+def test_run_sums_match_a_per_run_fsum(lengths, cols):
+    lengths = np.array(lengths)
+    rows = int(lengths.sum())
+    rng = np.random.default_rng(42)
+    vals = rng.normal(size=rows if cols is None else (rows, cols))
+    got = malliavin._run_sums(vals, lengths)
+    want = _fsum_runs(vals, lengths)
+    assert got.shape == want.shape == (len(lengths), *vals.shape[1:])
+    assert np.array_equal(got[lengths == 0], np.zeros_like(got[lengths == 0]))
+    scale = _fsum_runs(np.abs(vals), lengths)
+    assert np.all(np.abs(got - want) <= 1e-15 * scale)
+
+
+def _peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+@pytest.mark.parametrize("name", ["uniform", "exponential"])
+def test_sn_batch_builds_no_per_summand_index(name):
+    # 2^20 summands: the oracle's two np.repeat index arrays hold 8 bytes per
+    # summand between them, and they are alive while W is drawn
+    rep = split(make_distribution(name))
+    n, size = 64, 1 << 14
+    mine = _peak(lambda: sn_batch(rep, n, size, np.random.default_rng(43)))
+    oracle = _peak(lambda: sn_batch_bincount(rep, n, size, np.random.default_rng(43)))
+    assert oracle - mine >= 8 * n * size, (mine, oracle)
 
 
 def test_chi_frequency_matches_m0(urep):

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 from functools import lru_cache
 
 import numpy as np
@@ -441,6 +442,62 @@ def test_nonzero_bump_is_the_positive_part_of_the_dense_bump(spec):
     idx, psi = rep.psi_bump(x, nonzero=True)
     assert idx.tobytes() == np.flatnonzero(dense > 0).tobytes()
     assert psi.tobytes() == dense[idx].tobytes()
+
+
+@pytest.mark.parametrize("spec", ["uniform", "uniform*uniform"])
+def test_nonzero_bump_on_the_plateau_is_the_dense_bump(spec):
+    # every row on the plateau: the cube holds every row (no gather) and psi
+    # is 1 on all of them (no compaction)
+    rep = _split_of(spec)
+    rng = np.random.default_rng(15)
+    shape = 50_000 if rep.dim == 1 else (50_000, rep.dim)
+    x = np.asarray(rep.v0) + rng.uniform(-0.49, 0.49, shape) * rep.r0 / math.sqrt(rep.dim)
+    dense = rep.psi_bump(x)
+    assert np.all(dense == 1.0)
+    idx, psi = rep.psi_bump(x, nonzero=True)
+    assert idx.tobytes() == np.arange(len(x)).tobytes()
+    assert psi.tobytes() == dense.tobytes()
+    # none in the cube, and none with psi > 0
+    far = np.asarray(rep.v0) + 3.0 * rep.r0 + x
+    idx, psi = rep.psi_bump(far, nonzero=True)
+    assert idx.size == psi.size == 0 and idx.dtype == np.intp and psi.dtype == float
+
+
+class _HoledUniform(Distribution):
+    """Uniform draws on [-1, 1] under a density that is 0 on [-0.2, 0], NaN
+    on [0, 0.1] and below 1e-300 on [0.3, 0.4]: the thinning guards'
+    branches, which no shipped law reaches."""
+
+    atoms = ()
+
+    def sample(self, rng, size):
+        return rng.uniform(-1.0, 1.0, size)
+
+    def pdf(self, x):
+        x = np.asarray(x, dtype=float)
+        out = np.full(x.shape, 0.5)
+        out[(x >= -0.2) & (x <= 0.0)] = 0.0
+        out[(x > 0.0) & (x <= 0.1)] = np.nan
+        out[(x >= 0.3) & (x <= 0.4)] = 1e-310
+        return out
+
+
+@pytest.mark.parametrize("size", [1, 1000, 2**16])
+def test_sample_w_density_guards_match_full_array_oracle(size):
+    # the bump's ball is [-1, 1] (no far proposal), [-0.5, 0.5], and
+    # [0.25, 0.45], where the only bad densities are 1e-310: there
+    # eps0 psi / dens would overflow, and 1e-300 must stand in for them
+    for v0, r0 in ((0.0, 1.0), (0.0, 0.5), (0.35, 0.1)):
+        mine, oracle = (SplitRep(_HoledUniform(), v0, r0, 0.4, 0.4 * psi_integral(r0 / 2))
+                        for _ in range(2))
+        rng_mine, rng_oracle = np.random.default_rng(16), np.random.default_rng(16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = mine.sample_w(rng_mine, size)
+        want = sample_w_full(oracle, rng_oracle, size)
+        assert got.tobytes() == want.tobytes()
+        assert mine.counters == oracle.counters
+        assert rng_mine.bit_generator.state == rng_oracle.bit_generator.state
 
 
 @pytest.mark.parametrize("spec", ["exponential", "atom_mixture(p=0.1)", "exponential*uniform"])
