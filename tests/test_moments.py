@@ -154,12 +154,13 @@ def test_standardized_draws_leave_a_shared_base_array_alone():
         assert base.buffer.tobytes() == kept.tobytes()
 
 
-@pytest.mark.parametrize("name,skipped", [("laplace", "mean"), ("exponential", "sd")])
-def test_standardize_skips_the_identity_pass_with_the_same_bits(name, skipped):
+@pytest.mark.parametrize("name,attr,identity", [("laplace", "_mu_f", 0.0),
+                                                ("exponential", "_sd_f", 1.0)])
+def test_standardize_skips_the_identity_pass_with_the_same_bits(name, attr, identity):
     # laplace has mean 0 and exponential sd 1: x - 0.0 and x / 1.0 are
     # skipped, and the draws are still (x - mean) / sd byte for byte
     d = make_distribution(name)
-    assert (d._mu_f if skipped == "mean" else d._sd_f) == (0.0 if skipped == "mean" else 1.0)
+    assert getattr(d, attr) == identity
     for size in (1, 1000, 2**16):
         raw = d.base.sample(np.random.default_rng(34), size)
         want = (raw - d._mu_f) / d._sd_f
