@@ -18,7 +18,8 @@ So a sample needs only ``(S_n, sum chi, L S_n)``: :func:`sn_batch` draws
 them in batches in every dimension, and :func:`ibp_weight` turns the last
 two into ``H``.  A batch draws its ``V`` and ``W`` summands flat, sample
 after sample, and sums each sample's rows as one run (run lengths
-``sum chi`` and ``n - sum chi``); numpy adds within a run pairwise.  The module verifies the resulting identity
+``sum chi`` and ``n - sum chi``); numpy adds within a run pairwise.  The
+module verifies the resulting identity
 ``E(f'(S_n) phi) = E(f(S_n) H)`` by Monte Carlo for 1-D laws, with both
 sides evaluated on one paired stream of draws and gated by the standard
 error of their difference; the covariance-degeneracy tail against the

@@ -367,11 +367,8 @@ class _Standardized1D(Distribution):
         vals = np.asarray(vals, dtype=float)
         if not (vals.flags.writeable and vals.flags.owndata):
             vals = vals.copy()
-        # x - 0.0 and x / 1.0 are x, bit for bit: skip those passes
-        if self._mu_f != 0.0:
-            vals -= self._mu_f
-        if self._sd_f != 1.0:
-            vals /= self._sd_f
+        vals -= self._mu_f
+        vals /= self._sd_f
         return vals
 
     def support(self):
@@ -534,16 +531,12 @@ class Gamma(Distribution):
         x = np.asarray(x, dtype=float)
         pos = x > 0
         out = np.zeros_like(x)
-        # x^(k-1) exp(-x/s) / (Gamma(k) s^k), in that order, on the gather and
-        # one more array: the in-place operators round as the out-of-place ones do
         xp = x[pos]
-        e = np.negative(xp)
-        e /= self._sf
-        np.exp(e, out=e)
-        xp **= self._kf - 1
-        xp *= e
-        xp /= math.gamma(self._kf) * self._sf**self._kf
-        out[pos] = xp
+        out[pos] = (
+            xp ** (self._kf - 1)
+            * np.exp(-xp / self._sf)
+            / (math.gamma(self._kf) * self._sf**self._kf)
+        )
         return out
 
     def char_fn(self, t):

@@ -281,11 +281,7 @@ class SplitRep:
         if self.dim > 1:
             near = near.all(axis=-1)
         idx = np.flatnonzero(near)
-        # no gather when the cube holds every row, and no compaction when
-        # psi > 0 on all of them (psi is never negative or NaN)
-        psi = _psi_radial(self.r0 / 2, self._radius(x if idx.size == len(x) else x[idx]))
-        if psi.all():
-            return idx, psi
+        psi = _psi_radial(self.r0 / 2, self._radius(x[idx]))
         live = psi > 0
         return idx[live], psi[live]
 
@@ -378,27 +374,19 @@ class SplitRep:
         def propose(rng, m):
             prop, atomic = self.base.sample_parts(rng, m)
             thin, ratio = self.psi_bump(prop, nonzero=True)
-            if self.base.atoms and atomic.any():
+            if atomic.any():
                 live = ~atomic[thin]
                 thin, ratio = thin[live], ratio[live]
-            if not thin.size:
-                return prop, np.ones(m, dtype=bool)
-            every = thin.size == m  # then thin is 0, 1, ..., m - 1
-            dens = self.base.pdf(prop if every else prop[thin])
-            # 1 - eps0 psi / max(dens, 1e-300), and 1 where dens is not > 0;
-            # the max and the guard change nothing when every dens >= 1e-300
-            ratio *= self.eps0
-            if dens.min() >= 1e-300:
-                ratio /= dens
-            else:
+            keep = np.ones(m, dtype=bool)
+            if thin.size:
+                dens = self.base.pdf(prop[thin])
+                # 1 - eps0 psi / max(dens, 1e-300), and 1 where dens is not > 0
+                ratio *= self.eps0
                 with np.errstate(divide="ignore", invalid="ignore"):
                     ratio /= np.maximum(dens, 1e-300)
                 ratio[~(dens > 0)] = 0.0
-            np.subtract(1.0, ratio, out=ratio)
-            if every:
-                return prop, rng.random(m) < ratio
-            keep = np.ones(m, dtype=bool)
-            keep[thin] = rng.random(thin.size) < ratio
+                np.subtract(1.0, ratio, out=ratio)
+                keep[thin] = rng.random(thin.size) < ratio
             return prop, keep
 
         return self._reject(rng, size, 1.0 - self.m0, propose, "w")

@@ -12,16 +12,13 @@ Gaussian draw is the purely atomic part, and the other terms are the
 density of the absolutely continuous part, which is what ``law_of_sn``
 inverts.  The density of ``S_n = n^{-1/2} sum (F_k - mu) / sd`` follows by
 the affine change of variable.
-
-The gamma density is kept here as the out-of-place expression the library
-once evaluated; ``Gamma.pdf`` must give the same bits.
 """
 
 import math
 
 import numpy as np
 
-from edgeworth.moments import AtomMixture, Gamma, GaussianMixture
+from edgeworth.moments import AtomMixture, GaussianMixture
 
 
 def normal_pdf(x, mu=0.0, s=1.0):
@@ -58,18 +55,3 @@ def gauss_mixture_sn(x, n, raw: GaussianMixture):
 def atom_mixture_sn(x, n, raw: AtomMixture):
     """Density of the a.c. part of S_n of ``standardize(raw)``."""
     return binomial_normal_mixture(x, n, (raw.p, 1 - raw.p), (0, raw.atom), (1, 0))
-
-
-def gamma_pdf_expression(law: Gamma, x):
-    """``x^(k-1) exp(-x/s) / (Gamma(k) s^k)`` at ``x > 0`` and 0 elsewhere,
-    one fresh array per operation."""
-    x = np.asarray(x, dtype=float)
-    pos = x > 0
-    out = np.zeros_like(x)
-    xp = x[pos]
-    out[pos] = (
-        xp ** (law._kf - 1)
-        * np.exp(-xp / law._sf)
-        / (math.gamma(law._kf) * law._sf**law._kf)
-    )
-    return out

@@ -36,7 +36,6 @@ from edgeworth.moments import (
     standardize,
 )
 from edgeworth.numerics import _int_power, law_of_sn
-from closed_form_oracle import gamma_pdf_expression
 from fixture_oracle import fixture_deltas, table_from_deltas
 from grid_oracle import user_char_fn
 
@@ -152,44 +151,6 @@ def test_standardized_draws_leave_a_shared_base_array_alone():
         assert d.sample(None, 10).tobytes() == want.tobytes()
         assert d.sample_parts(None, 10)[0].tobytes() == want.tobytes()
         assert base.buffer.tobytes() == kept.tobytes()
-
-
-@pytest.mark.parametrize("name,attr,identity", [("laplace", "_mu_f", 0.0),
-                                                ("exponential", "_sd_f", 1.0)])
-def test_standardize_skips_the_identity_pass_with_the_same_bits(name, attr, identity):
-    # laplace has mean 0 and exponential sd 1: x - 0.0 and x / 1.0 are
-    # skipped, and the draws are still (x - mean) / sd byte for byte
-    d = make_distribution(name)
-    assert getattr(d, attr) == identity
-    for size in (1, 1000, 2**16):
-        raw = d.base.sample(np.random.default_rng(34), size)
-        want = (raw - d._mu_f) / d._sd_f
-        assert d.sample(np.random.default_rng(34), size).tobytes() == want.tobytes()
-        vals, _ = d.sample_parts(np.random.default_rng(34), size)
-        assert vals.tobytes() == want.tobytes()
-    assert d.sample(np.random.default_rng(35), 3).flags.owndata
-
-
-@pytest.mark.parametrize("shape,scale", [(4, 1), (F(3, 2), F(2, 3)), (2, 3), (3, 1),
-                                         (F(1, 2), 1), (F(73, 10), F(1, 4))])
-def test_gamma_pdf_in_place_has_the_expression_bits(shape, scale):
-    # k - 1 in {3, 1/2, 1, 2, -1/2, 6.3} reaches numpy's fast scalar powers
-    # (x^1, x^2, x^0.5) and its general one
-    law = Gamma(shape=shape, scale=scale)
-    tiny = np.finfo(float).smallest_subnormal
-    edges = np.array([-np.inf, -1e300, -1.0, -tiny, -0.0, 0.0, tiny, 2 * tiny, 1e-310,
-                      np.finfo(float).tiny, 1e-300, 1.0, 1e10, 1e300, np.finfo(float).max,
-                      np.inf, np.nan])
-    rng = np.random.default_rng(36)
-    xs = [edges, rng.normal(0.0, 5.0, 10_001), law.sample(rng, 4096),
-          rng.uniform(0.0, 1e-305, 257), edges.reshape(-1, 1)]
-    with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-        for x in xs:
-            got = law.pdf(x)
-            want = gamma_pdf_expression(law, x)
-            assert got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
-        assert law.pdf(np.float64(2.0)).tobytes() == gamma_pdf_expression(law, 2.0).tobytes()
 
 
 def test_standardize_rejects_degenerate():

@@ -446,8 +446,8 @@ def test_nonzero_bump_is_the_positive_part_of_the_dense_bump(spec):
 
 @pytest.mark.parametrize("spec", ["uniform", "uniform*uniform"])
 def test_nonzero_bump_on_the_plateau_is_the_dense_bump(spec):
-    # every row on the plateau: the cube holds every row (no gather) and psi
-    # is 1 on all of them (no compaction)
+    # every row on the plateau: the cube holds every row and psi is 1 on all
+    # of them, so every index comes back
     rep = _split_of(spec)
     rng = np.random.default_rng(15)
     shape = 50_000 if rep.dim == 1 else (50_000, rep.dim)
