@@ -168,6 +168,7 @@ def cmd_split(args) -> bool:
     xs = np.linspace(*dist.support(), 4096)
     err = rep.reconstruction_residual(xs)
     rec = float(err.max())
+    w_min = float(rep.w_pdf(xs).min())  # the splitting's claim: eps0 psi <= p_F
     rng = np.random.default_rng(args.seed)
     ks = _ks_2samp(rep.sample(rng, args.samples), dist.sample(rng, args.samples))
     acceptance = "".join(
@@ -175,13 +176,14 @@ def cmd_split(args) -> bool:
         for k, c in rep.counters.items() if c.proposed
     )
     print(
-        f"# v0={harness.fmt(float(np.atleast_1d(rep.v0)[0]))} r0={harness.fmt(rep.r0)} "
+        f"# v0={harness.fmt(float(rep.v0))} r0={harness.fmt(rep.r0)} "
         f"eps0={harness.fmt(rep.eps0)} m0={harness.fmt(rep.m0)} "
-        f"reconstruction_sup_error={rec:.3e} ks_p={ks.pvalue:.4f}{acceptance}",
+        f"reconstruction_sup_error={rec:.3e} min_w_pdf={w_min:.3e} "
+        f"ks_p={ks.pvalue:.4f}{acceptance}",
         file=sys.stderr,
     )
     _write(args, "x,reconstruction_error", zip(xs, err))
-    return rec < 1e-8 and ks.pvalue > 0.01
+    return rec < 1e-8 and w_min >= 0 and ks.pvalue > 0.01
 
 
 def cmd_ibp(args) -> bool:

@@ -102,10 +102,7 @@ def ibp_weight(rep: SplitRep, n: int, counts, ls) -> np.ndarray:
     phi = _phi(rep, n, counts)
     if np.any((phi > 0) & (counts == 0)):
         raise DegenerateSigma("localizer is nonzero on a fully degenerate draw")
-    if np.ndim(ls) > 1:
-        phi, counts = phi[:, None], counts[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(counts > 0, phi * n / np.maximum(counts, 1) * ls, 0.0)
+    return np.where(counts > 0, phi * n / np.maximum(counts, 1) * ls.T, 0.0).T
 
 
 def _run_sums(vals: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -137,21 +134,18 @@ def sn_batch(rep: SplitRep, n: int, size: int, rng):
     rows, in every dimension at once; no per-summand index is built.
     Each run is added pairwise by numpy, so ``S_n`` and ``L S_n`` may
     differ from a sequential sum by rounding.  ``S_n`` and ``L S_n`` have
-    shape ``(size,)`` in 1-D and ``(size, N)`` otherwise.
+    shape ``(size, *np.shape(rep.v0))``, a row per sample in every dimension.
     """
     counts = rng.binomial(n, rep.m0, size)
     tot_v = int(counts.sum())
     tot_w = n * size - tot_v
-    shape = (size,) if rep.dim == 1 else (size, rep.dim)
-    sums = np.zeros(shape)
-    ls = np.zeros(shape)
-    if tot_v:
-        v = rep.sample_v(rng, tot_v)
-        sums += _run_sums(v, counts)
-        ls -= _run_sums(rep.log_psi_gradient(v), counts)
-        del v  # not alive while W is drawn
-    if tot_w:
-        sums += _run_sums(rep.sample_w(rng, tot_w), n - counts)
+    sums = np.zeros((size, *np.shape(rep.v0)))
+    ls = np.zeros_like(sums)
+    v = rep.sample_v(rng, tot_v)  # zero draws take no round
+    sums += _run_sums(v, counts)
+    ls -= _run_sums(rep.log_psi_gradient(v), counts)
+    del v  # not alive while W is drawn
+    sums += _run_sums(rep.sample_w(rng, tot_w), n - counts)
     rt = math.sqrt(n)
     return sums / rt, counts, ls / rt
 

@@ -737,7 +737,10 @@ class UserDensity(Distribution):
         while got < size:
             m = 2 * (size - got) + 16
             prop = rng.uniform(lo, hi, m)
-            keep = rng.uniform(0, cap, m) < self.pdf(prop)
+            dens = self.pdf(prop)
+            if dens.max() > cap:  # the scan missed the peak, so the draws would be wrong
+                raise ValueError(f"{self.label}: density {dens.max():.4g} > envelope {cap:.4g}")
+            keep = rng.uniform(0, cap, m) < dens
             acc = prop[keep][: size - got]
             out[got : got + len(acc)] = acc
             got += len(acc)

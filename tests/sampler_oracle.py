@@ -14,11 +14,19 @@ The batch of ``(S_n, sum chi, L S_n)`` once tagged every summand with its
 sample's index (an ``np.repeat``) and summed each coordinate with
 ``np.bincount``, in sequence; the library sums runs of rows pairwise, so
 the two agree up to rounding.
+
+The bump sampler and the gradient of ``ln psi`` once took one branch for a
+1-D law and another for a product: the 1-D bump proposals had scalar
+bounds, the N-D ones were shifted by ``v0`` after the draw, and the
+gradient was evaluated at every point, with a guard against a zero radius
+in N-D.
 """
 
 import math
 
 import numpy as np
+
+from edgeworth.splitting import log_psi_radial_derivative, psi_integral
 
 
 def psi_loc_full(a: float, x):
@@ -45,6 +53,34 @@ def _psi_bump(rep, x):
         d = np.asarray(x, dtype=float) - np.asarray(rep.v0)
         radius = np.sqrt(np.sum(d * d, axis=-1))
     return psi_loc_full(rep.r0 / 2, radius)
+
+
+def log_psi_gradient_two_branch(rep, x):
+    """``rep.log_psi_gradient(x)`` with a 1-D and an N-D branch, at every point."""
+    a = rep.r0 / 2
+    if rep.dim == 1:
+        d = np.asarray(x, dtype=float) - rep.v0
+        return log_psi_radial_derivative(a, np.abs(d)) * np.sign(d)
+    d = np.asarray(x, dtype=float) - np.asarray(rep.v0)
+    u = np.sqrt(np.sum(d * d, axis=-1))
+    rad = log_psi_radial_derivative(a, u)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        unit = np.where(u[..., None] > 0, d / np.maximum(u, 1e-300)[..., None], 0.0)
+    return rad[..., None] * unit
+
+
+def sample_v_two_branch(rep, rng, size: int) -> np.ndarray:
+    """``rep.sample_v(rng, size)`` with scalar bounds in 1-D and a shift in N-D."""
+    rate = psi_integral(rep.r0 / 2, rep.dim) / (2 * rep.r0) ** rep.dim
+
+    def propose(rng, m):
+        if rep.dim == 1:
+            prop = rng.uniform(rep.v0 - rep.r0, rep.v0 + rep.r0, m)
+        else:
+            prop = rng.uniform(-rep.r0, rep.r0, (m, rep.dim)) + np.asarray(rep.v0)
+        return prop, rng.random(m) < _psi_bump(rep, prop)
+
+    return rep._reject(rng, size, rate, propose, "v")
 
 
 def sample_w_full(rep, rng, size: int) -> np.ndarray:

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from edgeworth import cli, malliavin
+from edgeworth import cli, malliavin, splitting
 from edgeworth.cli import build_parser, main
 from edgeworth.correctors import k_poly
 from edgeworth.moments import fixture_table
@@ -176,7 +176,22 @@ def test_split_command(capsys):
     assert code == 0
     assert "m0=" in err and "ks_p=" in err
     assert "accept_v=" in err and "accept_w=" in err
+    assert float(err.split("min_w_pdf=")[1].split()[0]) >= 0
     assert out.splitlines()[0] == "x,reconstruction_error"
+
+
+def test_split_verdict_fails_when_the_bump_exceeds_the_density(capsys, monkeypatch):
+    # with eps0 doubled, m0 p_V + (1 - m0) p_W = p_F still holds by construction
+    # of p_W, but eps0 psi > p_F near v0, so p_W < 0 there; the KS test is
+    # made to pass so that only the p_W >= 0 gate can fail
+    real = splitting.split
+    monkeypatch.setattr(splitting, "split", lambda d: replace(real(d), eps0=2 * real(d).eps0))
+    monkeypatch.setattr(cli, "_ks_2samp", lambda a, b: SimpleNamespace(pvalue=1.0))
+    code, out, err = run(capsys, *TABLES["split"])
+    assert code == 1
+    assert float(err.split("reconstruction_sup_error=")[1].split()[0]) < 1e-8
+    assert float(err.split("min_w_pdf=")[1].split()[0]) < 0
+    assert len(out.splitlines()) == 1 + 4096
 
 
 def test_ibp_command_small(capsys):

@@ -450,6 +450,21 @@ def test_user_density_sample_rejects_zero_density():
         d.sample(np.random.default_rng(5), 10)
 
 
+def test_user_density_sample_rejects_a_peak_between_scan_points():
+    # 0.5 U(0,1) + 0.5 (triangle of half-width 1e-4 at 0.30001): the 4097-point
+    # scan peaks at 3059 against a true 5000.5, so an envelope of 1.05 x 3059
+    # would clip the spike and draw too little mass near it
+    from edgeworth.moments import UserDensity
+
+    c, h = 0.30001, 1e-4
+    d = UserDensity(lambda x: 0.5 * ((x >= 0) & (x <= 1))
+                    + 0.5 * np.maximum(0.0, 1 - np.abs(x - c) / h) / h,
+                    (0, 1), label="spike", max_order=4)
+    assert float(np.max(d.pdf(np.linspace(0, 1, 4097)))) == pytest.approx(3059.09, abs=0.01)
+    with pytest.raises(ValueError, match=r"^spike: density \S+ > envelope 3212$"):
+        d.sample(np.random.default_rng(5), 400_000)
+
+
 def _triangle(x):
     return np.where((x >= 0) & (x <= 2), np.where(x <= 1, x, 2 - x), 0.0)
 

@@ -21,7 +21,12 @@ from edgeworth.splitting import (
     psi_loc,
     split,
 )
-from sampler_oracle import psi_loc_full, sample_w_full
+from sampler_oracle import (
+    log_psi_gradient_two_branch,
+    psi_loc_full,
+    sample_v_two_branch,
+    sample_w_full,
+)
 
 
 @pytest.fixture(scope="module")
@@ -515,3 +520,131 @@ def test_sample_w_passes_each_round_to_psi_bump(spec, monkeypatch):
     rep = _fresh(spec)
     rep.sample_w(np.random.default_rng(14), 50_000)
     assert seen and sum(seen) == rep.counters["w"].proposed
+
+
+# --- one point layout against the two-branch oracles ----------------------------
+
+# 1-, 2- and 3-D; exponential's ball sits at the edge of its support
+LAYOUT_SPECS = ["uniform", "exponential", "uniform*uniform", "exponential*uniform",
+                "exponential*uniform*laplace"]
+
+
+def _radius_of(rep, x):
+    d = np.asarray(x, dtype=float) - np.asarray(rep.v0)
+    return np.abs(d) if rep.dim == 1 else np.sqrt(np.sum(d * d, axis=-1))
+
+
+def _around_v0(rep, rng, count=20_000):
+    """Points at distances 0 .. 1.5 r0 from ``v0`` in random directions, then
+    ``v0`` itself and points on the first axis at r0/2 and r0 and next to them."""
+    radii = rng.uniform(0.0, 1.5 * rep.r0, count)
+    edges = np.array([0.0, rep.r0 / 2, np.nextafter(rep.r0 / 2, 0.0),
+                      np.nextafter(rep.r0 / 2, np.inf), rep.r0,
+                      np.nextafter(rep.r0, 0.0), np.nextafter(rep.r0, np.inf)])
+    if rep.dim == 1:
+        return np.concatenate([rep.v0 + radii * rng.choice([-1.0, 1.0], count),
+                               rep.v0 + edges, rep.v0 - edges])
+    dirs = rng.normal(size=(count, rep.dim))
+    dirs /= np.sqrt(np.sum(dirs * dirs, axis=1))[:, None]
+    axis = np.zeros((2 * len(edges), rep.dim))
+    axis[:, 0] = np.concatenate([edges, -edges])
+    return np.concatenate([rep.v0 + radii[:, None] * dirs, rep.v0 + axis])
+
+
+def _assert_gradient_is_the_two_branch_one(rep, x):
+    got = rep.log_psi_gradient(x)
+    want = log_psi_gradient_two_branch(rep, x)
+    assert np.shape(got) == np.shape(want)
+    u = _radius_of(rep, x)
+    band = (u > rep.r0 / 2) & (u < rep.r0)
+    # bit for bit on the decay band; off it both are zero, of either sign
+    assert np.asarray(got)[band].tobytes() == np.asarray(want)[band].tobytes()
+    assert np.all(np.asarray(got)[~band] == 0.0) and np.all(np.asarray(want)[~band] == 0.0)
+    return got, band
+
+
+@pytest.mark.parametrize("spec", LAYOUT_SPECS)
+def test_log_psi_gradient_matches_the_two_branch_oracle(spec):
+    rep = _split_of(spec)
+    rng = np.random.default_rng(31)
+    x = np.concatenate([_around_v0(rep, rng), rep.base.sample(rng, 20_000)])
+    _, band = _assert_gradient_is_the_two_branch_one(rep, x)
+    assert band.any() and not band.all()
+    # empty input, and one point (a scalar in 1-D, shape (N,) otherwise)
+    empty = np.empty((0, *np.shape(rep.v0)))
+    assert rep.log_psi_gradient(empty).shape == empty.shape
+    for point in x[np.flatnonzero(band)[:3]]:
+        got = rep.log_psi_gradient(point)
+        assert np.shape(got) == np.shape(rep.v0)
+        assert np.asarray(got).tobytes() == rep.log_psi_gradient(point[None])[0].tobytes()
+    if rep.dim == 1:
+        # a scalar in gives a scalar out, also on the plateau
+        _assert_gradient_is_the_two_branch_one(rep, float(x[band][0]))
+        assert isinstance(rep.log_psi_gradient(float(rep.v0)), float)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_log_psi_gradient_at_exact_radii(dim):
+    # v0 = 0 and r0 = 1: the points on the axes sit exactly at u = 0, the
+    # plateau edge 1/2, the band, the support edge 1 and outside it
+    base = make_distribution("*".join(["uniform"] * dim))
+    v0 = 0.0 if dim == 1 else [0.0] * dim
+    rep = SplitRep(base, v0, 1.0, 0.1, 0.1 * psi_integral(0.5, dim))
+    radii = np.array([0.0, 0.5, 0.5000001, 0.75, 0.9999999, 1.0, 1.5, 3.0])
+    x = np.concatenate([radii, -radii])
+    if dim > 1:
+        x = (np.eye(dim) * x[:, None, None]).reshape(-1, dim)  # along every axis
+    _, band = _assert_gradient_is_the_two_branch_one(rep, x)
+    assert band.sum() == 6 * dim
+
+
+@pytest.mark.parametrize("spec", [*shipped_labels(), *LAYOUT_SPECS[2:]])
+def test_sample_v_matches_the_two_branch_route(spec):
+    for seed, size in ((1, 1), (2, 1000), (3, 200_000)):
+        mine, oracle = _fresh(spec), _fresh(spec)
+        rng_mine, rng_oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = mine.sample_v(rng_mine, size)
+        want = sample_v_two_branch(oracle, rng_oracle, size)
+        assert got.shape == want.shape == (size, *np.shape(mine.v0))
+        assert mine.counters == oracle.counters
+        assert rng_mine.bit_generator.state == rng_oracle.bit_generator.state
+        if mine.dim == 1:
+            assert got.tobytes() == want.tobytes()
+            continue
+        # N-D: the bounds v0 +- r0 and the shift by v0 round apart in the last bit
+        assert np.all(_radius_of(mine, got) < mine.r0)
+        assert np.all((got >= mine.v0 - mine.r0) & (got <= mine.v0 + mine.r0))
+        tol = 4 * np.finfo(float).eps * (np.abs(mine.v0) + mine.r0)
+        assert np.all(np.abs(got - want) <= tol)
+
+
+@pytest.mark.parametrize("spec", LAYOUT_SPECS)
+def test_dense_bump_is_psi_loc_of_the_radius(spec):
+    rep = _split_of(spec)
+    rng = np.random.default_rng(32)
+    x = np.concatenate([_around_v0(rep, rng), rep.base.sample(rng, 20_000)])
+    a = rep.r0 / 2
+    assert rep.psi_bump(x).tobytes() == psi_loc(a, _radius_of(rep, x)).tobytes()
+    # a grid of points keeps its leading shape
+    grid = x[:40_000].reshape(200, 200, *np.shape(rep.v0))
+    dense = rep.psi_bump(grid)
+    assert dense.shape == (200, 200)
+    assert dense.tobytes() == psi_loc(a, _radius_of(rep, grid)).tobytes()
+    if rep.dim == 1:
+        point = rep.v0 + 0.75 * rep.r0
+        assert float(rep.psi_bump(point)) == psi_loc(a, _radius_of(rep, point))
+
+
+def test_v0_is_kept_as_a_float_or_a_float_array():
+    rep = _split_of("exponential*uniform")
+    listed = SplitRep(rep.base, [float(c) for c in rep.v0], rep.r0, rep.eps0, rep.m0)
+    assert isinstance(listed.v0, np.ndarray)
+    assert listed.v0.dtype == float and listed.v0.shape == (2,)
+    draws = [r.sample(np.random.default_rng(33), 5000)
+             for r in (listed, _fresh("exponential*uniform"))]
+    assert draws[0].shape == (5000, 2) and draws[0].tobytes() == draws[1].tobytes()
+    one = SplitRep(make_distribution("uniform"), 0, 1.0, 0.1, 0.1 * psi_integral(0.5))
+    assert np.shape(one.v0) == () and isinstance(one.v0, float)
+    assert one.sample(np.random.default_rng(34), 7).shape == (7,)
+    assert one.sample_v(np.random.default_rng(34), 0).shape == (0,)
+    assert listed.sample(np.random.default_rng(34), 0).shape == (0, 2)
