@@ -34,7 +34,9 @@ import sys
 import tempfile
 import time
 
+# CI's Tier-1 command (.github/workflows/tests.yml), without the cache
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-W", "error::DeprecationWarning", "-W", "error::RuntimeWarning",
          "--continue-on-collection-errors"]
 
 

@@ -152,17 +152,16 @@ class EdgeworthModel:
     """A standardized law together with its correctors up to order r.
 
     The correctors do not depend on ``n``, so the model keeps what the
-    grid path derives from them alone: the exact ``E K_m(G)^2`` of the
-    tail bound, and the Gaussian and ``K_m`` values of the last grid
-    layout ``(points, halfwidth)`` that ``edgeworth_grid`` was asked for.
+    grid path derives from them alone: its nonzero correctors and their
+    exact ``E K_m(G)^2`` of the tail bound, each computed on first read, and
+    the Gaussian and ``K_m`` values of the last grid layout
+    ``(points, halfwidth)`` that ``edgeworth_grid`` was asked for.
     """
 
     dist: Distribution
     r: int
     table: MomentTable
     k_polys: list
-    _second_moments: list | None = field(default=None, init=False, repr=False,
-                                         compare=False)
     _grid_terms: tuple | None = field(default=None, init=False, repr=False,
                                       compare=False)
 
@@ -178,6 +177,16 @@ class EdgeworthModel:
     def dim(self) -> int:
         return self.table.dim
 
+    @functools.cached_property
+    def nonzero_k_polys(self) -> list:
+        """``(m, K_m)`` for each corrector that is not the zero polynomial."""
+        return [(m, km) for m, km in enumerate(self.k_polys, start=1) if not km.is_zero()]
+
+    @functools.cached_property
+    def k_second_moments(self) -> list:
+        """``(m, E K_m(G)^2)`` for each nonzero corrector, exact, as a float."""
+        return [(m, float(gaussian_expect_poly(km * km))) for m, km in self.nonzero_k_polys]
+
 
 def edgeworth_density(model: EdgeworthModel, n: int, x):
     """Signed density of ``Gamma_{n,r}`` at point(s) ``x``.
@@ -188,9 +197,8 @@ def edgeworth_density(model: EdgeworthModel, n: int, x):
         raise ValueError("n must be >= 1")
     x = np.asarray(x, dtype=float)
     factor = np.ones(x.shape if model.dim == 1 else x.shape[:-1])
-    for m, km in enumerate(model.k_polys, start=1):
-        if not km.is_zero():
-            factor = factor + n ** (-m / 2.0) * km(x)
+    for m, km in model.nonzero_k_polys:
+        factor = factor + n ** (-m / 2.0) * km(x)
     return gaussian_pdf(x, model.dim) * factor
 
 
@@ -198,13 +206,8 @@ def _corrector_tail_bound(model: EdgeworthModel, n: int, L: float) -> float:
     # integral of |density| beyond the window: Gaussian tail plus a
     # Cauchy-Schwarz bound for each polynomial corrector term
     gtail = min(1.0, model.dim * math.erfc(L / math.sqrt(2)))
-    if model._second_moments is None:  # exact E K_m(G)^2, once per model
-        model._second_moments = [
-            (m, float(gaussian_expect_poly(km * km)))
-            for m, km in enumerate(model.k_polys, start=1) if not km.is_zero()
-        ]
     bound = gtail
-    for m, second in model._second_moments:
+    for m, second in model.k_second_moments:
         bound += n ** (-m / 2.0) * math.sqrt(max(second, 0.0) * gtail)
     return bound
 
@@ -247,8 +250,7 @@ def edgeworth_grid(model: EdgeworthModel, n: int, points: int | None = None,
     if model._grid_terms is None or model._grid_terms[0] != (points, halfwidth):
         x = _axis(halfwidth, points)
         gauss = functools.reduce(np.multiply.outer, [gaussian_pdf(x)] * model.dim)
-        ks = [(m, _poly_on_grid(km, x))
-              for m, km in enumerate(model.k_polys, start=1) if not km.is_zero()]
+        ks = [(m, _poly_on_grid(km, x)) for m, km in model.nonzero_k_polys]
         model._grid_terms = ((points, halfwidth), gauss, ks)
     _, gauss, ks = model._grid_terms
     # (1 + sum_m n^(-m/2) K_m) gamma, the terms added in order of m, in one

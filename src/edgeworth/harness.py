@@ -145,6 +145,8 @@ def _validate(cfg: RateConfig):
         raise ConfigError("n values must be >= 1")
     if list(cfg.n_list) != sorted(set(cfg.n_list)):
         raise ConfigError("n_list must be strictly increasing")
+    if not 0 < cfg.slope_tol < math.inf:
+        raise ConfigError(f"slope_tol must be > 0 and finite, got {cfg.slope_tol}")
     try:
         _axis(cfg.grid_halfwidth, cfg.grid_points)
     except ValueError as exc:

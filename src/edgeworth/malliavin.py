@@ -16,7 +16,8 @@ calculus with respect to the smooth noise ``V`` is fully explicit:
 
 So a sample needs only ``(S_n, sum chi, L S_n)``: :func:`sn_batch` draws
 them in batches in every dimension, and :func:`ibp_weight` turns the last
-two into ``H``.  A batch draws its ``V`` and ``W`` summands flat, sample
+two into ``H``.  :func:`ibp_battery` evaluates ``phi`` once per chunk and
+derives ``H`` from it through the same step.  A batch draws its ``V`` and ``W`` summands flat, sample
 after sample, and sums each sample's rows as one run (run lengths
 ``sum chi`` and ``n - sum chi``); numpy adds within a run pairwise.  The
 module verifies the resulting identity
@@ -99,7 +100,11 @@ def ibp_weight(rep: SplitRep, n: int, counts, ls) -> np.ndarray:
     with no active noise is a contract violation (the localizer must be
     supported above ``eps*/2 > 0``) and raises :class:`DegenerateSigma`.
     """
-    phi = _phi(rep, n, counts)
+    return _weight(_phi(rep, n, counts), n, counts, ls)
+
+
+def _weight(phi, n: int, counts, ls) -> np.ndarray:
+    """``H`` of :func:`ibp_weight` from the localizer values ``phi`` of the samples."""
     if np.any((phi > 0) & (counts == 0)):
         raise DegenerateSigma("localizer is nonzero on a fully degenerate draw")
     return np.where(counts > 0, phi * n / np.maximum(counts, 1) * ls.T, 0.0).T
@@ -214,7 +219,7 @@ def ibp_battery(rep: SplitRep, n: int, funcs, samples: int, rng) -> list[IbpRepo
         m = min(chunk, samples - done)
         s, counts, ls = sn_batch(rep, n, m, rng)
         phi = _phi(rep, n, counts)
-        weight = ibp_weight(rep, n, counts, ls)
+        weight = _weight(phi, n, counts, ls)
         for j, (_, f, df) in enumerate(funcs):
             left = df(s) * phi
             right = f(s) * weight

@@ -13,6 +13,11 @@ consumed by the operator algebra:
 Moments are closed-form and exact (``Fraction``) wherever the parameters
 allow it, so the corrector polynomials built downstream stay exact for the
 shipped skewed laws.
+
+The package's one rejection loop, :func:`rejection_sample`, lives here too:
+``UserDensity.sample`` and the splitting's bump and residual samplers each
+give it a proposal step and the closed-form acceptance rate that sizes its
+rounds, and it raises :class:`RejectionStall` when the acceptance collapses.
 """
 
 from __future__ import annotations
@@ -59,6 +64,63 @@ class OrderExceeded(Exception):
 
 class NonInvertibleCovariance(Exception):
     """A factor's variance is not positive; the law cannot be standardized."""
+
+
+class RejectionStall(Exception):
+    """Rejection sampling acceptance collapsed; the sampler is broken."""
+
+
+#: Largest number of proposals one rejection round may draw.  Sized so that
+#: a 2^21-summand Monte Carlo chunk finishes each sampler in one round; a
+#: broken sampler (acceptance near zero) hits it and then stalls.
+ROUND_CAP = 1 << 22
+
+
+def _round_size(missing: int, rate: float) -> int:
+    """Proposals for one rejection round at acceptance probability ``rate``.
+
+    ``(missing + 4 sqrt(missing)) / rate`` proposals accept on average
+    ``4 sqrt(missing)`` more than needed, about four binomial standard
+    deviations or more, so a second round is rare.  At least 64, at most
+    :data:`ROUND_CAP`.
+    """
+    if not rate > 0:
+        return ROUND_CAP
+    m = math.ceil((missing + 4.0 * math.sqrt(missing)) / rate)
+    return min(max(m, 64), ROUND_CAP)
+
+
+def rejection_sample(rng, size: int, rate: float, propose, name: str, tally: list,
+                     shape: tuple = ()) -> np.ndarray:
+    """``size`` draws by rejection rounds; ``propose(rng, m)`` returns ``(proposals, keep)``.
+
+    The package's one rejection loop.  Each round draws enough proposals to
+    finish with high probability at the closed-form acceptance ``rate``
+    (Devroye 1986, II.3) and keeps the first accepted ones still missing.
+    ``tally`` is the caller's ``[proposed, accepted, drawn]``, added to in
+    place.  Past a million proposals of one call, an acceptance below 1e-4
+    raises :class:`RejectionStall` naming the sampler ``name``.  Zero draws
+    take no round and give an empty array of rows of ``shape``.
+    """
+    parts = []
+    got, proposed, accepted = 0, 0, 0
+    while got < size:
+        m = _round_size(size - got, rate)
+        prop, keep = propose(rng, m)
+        acc = prop[keep]
+        take = acc[: size - got]
+        parts.append(take)
+        got += len(take)
+        proposed += m
+        accepted += len(acc)
+        tally[0] += m
+        tally[1] += len(acc)
+        tally[2] += len(take)
+        if proposed > 1_000_000 and accepted / proposed < 1e-4:
+            raise RejectionStall(f"{name} sampler acceptance below 1e-4")
+    if len(parts) == 1:
+        return parts[0]
+    return np.concatenate(parts) if parts else np.empty((0, *shape))
 
 
 def double_factorial(n: int) -> int:
@@ -222,6 +284,15 @@ class Distribution:
 
     def _raw_moment(self, k: int):
         raise NotImplementedError
+
+    @functools.cached_property
+    def float_cumulants(self) -> list:
+        """1-D cumulants ``k_1..k_R`` as floats, ``R`` the even order
+        ``min(16, max_order)``; computed on first read and kept (the tail
+        bound of ``S_n`` reads them for every ``n``)."""
+        order = min(16, self.max_order)
+        order -= order % 2
+        return moments_to_cumulants([float(self.moment((1,) * k)) for k in range(1, order + 1)])
 
     def sample(self, rng, size):
         """``size`` independent draws.  The array is the caller's: a new one
@@ -725,26 +796,27 @@ class UserDensity(Distribution):
         return out.reshape(t.shape)
 
     def sample(self, rng, size):
-        # rejection from a uniform envelope over the support
+        """Rejection from a uniform envelope ``cap`` over the support, at the
+        closed-form acceptance ``1 / (cap (hi - lo))``.
+
+        ``cap`` is 1.05 x the largest density on 4097 scan points; a round
+        with a proposal's density above it raises ``ValueError``, since the
+        scan missed the peak and the draws would be wrong.
+        """
         lo, hi = self._support
-        xs = np.linspace(lo, hi, 4097)
-        cap = float(np.max(self.pdf(xs))) * 1.05
+        cap = float(np.max(self.pdf(np.linspace(lo, hi, 4097)))) * 1.05
         if not cap > 0:
             raise ValueError(f"{self.label}: density is not positive at any of "
                              f"4097 points of its support {self._support}")
-        out = np.empty(size)
-        got = 0
-        while got < size:
-            m = 2 * (size - got) + 16
+
+        def propose(rng, m):
             prop = rng.uniform(lo, hi, m)
             dens = self.pdf(prop)
-            if dens.max() > cap:  # the scan missed the peak, so the draws would be wrong
+            if dens.max() > cap:
                 raise ValueError(f"{self.label}: density {dens.max():.4g} > envelope {cap:.4g}")
-            keep = rng.uniform(0, cap, m) < dens
-            acc = prop[keep][: size - got]
-            out[got : got + len(acc)] = acc
-            got += len(acc)
-        return out
+            return prop, rng.uniform(0, cap, m) < dens
+
+        return rejection_sample(rng, size, 1 / (cap * (hi - lo)), propose, self.label, [0] * 3)
 
     def support(self):
         return self._support

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .moments import Distribution, cumulants_to_moments, moments_to_cumulants
+from .moments import Distribution, cumulants_to_moments
 
 __all__ = [
     "AliasingDetected",
@@ -220,8 +220,8 @@ def _int_power(z, n: int):
 def sn_tail_bound(dist: Distribution, n: int, L: float) -> float:
     """Chebyshev bound on the mass of ``S_n`` outside ``[-L, L]^N``.
 
-    Per 1-D factor, the summand's float cumulants up to the even order
-    ``min(16, max_order)``, kept on the law for every ``n``, times
+    Per 1-D factor, the summand's ``float_cumulants`` (up to the even
+    order ``min(16, max_order)``, kept by the law for every ``n``), times
     ``n^{1-j/2}`` are those of the coordinate ``X`` of ``S_n``; the least of
     1 and the ratios ``E X^{2k} / L^{2k}`` of their float moments bounds
     ``P(|X| > L)``; an order whose ``L^{2k}`` underflows gives no ratio, and
@@ -231,16 +231,11 @@ def sn_tail_bound(dist: Distribution, n: int, L: float) -> float:
     """
     total = 0.0
     for law in dist.factors():
-        order = min(16, law.max_order)
-        order -= order % 2
-        ks = law.__dict__.get("_float_cumulants")
-        if ks is None:
-            ms = [float(law.moment((1,) * k)) for k in range(1, order + 1)]
-            ks = law.__dict__["_float_cumulants"] = moments_to_cumulants(ms)
+        ks = law.float_cumulants
         ms = cumulants_to_moments(
             [k * n ** (1 - j / 2.0) for j, k in enumerate(ks, start=1)])
         best = 1.0
-        for m2 in range(2, order + 1, 2):
+        for m2 in range(2, len(ks) + 1, 2):
             try:
                 power = L**m2
             except OverflowError:  # the ratio is 0 to a double

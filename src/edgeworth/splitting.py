@@ -32,6 +32,12 @@ and ``eps0 = 0.9 x`` that infimum, halved until ``m0 <= 1/2``.  The ball
 infimum is bounded below by the product of the factors' infima over the
 enclosing cube ``v0 +- r``, each taken on probes of its axis: exact (up to
 the probes) in 1-D, conservative in N >= 2.
+
+Both samplers draw through ``moments.rejection_sample``, the package's one
+rejection loop, with their own tallies (``SplitRep.counters``); its
+``ROUND_CAP``, ``RejectionStall`` and ``_round_size`` are importable from
+here as well.  ``log_psi_gradient`` and ``log_psi_radial_derivative`` apply
+one closed form of ``(ln psi)'`` to the band radii they select.
 """
 
 from __future__ import annotations
@@ -43,7 +49,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .moments import Distribution
+from .moments import ROUND_CAP, Distribution, RejectionStall, rejection_sample
+from .moments import _round_size  # noqa: F401  (importable from here, beside the loop)
 
 __all__ = [
     "NoLowerBoundFound",
@@ -58,18 +65,8 @@ __all__ = [
     "ROUND_CAP",
 ]
 
-#: Largest number of proposals one rejection round may draw.  Sized so that
-#: a 2^21-summand Monte Carlo chunk finishes each sampler in one round; a
-#: broken representation (acceptance near zero) hits it and then stalls.
-ROUND_CAP = 1 << 22
-
-
 class NoLowerBoundFound(Exception):
     """No ball with a positive density infimum was found on the scan grid."""
-
-
-class RejectionStall(Exception):
-    """Rejection sampling acceptance collapsed; the representation is broken."""
 
 
 def psi_loc(a: float, x):
@@ -108,10 +105,15 @@ def log_psi_radial_derivative(a: float, u):
     u = np.asarray(u, dtype=float)
     out = np.zeros_like(u)
     band = (u > a) & (u < 2 * a)
-    ub = u[band] - a
-    g = a * a - ub * ub
-    out[band] = -2.0 * a * a * ub / (g * g)
+    out[band] = _log_psi_band(a, u[band])
     return out if out.shape else float(out)
+
+
+def _log_psi_band(a: float, u: np.ndarray) -> np.ndarray:
+    """``(d/du) ln psi_a(u)`` for radii ``u`` on the band ``a < u < 2a``."""
+    ub = u - a
+    g = a * a - ub * ub
+    return -2.0 * a * a * ub / (g * g)
 
 
 @lru_cache(maxsize=None)
@@ -220,20 +222,6 @@ class SamplerCounts(NamedTuple):
     drawn: int
 
 
-def _round_size(missing: int, rate: float) -> int:
-    """Proposals for one rejection round at acceptance probability ``rate``.
-
-    ``(missing + 4 sqrt(missing)) / rate`` proposals accept on average
-    ``4 sqrt(missing)`` more than needed, about four binomial standard
-    deviations or more, so a second round is rare.  At least 64, at most
-    :data:`ROUND_CAP`.
-    """
-    if not rate > 0:
-        return ROUND_CAP
-    m = math.ceil((missing + 4.0 * math.sqrt(missing)) / rate)
-    return min(max(m, 64), ROUND_CAP)
-
-
 @dataclass
 class SplitRep:
     """Realized splitting ``F = chi V + (1 - chi) W`` of a base law.
@@ -310,7 +298,7 @@ class SplitRep:
         ub = u[band]
         out = np.zeros(rows.shape)
         # transposed, a per-point factor broadcasts over the coordinates
-        out[band] = (log_psi_radial_derivative(a, ub) * ((rows[band] - self.v0).T / ub)).T
+        out[band] = (_log_psi_band(a, ub) * ((rows[band] - self.v0).T / ub)).T
         return out.reshape(np.shape(x)) if np.ndim(x) else float(out[0])
 
     # -- samplers ------------------------------------------------------------
@@ -318,35 +306,6 @@ class SplitRep:
     def counters(self) -> dict:
         """Cumulative proposed/accepted/drawn counts of the ``"v"`` and ``"w"`` samplers."""
         return {k: SamplerCounts(*t) for k, t in self._tally.items()}
-
-    def _reject(self, rng, size: int, rate: float, propose, which: str) -> np.ndarray:
-        """Rejection rounds: ``propose(rng, m)`` returns ``(proposals, keep)``.
-
-        Each round draws enough proposals to finish with high probability at
-        the closed-form acceptance ``rate`` (Devroye 1986, II.3) and keeps the
-        first accepted ones still missing.
-        """
-        parts = []
-        tally = self._tally[which]
-        got, proposed, accepted = 0, 0, 0
-        while got < size:
-            m = _round_size(size - got, rate)
-            prop, keep = propose(rng, m)
-            acc = prop[keep]
-            take = acc[: size - got]
-            parts.append(take)
-            got += len(take)
-            proposed += m
-            accepted += len(acc)
-            tally[0] += m
-            tally[1] += len(acc)
-            tally[2] += len(take)
-            if proposed > 1_000_000 and accepted / proposed < 1e-4:
-                name = "bump" if which == "v" else "residual"
-                raise RejectionStall(f"{name} sampler acceptance below 1e-4")
-        if len(parts) == 1:
-            return parts[0]
-        return np.concatenate(parts) if parts else np.empty((0, *np.shape(self.v0)))
 
     def sample_v(self, rng, size: int) -> np.ndarray:
         """Draws from the bump law by rejection from a uniform proposal.
@@ -360,7 +319,8 @@ class SplitRep:
             prop = rng.uniform(self.v0 - self.r0, self.v0 + self.r0, (m, *np.shape(self.v0)))
             return prop, rng.random(m) < self.psi_bump(prop)
 
-        return self._reject(rng, size, rate, propose, "v")
+        return rejection_sample(rng, size, rate, propose, "bump", self._tally["v"],
+                                np.shape(self.v0))
 
     def sample_w(self, rng, size: int) -> np.ndarray:
         """Draws from W by thinning draws of the base law.
@@ -392,7 +352,8 @@ class SplitRep:
                 keep[thin] = rng.random(thin.size) < ratio
             return prop, keep
 
-        return self._reject(rng, size, 1.0 - self.m0, propose, "w")
+        return rejection_sample(rng, size, 1.0 - self.m0, propose, "residual",
+                                self._tally["w"], np.shape(self.v0))
 
     def sample(self, rng, size: int) -> np.ndarray:
         """Draws of ``chi V + (1 - chi) W``; distributed as the base law."""

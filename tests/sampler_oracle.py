@@ -7,8 +7,9 @@ thinning uniform only for proposals inside the cube ``v0 +- r0`` around the
 bump, and writes the localizer over an array it owns.  The older step here
 computes the radius and the localizer of every proposal, each into a fresh
 array, and thins the non-atomic ones where it is positive.
-It draws through ``rep._reject``, so its draws, generator calls and
-``rep.counters`` tallies are those the library must reproduce bit for bit.
+It draws through ``moments.rejection_sample`` into ``rep``'s tallies, so its
+draws, generator calls and ``rep.counters`` are those the library must
+reproduce bit for bit.
 
 The batch of ``(S_n, sum chi, L S_n)`` once tagged every summand with its
 sample's index (an ``np.repeat``) and summed each coordinate with
@@ -26,6 +27,7 @@ import math
 
 import numpy as np
 
+from edgeworth.moments import rejection_sample
 from edgeworth.splitting import log_psi_radial_derivative, psi_integral
 
 
@@ -80,7 +82,7 @@ def sample_v_two_branch(rep, rng, size: int) -> np.ndarray:
             prop = rng.uniform(-rep.r0, rep.r0, (m, rep.dim)) + np.asarray(rep.v0)
         return prop, rng.random(m) < _psi_bump(rep, prop)
 
-    return rep._reject(rng, size, rate, propose, "v")
+    return rejection_sample(rng, size, rate, propose, "bump", rep._tally["v"], np.shape(rep.v0))
 
 
 def sample_w_full(rep, rng, size: int) -> np.ndarray:
@@ -100,7 +102,8 @@ def sample_w_full(rep, rng, size: int) -> np.ndarray:
             keep[thin] = rng.random(thin.size) < 1.0 - ratio
         return prop, keep
 
-    return rep._reject(rng, size, 1.0 - rep.m0, propose, "w")
+    return rejection_sample(rng, size, 1.0 - rep.m0, propose, "residual", rep._tally["w"],
+                            np.shape(rep.v0))
 
 
 def _segment_sum(idx: np.ndarray, vals: np.ndarray, size: int) -> np.ndarray:

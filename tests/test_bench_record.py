@@ -63,6 +63,18 @@ def test_one_pair_has_its_run_as_median_and_quartiles():
     assert "change_wins" not in record["workloads"]["rate_sweep"]["metrics"]["ok_ratio"]
 
 
+def test_tier1_command_is_ci_s():
+    # the timed suite is CI's Tier-1 command, warnings-as-errors flags included
+    ci = os.path.join(os.path.dirname(__file__), os.pardir, ".github", "workflows", "tests.yml")
+    with open(ci) as fh:
+        line = next(ln for ln in fh if "-W" in ln and "--continue-on-collection-errors" in ln)
+    flags = ["error::DeprecationWarning", "error::RuntimeWarning"]
+    assert [w for w in line.split() if w.startswith("error::")] == flags
+    cmd = bench_record.TIER1
+    assert cmd[1:4] == ["-m", "pytest", "-q"] and "--continue-on-collection-errors" in cmd
+    assert [cmd[i + 1] for i, arg in enumerate(cmd) if arg == "-W"] == flags
+
+
 def test_plan_entries():
     assert bench_record.parse_plan(["rate_sweep=10", "rate_sweep/trace=2"]) == [
         ("rate_sweep", False, 10), ("rate_sweep", True, 2)]

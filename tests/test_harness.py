@@ -67,6 +67,21 @@ def test_parse_rejects_bad_configs(text):
         parse_config(text)
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-0.2"])
+def test_parse_rejects_slope_tol_outside_the_positive_reals(tol):
+    # with nan or inf every slope passed, and a negative tolerance failed every run
+    text = f"dist = uniform\nr = 2\nn_list = 32, 64, 128, 256\nslope_tol = {tol}"
+    with pytest.raises(ConfigError, match="slope_tol must be > 0 and finite"):
+        parse_config(text)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -0.2])
+def test_run_rate_rejects_slope_tol_outside_the_positive_reals(tol):
+    cfg = RateConfig(dist="uniform", r=2, n_list=(32, 64, 128, 256), slope_tol=tol)
+    with pytest.raises(ConfigError, match="slope_tol must be > 0 and finite"):
+        run_rate(cfg)
+
+
 def test_expected_slope_rule():
     exp_t = MomentTable.from_distribution(make_distribution("exponential"), 6)
     uni_t = MomentTable.from_distribution(make_distribution("uniform"), 6)

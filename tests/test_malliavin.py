@@ -351,6 +351,21 @@ def test_ibp_battery_matches_one_paired_draw(urep):
             assert se == pytest.approx(vals.std() / math.sqrt(samples), rel=1e-9, abs=1e-12)
 
 
+def test_ibp_battery_takes_the_localizer_once_per_chunk(urep, monkeypatch):
+    # the left side and the weight H share one localizer pass per chunk
+    calls = []
+    real = malliavin.localizer
+
+    def counted(rep, det_sigma):
+        calls.append(len(det_sigma))
+        return real(rep, det_sigma)
+
+    monkeypatch.setattr(malliavin, "localizer", counted)
+    monkeypatch.setattr(malliavin, "CHUNK_SAMPLES", 400)
+    ibp_battery(urep, 8, default_test_functions(), 1000, np.random.default_rng(41))
+    assert calls == [400, 400, 200]
+
+
 def test_ibp_z_score_is_paired():
     # the marginal SEs would give |1 - 0.5| / hypot(3, 4) = 0.1
     r = IbpReport("f", 16, 100, lhs=1.0, lhs_se=3.0, rhs=0.5, rhs_se=4.0, diff_se=0.25)

@@ -23,9 +23,11 @@ from edgeworth.moments import (
     NonInvertibleCovariance,
     OrderExceeded,
     ProductDistribution,
+    RejectionStall,
     Uniform,
     UserDensity,
     _binomial_moment,
+    _round_size,
     cumulants_to_moments,
     delta,
     fixture_table,
@@ -467,6 +469,30 @@ def test_user_density_sample_rejects_a_peak_between_scan_points():
 
 def _triangle(x):
     return np.where((x >= 0) & (x <= 2), np.where(x <= 1, x, 2 - x), 0.0)
+
+
+def test_user_density_rounds_are_sized_from_its_acceptance():
+    # the envelope 1.05 over (0, 2) accepts 1 / 2.1 of the proposals: one
+    # round of that size gives 100k triangle draws (a fixed round of twice
+    # the missing draws, 2 * missing + 16, took four)
+    sizes = []
+    d = UserDensity(lambda x: sizes.append(np.size(x)) or _triangle(x), (0, 2),
+                    label="triangle", max_order=6)
+    x = d.sample(np.random.default_rng(77), 100_000)
+    assert sizes == [4097, _round_size(100_000, 1 / 2.1)]  # the scan, then one round
+    assert x.shape == (100_000,) and np.all((x > 0) & (x < 2))
+    assert abs(x.mean() - 1) < 0.01 and abs(x.var() - 1 / 6) < 0.01
+    assert d.sample(np.random.default_rng(77), 0).shape == (0,)
+
+
+def test_user_density_sample_stalls_when_acceptance_stays_below_1e_4():
+    # a needle of half-width 2e-5 centred on a scan point of (0, 1): the
+    # envelope 1.05 / 2e-5 accepts 1.9e-5 of the proposals
+    h = 2e-5
+    d = UserDensity(lambda x: np.maximum(0.0, 1 - np.abs(x - 0.5) / h) / h, (0, 1),
+                    label="needle", max_order=4)
+    with pytest.raises(RejectionStall, match="^needle sampler acceptance below 1e-4$"):
+        d.sample(np.random.default_rng(5), 20)
 
 
 def test_user_char_fn_matches_dense_trapezoid():

@@ -358,6 +358,30 @@ def test_w_stall_round_is_capped():
     assert d.sizes and max(d.sizes) <= ROUND_CAP
 
 
+def test_every_sampler_draws_through_the_one_rejection_loop(monkeypatch):
+    from edgeworth import moments
+
+    assert (splitting.RejectionStall, splitting.ROUND_CAP, splitting._round_size) == (
+        moments.RejectionStall, moments.ROUND_CAP, moments._round_size)
+    names = []
+    loop = moments.rejection_sample
+
+    def recorder(rng, size, rate, propose, name, tally, shape=()):
+        names.append(name)
+        return loop(rng, size, rate, propose, name, tally, shape)
+
+    monkeypatch.setattr(moments, "rejection_sample", recorder)
+    monkeypatch.setattr(splitting, "rejection_sample", recorder)
+    rng = np.random.default_rng(35)
+    rep = split(make_distribution("uniform"))
+    rep.sample_v(rng, 10)
+    rep.sample_w(rng, 10)
+    tri = moments.UserDensity(lambda x: np.maximum(0.0, 1 - np.abs(x - 1)), (0, 2),
+                              label="triangle")
+    tri.sample(rng, 10)
+    assert names == ["bump", "residual", "triangle"]
+
+
 def test_rejection_stall_signals_broken_rep():
     d = make_distribution("uniform")
     # sabotage: the bump plateau swallows the whole support at full density
