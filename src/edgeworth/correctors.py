@@ -16,6 +16,11 @@ For ``r = 2`` there are no correctors and ``Gamma_{n,2}`` is the standard
 Gaussian itself; the same happens whenever every moment difference up to
 order r vanishes.
 
+The Hermite image has one step, ``_hermite_image``, which ``hermite_1d``,
+``hermite_multi``, ``h_poly`` and ``k_poly`` all go through: each
+``H_alpha`` expands as a product over the axes of the explicit coefficients
+of ``H_k`` (Abramowitz & Stegun 22.3.11), read from one cached table.
+
 The correctors are always built from this generic machinery; the classical
 1-D forms in terms of ``ell_3, ell_4, ell_5`` serve as test fixtures only.
 """
@@ -23,6 +28,7 @@ The correctors are always built from this generic machinery; the classical
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -34,7 +40,7 @@ from .exactmath import MultiIndex, a_coeffs
 from .moments import (Distribution, MomentTable, _coordinate_counts,
                       _gaussian_product_moment)
 from .numerics import DEFAULT_HALFWIDTH, GridDensity, _axis, default_grid_points
-from .opalg import DiffOperator, MultiPoly, _power_table, _weighted_a, a_op
+from .opalg import DiffOperator, MultiPoly, _power_table, _summed, _weighted_a, a_op
 
 __all__ = [
     "hermite_1d",
@@ -50,47 +56,38 @@ __all__ = [
 
 
 @lru_cache(maxsize=None)
-def hermite_1d(m: int) -> MultiPoly:
-    """Probabilists' Hermite polynomial ``H_m`` with exact coefficients.
+def _hermite_coeffs(k: int) -> tuple:
+    """``H_k`` as ``(power, coefficient)`` pairs by decreasing power: the
+    explicit sum ``sum_j (-1)^j k! / (j! (k-2j)! 2^j) x^{k-2j}``."""
+    f = math.factorial
+    return tuple((k - 2 * j, Fraction((-1) ** j * f(k) // (f(j) * f(k - 2 * j) * 2**j)))
+                 for j in range(k // 2 + 1))
 
-    Three-term recurrence ``H_{m+1} = x H_m - m H_{m-1}`` seeded by
-    ``H_0 = 1``, ``H_1 = x``; equivalent to the Rodrigues form.
+
+def _hermite_image(op: DiffOperator) -> MultiPoly:
+    """``sum_S c_S H_S`` for ``op = sum_S c_S d_S``: each ``d_S`` becomes ``H_S``.
+
+    ``H_S = prod_i H_{beta_i}(x_i)``, with ``beta_i`` the coordinate counts
+    of ``S``, expands axis after axis, each axis by decreasing power.  The
+    terms come in that order, which the grid and point evaluators sum in.
     """
+    return MultiPoly._wrap(op.dim, _summed(
+        (tuple(p for p, _ in combo), c * math.prod(h for _, h in combo))
+        for key, c in op.terms.items()
+        for combo in itertools.product(*map(_hermite_coeffs, _coordinate_counts(key, op.dim)))
+    ))
+
+
+def hermite_1d(m: int) -> MultiPoly:
+    """Probabilists' Hermite polynomial ``H_m`` with exact coefficients."""
     if m < 0:
         raise ValueError("order must be >= 0")
-    if m == 0:
-        return MultiPoly.constant(1, Fraction(1))
-    if m == 1:
-        return MultiPoly.variable(1, 1)
-    x = MultiPoly.variable(1, 1)
-    return x * hermite_1d(m - 1) - (m - 1) * hermite_1d(m - 2)
-
-
-def _embed_axis(poly1d: MultiPoly, dim: int, axis: int) -> MultiPoly:
-    terms = {}
-    for e, c in poly1d.terms.items():
-        key = [0] * dim
-        key[axis] = e[0]
-        terms[tuple(key)] = c
-    return MultiPoly(dim, terms)
+    return _hermite_image(DiffOperator.partial(1, (1,) * m))
 
 
 def hermite_multi(alpha: MultiIndex, dim: int) -> MultiPoly:
     """``H_alpha(x) = prod_i H_{beta_i}(x_i)`` with ``beta_i`` the coordinate counts."""
-    out = MultiPoly.constant(dim, Fraction(1))
-    for i, c in enumerate(_coordinate_counts(alpha, dim)):
-        if c:
-            out = out * _embed_axis(hermite_1d(c), dim, i)
-    return out
-
-
-def _hermite_image(op: DiffOperator) -> MultiPoly:
-    """``sum_S c_S H_S`` for ``op = sum_S c_S d_S``: each ``d_S`` becomes ``H_S``."""
-    return MultiPoly(op.dim, (
-        (e, c * h)
-        for key, c in op.terms.items()
-        for e, h in hermite_multi(key, op.dim).terms.items()
-    ))
+    return _hermite_image(DiffOperator.partial(dim, alpha))
 
 
 def h_poly(table: MomentTable, i: int, t: int) -> MultiPoly:

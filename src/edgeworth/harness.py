@@ -98,7 +98,8 @@ _CONFIG_KEYS = {
 
 
 def parse_config(text: str) -> RateConfig:
-    """Parse the plain ``key = value`` config format (one pair per line).
+    """Parse the plain ``key = value`` config format (one pair per line,
+    each key at most once).
 
     Keys: dist, r, n_list (comma separated), grid_points,
     grid_halfwidth, out, slope_tol.  Without ``grid_points`` the grid has
@@ -116,6 +117,8 @@ def parse_config(text: str) -> RateConfig:
         key, val = key.strip(), val.strip()
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in values:
+            raise ConfigError(f"line {lineno}: key {key!r} is set twice")
         kind = _CONFIG_KEYS[key]
         try:
             if kind == "intlist":

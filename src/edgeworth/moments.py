@@ -98,9 +98,10 @@ def rejection_sample(rng, size: int, rate: float, propose, name: str, tally: lis
     finish with high probability at the closed-form acceptance ``rate``
     (Devroye 1986, II.3) and keeps the first accepted ones still missing.
     ``tally`` is the caller's ``[proposed, accepted, drawn]``, added to in
-    place.  Past a million proposals of one call, an acceptance below 1e-4
-    raises :class:`RejectionStall` naming the sampler ``name``.  Zero draws
-    take no round and give an empty array of rows of ``shape``.
+    place.  Past a million proposals of one call, a round that leaves draws
+    missing at an acceptance below 1e-4 raises :class:`RejectionStall`
+    naming the sampler ``name``; the round that completes the call does not.
+    Zero draws take no round and give an empty array of rows of ``shape``.
     """
     parts = []
     got, proposed, accepted = 0, 0, 0
@@ -116,7 +117,7 @@ def rejection_sample(rng, size: int, rate: float, propose, name: str, tally: lis
         tally[0] += m
         tally[1] += len(acc)
         tally[2] += len(take)
-        if proposed > 1_000_000 and accepted / proposed < 1e-4:
+        if got < size and proposed > 1_000_000 and accepted / proposed < 1e-4:
             raise RejectionStall(f"{name} sampler acceptance below 1e-4")
     if len(parts) == 1:
         return parts[0]

@@ -7,7 +7,9 @@ Given a law whose density is bounded below by ``eps0`` on a ball
 
 with ``chi ~ Bernoulli(m0)``, ``V`` distributed like the normalized
 bump ``(eps0/m0) psi_{r0/2}(|v - v0|)`` and ``W`` the residual law
-``(mu_F - eps0 psi_{r0/2}) / (1 - m0)``; ``m0 = eps0 * int psi``.  The bump
+``(mu_F - eps0 psi_{r0/2}) / (1 - m0)``; ``m0 = eps0 * int psi``, with
+``int psi_a = a^N int psi_1`` and the three unit integrals (N = 1, 2, 3)
+pinned as data, so no quadrature runs and no scipy module loads.  The bump
 uses the plateau localizer
 
     psi_a(x) = 1                                   for |x| <= a,
@@ -44,7 +46,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -116,22 +117,18 @@ def _log_psi_band(a: float, u: np.ndarray) -> np.ndarray:
     return -2.0 * a * a * ub / (g * g)
 
 
-@lru_cache(maxsize=None)
-def _psi_unit_integral(dim: int) -> float:
-    # |S^{N-1}| int_0^2 psi_1(rho) rho^{N-1} drho, written as half the sphere
-    # area times the even integrand over [-2, 2] (in 1-D that is psi_1 itself)
-    from scipy import integrate
-
-    half_area = math.pi ** (dim / 2) / math.gamma(dim / 2)
-    val, _ = integrate.quad(
-        lambda x: half_area * psi_loc(1.0, abs(x)) * abs(x) ** (dim - 1), -2, 2,
-        epsabs=1e-13, epsrel=1e-13, limit=200)
-    return val
+#: ``int_{R^N} psi_1(|v|) dv`` for N = 1, 2, 3 (products stop at N = 3):
+#: ``|S^{N-1}| int_0^2 psi_1(rho) rho^{N-1} drho``, pinned to the digits of
+#: an adaptive quadrature at tolerance 1e-13, so ``m0`` and every split's
+#: streams are fixed data rather than the last bit of a run-time integrator.
+_PSI_UNIT_INTEGRAL = {1: 3.206900322437875, 2: 8.201294001303372, 3: 18.043421129487957}
 
 
 def psi_integral(a: float, dim: int = 1) -> float:
-    """``int_{R^N} psi_a(|v|) dv``, exact scaling of the unit integral."""
-    return a**dim * _psi_unit_integral(dim)
+    """``int_{R^N} psi_a(|v|) dv = a^N int psi_1``, for ``N`` in 1..3."""
+    if dim not in _PSI_UNIT_INTEGRAL:
+        raise ValueError(f"psi integral is pinned for dimensions 1..3, not {dim}")
+    return a**dim * _PSI_UNIT_INTEGRAL[dim]
 
 
 def _ball_infimum(laws, v0s, r: float, probes: int = 513) -> float:

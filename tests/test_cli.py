@@ -1,5 +1,7 @@
 """CLI surface: schemas, exit codes, determinism."""
 
+import argparse
+import os
 import re
 import tracemalloc
 from dataclasses import replace
@@ -424,6 +426,18 @@ def test_entry_point_runs(tmp_path, capsys, row):
     code, out, _ = run(capsys, *(arg.format(out=out_file) for arg in command.split()))
     assert code == 0
     assert re.match(pattern, out_file.read_text() if "{out}" in command else out)
+
+
+def test_ci_checks_every_installed_subcommand():
+    # the workflow's installed-script step lists the subcommands by hand
+    ci = os.path.join(os.path.dirname(__file__), os.pardir, ".github", "workflows", "tests.yml")
+    with open(ci) as fh:
+        line = next(ln for ln in fh if "for sub in" in ln)
+    listed = line.split("for sub in", 1)[1].split(";", 1)[0].split()
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert sorted(listed) == sorted(subparsers.choices)
+    assert len(set(listed)) == len(listed)
 
 
 @NO_RUNTIME_WARNING

@@ -52,6 +52,49 @@ def test_hermite_multi_examples():
     assert hermite_multi((1, 1), 2) == x1 * x1 - 1
 
 
+def _hermite_recurrence(m):
+    # H_{m+1} = x H_m - m H_{m-1} from H_0 = 1, H_1 = x
+    x = MultiPoly.variable(1, 1)
+    prev, cur = MultiPoly.constant(1, F(1)), x
+    if m == 0:
+        return prev
+    for k in range(1, m):
+        prev, cur = cur, x * cur - k * prev
+    return cur
+
+
+def _hermite_multi_recurrence(alpha, dim):
+    # prod_i H_{beta_i}(x_i), each factor embedded on its axis
+    out = MultiPoly.constant(dim, F(1))
+    for axis in range(dim):
+        count = alpha.count(axis + 1)
+        if count:
+            embedded = {tuple(e[0] if j == axis else 0 for j in range(dim)): c
+                        for e, c in _hermite_recurrence(count).terms.items()}
+            out = out * MultiPoly(dim, embedded)
+    return out
+
+
+def _ordered(poly):
+    # grid and point sums add terms in dict order, which == ignores
+    return list(poly.terms.items())
+
+
+def test_hermite_1d_is_the_three_term_recurrence():
+    for m in range(18):
+        assert _ordered(hermite_1d(m)) == _ordered(_hermite_recurrence(m)), m
+    with pytest.raises(ValueError):
+        hermite_1d(-1)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_hermite_multi_is_the_product_of_recurrences(dim):
+    for length in range(7):
+        for alpha in iproduct(range(1, dim + 1), repeat=length):
+            assert (_ordered(hermite_multi(alpha, dim))
+                    == _ordered(_hermite_multi_recurrence(alpha, dim))), alpha
+
+
 def test_hermite_orthogonality():
     # int H_a H_b gamma = a! delta_ab, via quadrature, orders <= 8
     for a in range(9):

@@ -1,10 +1,11 @@
 """The runtime package imports only the standard library, numpy and scipy.
 
 scipy is imported lazily, by the one call that needs each submodule:
-``scipy.integrate`` by user-density moments and ``split``'s psi integral,
-``scipy.special`` by ``sigma_tail``, ``scipy.stats`` by ``edgeworth split``.
-So ``import edgeworth`` and ``import edgeworth.cli`` load numpy alone, and so
-do the exact and gridded commands on registry laws.
+``scipy.integrate`` by user-density moments, ``scipy.special`` by
+``sigma_tail``, ``scipy.stats`` by ``edgeworth split``.  So ``import
+edgeworth`` and ``import edgeworth.cli`` load numpy alone, and so do the
+exact and gridded commands on registry laws, their splitting and the Monte
+Carlo IBP check.
 """
 
 import ast
@@ -73,4 +74,22 @@ print(json.dumps([codes, {SCIPY_MODULES}]))
 """
     codes, loaded = json.loads(_run_python(code))
     assert codes == [0] * len(runs)
+    assert loaded == []
+
+
+def test_splitting_and_ibp_load_no_scipy():
+    # the psi integrals behind m0 are pinned data, not a quadrature
+    code = f"""
+import contextlib, io, json, sys
+import numpy as np
+from edgeworth import cli, malliavin, moments, splitting
+rep = splitting.split(moments.make_distribution("exponential*uniform"))
+malliavin.sn_batch(splitting.split(moments.make_distribution("uniform")), 8, 100,
+                   np.random.default_rng(0))
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["ibp", "--n", "4", "--samples", "2000"])
+print(json.dumps([code, {SCIPY_MODULES}]))
+"""
+    code, loaded = json.loads(_run_python(code))
+    assert code == 0
     assert loaded == []

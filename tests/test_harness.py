@@ -186,6 +186,13 @@ def test_workers_key_is_rejected():
         parse_config(text)
 
 
+def test_repeated_key_is_rejected():
+    # a later line must not override an earlier one in silence
+    text = "dist = uniform\nr = 3\nn_list = 32,64\nr = 7\ndist = exponential\n"
+    with pytest.raises(ConfigError, match="^line 4: key 'r' is set twice$"):
+        parse_config(text)
+
+
 # emit_report output of the 1-D default grid, written by the real inverse
 # FFT of the half spectrum.  A complex FFT of the whole centred axis differs
 # in the last digits only, by roundoff: on atom_mixture the TV of either

@@ -491,8 +491,13 @@ def test_user_density_sample_stalls_when_acceptance_stays_below_1e_4():
     h = 2e-5
     d = UserDensity(lambda x: np.maximum(0.0, 1 - np.abs(x - 0.5) / h) / h, (0, 1),
                     label="needle", max_order=4)
+    # one round of 1.99M proposals finishes 20 draws: no stall on the round
+    # that completes the call
+    x = d.sample(np.random.default_rng(5), 20)
+    assert x.shape == (20,) and np.all(np.abs(x - 0.5) < h)
+    # 200 draws: one capped round of 2^22 proposals accepts about 80
     with pytest.raises(RejectionStall, match="^needle sampler acceptance below 1e-4$"):
-        d.sample(np.random.default_rng(5), 20)
+        d.sample(np.random.default_rng(5), 200)
 
 
 def test_user_char_fn_matches_dense_trapezoid():

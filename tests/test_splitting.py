@@ -101,6 +101,28 @@ def test_psi_integral_matches_cartesian_sum(dim):
     assert abs(psi_integral(1.0, dim) - 2**dim * total) < 1e-8
 
 
+def _radial_psi_unit_integral(dim):
+    # |S^{N-1}| int_0^2 psi_1(rho) rho^{N-1} drho, as half the sphere area
+    # times the even integrand over [-2, 2] (in 1-D that is psi_1 itself)
+    half_area = math.pi ** (dim / 2) / math.gamma(dim / 2)
+    val, _ = integrate.quad(
+        lambda x: half_area * psi_loc(1.0, abs(x)) * abs(x) ** (dim - 1), -2, 2,
+        epsabs=1e-13, epsrel=1e-13, limit=200)
+    return val
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_pinned_psi_unit_integral_is_the_radial_quadrature(dim):
+    assert psi_integral(1.0, dim) == pytest.approx(_radial_psi_unit_integral(dim), rel=1e-13)
+    assert psi_integral(0.5, dim) == 0.5**dim * psi_integral(1.0, dim)
+
+
+@pytest.mark.parametrize("dim", [0, 4])
+def test_psi_integral_outside_the_pinned_dimensions_raises(dim):
+    with pytest.raises(ValueError, match="1..3"):
+        psi_integral(1.0, dim)
+
+
 # --- ball search -----------------------------------------------------------------
 
 def test_lower_bound_uniform():
