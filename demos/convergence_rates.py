@@ -31,5 +31,5 @@ for dist, r, story in [
     )
 
 print("The interval widths are the certified slack (moment tail bounds plus")
-print("singular masses); they are orders of magnitude below the distances, so")
-print("the fitted slopes are meaningful.")
+print("shared singular mass); they are orders of magnitude below the distances,")
+print("so the fitted slopes are meaningful.")

@@ -20,7 +20,9 @@ commands ``split``, ``ibp`` and ``sigtail`` alone take ``--seed`` (master
 seed, default 0).
 
 Exit codes: 0 all verdicts pass, 1 some verdict failed, 2 bad
-configuration or any runtime error, reported as one ``error:`` line.
+configuration or any runtime error, reported as one ``error:`` line.  A
+failed verdict prints one ``# fail:`` line per broken gate on stderr, with
+its value and bound.
 """
 
 from __future__ import annotations
@@ -70,6 +72,15 @@ def _write(args, header: str, rows) -> None:
     harness.write_csv(args.out or sys.stdout, header, rows)
 
 
+def _verdict(failures) -> bool:
+    """Print one ``# fail:`` line per broken gate (its value against its
+    bound); the verdict passes when there is none."""
+    failures = list(failures)
+    for failure in failures:
+        print(f"# fail: {failure}", file=sys.stderr)
+    return not failures
+
+
 def cmd_rate(args) -> bool:
     if args.config:
         flags = (("--dist", args.dist), ("--r", args.r), ("--n-list", args.n_list))
@@ -86,9 +97,10 @@ def cmd_rate(args) -> bool:
                                  n_list=tuple(harness.parse_list(args.n_list)))
     report = harness.run_rate(cfg)
     harness.emit_report(report, args.out or cfg.out or sys.stdout)
+    reason = f" ({report.reason})" if report.reason else ""
     print(
         f"# {report.dist_label} r={report.r}: slope {report.slope:.4f} "
-        f"(expected {report.expected_slope}) -> {report.verdict}",
+        f"(expected {report.expected_slope}) -> {report.verdict}{reason}",
         file=sys.stderr,
     )
     return report.verdict == "pass"
@@ -128,6 +140,8 @@ def cmd_tv(args) -> bool:
     gam = correctors.edgeworth_grid(model, args.n, args.points, args.halfwidth)
     _print_negativity(gam)
     tv = numerics.tv_distance(mu, gam)
+    print(f"# tail bounds: law {mu.tail_mass_bound:.3e} corrected {gam.tail_mass_bound:.3e}; "
+          f"singular mass {mu.singular_mass:.3e}", file=sys.stderr)
     _write(args, "n,r,tv_raw,tv_lo,tv_hi", [(args.n, args.r, tv.raw, tv.lo, tv.hi)])
     return True
 
@@ -183,7 +197,14 @@ def cmd_split(args) -> bool:
         file=sys.stderr,
     )
     _write(args, "x,reconstruction_error", zip(xs, err))
-    return rec < 1e-8 and w_min >= 0 and ks.pvalue > 0.01
+    failures = []
+    if not rec < 1e-8:
+        failures.append(f"reconstruction_sup_error={rec:.3e} >= 1e-08")
+    if not w_min >= 0:
+        failures.append(f"min_w_pdf={w_min:.3e} < 0")
+    if not ks.pvalue > 0.01:
+        failures.append(f"ks_p={ks.pvalue:.4f} <= 0.01")
+    return _verdict(failures)
 
 
 def cmd_ibp(args) -> bool:
@@ -195,7 +216,7 @@ def cmd_ibp(args) -> bool:
         for r in reports
     ])
     # a NaN z compares false against 4.0, so it fails the verdict
-    return all(r.z_score < 4.0 for r in reports)
+    return _verdict(f"f={r.label} z={r.z_score:.2f} >= 4" for r in reports if not r.z_score < 4.0)
 
 
 def cmd_sigtail(args) -> bool:
@@ -204,13 +225,17 @@ def cmd_sigtail(args) -> bool:
         raise harness.ConfigError("sigtail --n-list must be nonempty")
     rep = splitting.split(make_distribution(args.dist))
     rng = np.random.default_rng(args.seed)
-    rows, ok = [], True
+    rows, failures = [], []
     for n in ns:
         r = malliavin.sigma_tail(rep, n, args.samples, rng)
-        ok = ok and r.z_score < 4.0 and r.exact <= r.bound * (1 + 1e-9)
+        if not r.z_score < 4.0:
+            failures.append(f"n={n} z={r.z_score:.2f} >= 4")
+        if not r.exact <= r.bound * (1 + 1e-9):
+            failures.append(f"n={n} exact_binomial={r.exact:.6g} "
+                            f"> exponential_bound={r.bound:.6g}")
         rows.append((n, r.samples, r.estimate, r.se, r.exact, r.bound, r.z_score))
     _write(args, "n,samples,estimate,se,exact_binomial,exponential_bound,z", rows)
-    return ok
+    return _verdict(failures)
 
 
 def cmd_taylor(args) -> bool:
@@ -220,13 +245,10 @@ def cmd_taylor(args) -> bool:
     if args.max_level < 0:
         raise harness.ConfigError(f"taylor --max-level must be >= 0, got {args.max_level}")
     g = opalg.MultiPoly(1, {(k,): c for k, c in enumerate(coeffs)})
-    rows, ok = [], True
-    for level in range(args.max_level + 1):
-        res = malliavin.backward_taylor_check(g, level)
-        ok = ok and res == 0
-        rows.append((level, res))
+    rows = [(level, malliavin.backward_taylor_check(g, level))
+            for level in range(args.max_level + 1)]
     _write(args, "L,residual", rows)
-    return ok
+    return _verdict(f"L={level} residual={res} != 0" for level, res in rows if res != 0)
 
 
 def build_parser() -> argparse.ArgumentParser:

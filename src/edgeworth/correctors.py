@@ -21,6 +21,12 @@ The Hermite image has one step, ``_hermite_image``, which ``hermite_1d``,
 ``H_alpha`` expands as a product over the axes of the explicit coefficients
 of ``H_k`` (Abramowitz & Stegun 22.3.11), read from one cached table.
 
+Points and tensor grids take one evaluation path: the Gaussian, every
+``K_m`` and their weighted sum are computed from coordinate arrays that
+broadcast together (``opalg._coordinates`` of points, or the open mesh
+``np.ix_`` of a grid's axis), so a grid equals ``edgeworth_density`` at its
+points bit for bit in every dimension.
+
 The correctors are always built from this generic machinery; the classical
 1-D forms in terms of ``ell_3, ell_4, ell_5`` serve as test fixtures only.
 """
@@ -30,6 +36,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -40,7 +47,7 @@ from .exactmath import MultiIndex, a_coeffs
 from .moments import (Distribution, MomentTable, _coordinate_counts,
                       _gaussian_product_moment)
 from .numerics import DEFAULT_HALFWIDTH, GridDensity, _axis, default_grid_points
-from .opalg import DiffOperator, MultiPoly, _power_table, _summed, _weighted_a, a_op
+from .opalg import DiffOperator, MultiPoly, _coordinates, _summed, _weighted_a, a_op
 
 __all__ = [
     "hermite_1d",
@@ -123,15 +130,20 @@ def k_poly(table: MomentTable, m: int) -> MultiPoly:
 
 
 def gaussian_pdf(x, dim: int = 1):
-    """Standard normal density on R^N, vectorized (last axis = coordinates).
+    """Standard normal density on R^N, vectorized (last axis = coordinates)."""
+    return _gaussian(_coordinates(np.asarray(x, dtype=float), dim))
+
+
+def _gaussian(coords) -> np.ndarray:
+    """The product of the 1-D standard densities over coordinate arrays
+    that broadcast together (see ``MultiPoly._on``).
 
     Past ``|x| ~ 1.3e154`` the square overflows to ``inf``, and
     ``exp(-inf) = 0`` is the exact double, so the overflow is not reported.
     """
-    x = np.asarray(x, dtype=float)
     with np.errstate(over="ignore"):
-        sq = x * x if dim == 1 else np.sum(x * x, axis=-1)
-        return np.exp(-0.5 * sq) / (2 * math.pi) ** (dim / 2)
+        return functools.reduce(operator.mul, [np.exp(-0.5 * (xi * xi)) / (2 * math.pi) ** 0.5
+                                               for xi in coords])
 
 
 def gaussian_expect_poly(poly: MultiPoly):
@@ -139,8 +151,8 @@ def gaussian_expect_poly(poly: MultiPoly):
     return sum(c * _gaussian_product_moment(e) for e, c in poly.terms.items())
 
 
-#: Points per block in which ``edgeworth_grid`` scales a corrector's grid
-#: values: 2^14 doubles, 128 KiB, and no scratch array of grid size.
+#: Values per block in which ``Gamma_{n,r}`` scales a corrector: 2^14
+#: doubles, 128 KiB, and no scratch array of the values' size.
 TERM_BLOCK = 2**14
 
 
@@ -185,18 +197,40 @@ class EdgeworthModel:
         return [(m, float(gaussian_expect_poly(km * km))) for m, km in self.nonzero_k_polys]
 
 
+def _terms(model: EdgeworthModel, coords) -> tuple:
+    """``gamma`` and ``(m, K_m)`` for each nonzero corrector on coordinate
+    arrays that broadcast together: the coordinates of points or the open
+    mesh of a tensor grid."""
+    return _gaussian(coords), [(m, km._on(coords)) for m, km in model.nonzero_k_polys]
+
+
+def _weighted(gauss: np.ndarray, ks, n: int) -> np.ndarray:
+    """``(1 + sum_m n^{-m/2} K_m) gamma``, the terms added in order of m, in
+    one fresh array.  Each ``K_m`` is scaled ``TERM_BLOCK`` values at a
+    time, and ``gauss`` and the ``K_m`` are only read."""
+    values = np.ones(gauss.shape)
+    flat = values.reshape(-1)  # a view: ``values`` is C-ordered
+    scaled = np.empty(min(flat.size, TERM_BLOCK))
+    for m, km in ks:
+        w, k = n ** (-m / 2.0), km.reshape(-1)
+        for lo in range(0, flat.size, TERM_BLOCK):
+            block = flat[lo:lo + TERM_BLOCK]
+            block += np.multiply(k[lo:lo + TERM_BLOCK], w, out=scaled[:block.size])
+    values *= gauss
+    return values
+
+
 def edgeworth_density(model: EdgeworthModel, n: int, x):
     """Signed density of ``Gamma_{n,r}`` at point(s) ``x``.
 
-    ``gamma(x) (1 + sum_m n^{-m/2} K_m(x))``; may be negative.
+    ``gamma(x) (1 + sum_m n^{-m/2} K_m(x))``; may be negative.  A single
+    point gives a scalar.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    x = np.asarray(x, dtype=float)
-    factor = np.ones(x.shape if model.dim == 1 else x.shape[:-1])
-    for m, km in model.nonzero_k_polys:
-        factor = factor + n ** (-m / 2.0) * km(x)
-    return gaussian_pdf(x, model.dim) * factor
+    coords = _coordinates(np.asarray(x, dtype=float), model.dim)
+    values = _weighted(*_terms(model, coords), n)
+    return values if values.shape else values[()]
 
 
 def _corrector_tail_bound(model: EdgeworthModel, n: int, L: float) -> float:
@@ -209,58 +243,27 @@ def _corrector_tail_bound(model: EdgeworthModel, n: int, L: float) -> float:
     return bound
 
 
-def _poly_on_grid(poly: MultiPoly, x: np.ndarray) -> np.ndarray:
-    """``poly`` on the tensor grid with axis ``x`` in every coordinate.
-
-    This is ``V C V^T`` in 2-D, with ``V`` the Vandermonde matrix of the
-    axis and ``C`` the coefficients, summed one rank-one term
-    ``c_e V[:, e_1] (x) V[:, e_2] (x) ...`` per monomial; no grid of points
-    is built.  The powers of the axis are one ``_power_table`` (repeated
-    multiplication, the rule ``MultiPoly.__call__`` uses too), and terms
-    are added in the polynomial's own order, so on a 1-D grid the values
-    are exactly those of ``poly(x)``.
-    """
-    powers = _power_table(x, poly.degree())
-    out = 0.0
-    for e, c in poly.terms.items():
-        monomial = functools.reduce(np.multiply.outer, [powers[p] for p in e])
-        out = out + float(c) * monomial
-    return out
-
-
 def edgeworth_grid(model: EdgeworthModel, n: int, points: int | None = None,
                    halfwidth: float = DEFAULT_HALFWIDTH) -> GridDensity:
     """``Gamma_{n,r}`` evaluated on the same grid layout as ``law_of_sn``.
 
     ``points`` per axis defaults to ``default_grid_points`` of the model's
-    dimension.  Every factor is separable on the tensor grid: the Gaussian is the outer
-    product of its 1-D densities, and each corrector is evaluated from its
-    coefficients and the axes alone.  Neither depends on ``n``: the model
-    keeps them for the last ``(points, halfwidth)``, so a call for another
-    ``n`` only weights and adds them.  Raises :class:`AliasingDetected` when
-    the grid, of mass 1 as ``E K_m(G) = 0``, fails its signed mass check.
+    dimension.  The Gaussian and each corrector are evaluated on the open
+    mesh ``np.ix_`` of the axis, with no grid of points, through the steps
+    of ``edgeworth_density``, so the grid equals its pointwise values bit
+    for bit in every dimension.  Neither depends on ``n``: the model keeps
+    them for the last ``(points, halfwidth)``, so a call for another ``n``
+    only weights and adds them.  Raises :class:`AliasingDetected` when the
+    grid, of mass 1 as ``E K_m(G) = 0``, fails its signed mass check.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if points is None:
         points = default_grid_points(model.dim)
     if model._grid_terms is None or model._grid_terms[0] != (points, halfwidth):
-        x = _axis(halfwidth, points)
-        gauss = functools.reduce(np.multiply.outer, [gaussian_pdf(x)] * model.dim)
-        ks = [(m, _poly_on_grid(km, x)) for m, km in model.nonzero_k_polys]
-        model._grid_terms = ((points, halfwidth), gauss, ks)
-    _, gauss, ks = model._grid_terms
-    # (1 + sum_m n^(-m/2) K_m) gamma, the terms added in order of m, in one
-    # fresh array; each K_m is scaled a block at a time, and the kept gamma
-    # and K_m are only read
-    values = np.ones(gauss.shape)  # C order: the rows below are views of it
-    rows = values.reshape(-1, min(values.size, TERM_BLOCK))
-    scaled = np.empty(rows.shape[1])
-    for m, km in ks:
-        w = n ** (-m / 2.0)
-        for row, k_row in zip(rows, km.reshape(rows.shape)):
-            row += np.multiply(k_row, w, out=scaled)
-    values *= gauss
+        coords = np.ix_(*[_axis(halfwidth, points)] * model.dim)
+        model._grid_terms = ((points, halfwidth), *_terms(model, coords))
+    values = _weighted(*model._grid_terms[1:], n)
     g = GridDensity(
         halfwidth, values,
         tail_mass_bound=_corrector_tail_bound(model, n, halfwidth),

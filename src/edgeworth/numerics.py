@@ -30,10 +30,15 @@ added pairwise, which on the power-of-two size of every grid is numpy's
 sum of the whole ``|p - q|``, bit for bit, with no grid-sized temporary.
 
 Each grid carries two certificates: a bound on the mass outside the
-window and the exact singular mass.  The FFT's own discretization error
-(aliasing and the rectangle rule) is bounded by neither: for ``uniform``
-at ``n = 1`` on the default grid the L1 gap to the exact density is
-1.8e-3, while the certificates sum to 2.1e-17.
+window and the exact singular mass.  The singular parts are mutually
+singular with both grids, so they add ``|s_p - s_q|`` to the distance
+exactly, and only their overlap ``2 min(s_p, s_q)`` and the tails are
+uncertain.  The corrected measures are absolutely continuous, so against
+them the singular mass is part of the raw distance, not of its slack.
+The FFT's own discretization error (aliasing and the rectangle rule) is
+bounded by neither: for ``uniform`` at ``n = 1`` on the default grid the
+L1 gap to the exact density is 1.8e-3, while the certificates sum to
+2.1e-17.
 """
 
 from __future__ import annotations
@@ -347,8 +352,9 @@ def law_of_sn(dist: Distribution, n: int, points: int | None = None,
 class TVInterval:
     """Total variation as an interval ``[raw, raw + slack]``.
 
-    ``slack`` covers the window tails and the singular masses only; the
-    FFT's discretization error in ``raw`` is not part of the interval.
+    ``slack`` covers the window tails and the overlap of the singular
+    masses only; the FFT's discretization error in ``raw`` is not part of
+    the interval.
     """
 
     raw: float
@@ -378,10 +384,12 @@ _TV_BLOCK = 2**14
 def tv_distance(p: GridDensity, q: GridDensity) -> TVInterval:
     """``d_TV`` between two grid densities (no 1/2 factor).
 
-    The raw value is the grid L1 distance; the slack adds the tail bounds
-    and singular masses of both arguments.  The interval accounts for the
-    mass the grids do not carry, not for the discretization error of the
-    grid values themselves.  Both must have the same half-width and shape.
+    The raw value is the grid L1 distance plus ``|s_p - s_q|``, the
+    singular masses' difference, which both grids miss; the slack adds the
+    tail bounds of both arguments and ``2 min(s_p, s_q)``, for atoms the
+    two singular parts may share.  The interval accounts for the mass the
+    grids do not carry, not for the discretization error of the grid
+    values themselves.  Both must have the same half-width and shape.
     Neither grid is written.
 
     ``|p - q|`` is summed in aligned blocks of ``_TV_BLOCK`` elements
@@ -402,6 +410,6 @@ def tv_distance(p: GridDensity, q: GridDensity) -> TVInterval:
         sums[i] = np.abs(buf, out=buf).sum()
     while len(sums) > 1:
         sums = sums[0::2] + sums[1::2]
-    raw = float(sums[0] * p.cell_volume)
-    slack = p.tail_mass_bound + q.tail_mass_bound + p.singular_mass + q.singular_mass
+    raw = float(sums[0] * p.cell_volume) + abs(p.singular_mass - q.singular_mass)
+    slack = p.tail_mass_bound + q.tail_mass_bound + 2 * min(p.singular_mass, q.singular_mass)
     return TVInterval(raw, slack)

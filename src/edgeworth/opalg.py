@@ -32,6 +32,7 @@ canonical already, hands its pairs straight to that sum.
 
 from __future__ import annotations
 
+import functools
 import operator
 from fractions import Fraction
 
@@ -150,15 +151,19 @@ class _SparseTerms:
         return not self.terms
 
 
+def _coordinates(x: np.ndarray, dim: int) -> tuple:
+    """The coordinate arrays of points ``x``: ``x`` itself in 1-D, else
+    ``x[..., i]`` (the last axis holds the coordinates)."""
+    return (x,) if dim == 1 else tuple(x[..., i] for i in range(dim))
+
+
 def _power_table(x: np.ndarray, top: int) -> list:
     """``[x^0, x^1, ..., x^top]`` by repeated multiplication, ``x^p = x^{p-1} x``.
 
-    The one power rule of polynomial evaluation, shared by
-    ``MultiPoly.__call__`` and the grid evaluator of ``correctors``, so the
-    two agree bit for bit.  numpy's ``x ** p`` calls C ``pow`` per element
-    for ``p >= 3``, about 200 times the cost of a multiply.  The relative
-    error of ``x^p`` is at most about ``(p - 1) eps / 2``, against
-    ``eps / 2`` for ``pow``.
+    The one power rule of polynomial evaluation.  numpy's ``x ** p`` calls
+    C ``pow`` per element for ``p >= 3``, about 200 times the cost of a
+    multiply.  The relative error of ``x^p`` is at most about
+    ``(p - 1) eps / 2``, against ``eps / 2`` for ``pow``.
     """
     out = [np.ones_like(x)]
     for _ in range(top):
@@ -211,26 +216,26 @@ class MultiPoly(_SparseTerms):
         return self._wrap(self.dim, terms)
 
     def __call__(self, x):
-        """Evaluate at points: raw values for dim 1, else last axis = dim.
-
-        The powers of each coordinate come from ``_power_table``: repeated
-        multiplication, computed once per coordinate.
-        """
-        x = np.asarray(x, dtype=float)
-        if self.dim == 1:
-            pts = x[..., None]
-        else:
-            pts = x
-        powers = [_power_table(pts[..., i], max((e[i] for e in self.terms), default=0))
-                  for i in range(self.dim)]
-        out = np.zeros(pts.shape[:-1])
-        for e, c in self.terms.items():
-            term = float(c) * np.ones_like(out)
-            for i, p in enumerate(e):
-                if p:
-                    term = term * powers[i][p]
-            out = out + term
+        """Evaluate at points: raw values for dim 1, else last axis = dim."""
+        out = self._on(_coordinates(np.asarray(x, dtype=float), self.dim))
         return out if out.shape else float(out)
+
+    def _on(self, coords) -> np.ndarray:
+        """Values on coordinate arrays that broadcast together: the
+        coordinates of points, or the open mesh ``np.ix_`` of a tensor grid.
+
+        Each monomial is the product of its coordinates' powers, from one
+        ``_power_table`` per coordinate, times ``float(c)``, and the terms
+        are added in the polynomial's own order, so a grid's values are its
+        points' values bit for bit.
+        """
+        powers = [_power_table(xi, max((e[i] for e in self.terms), default=0))
+                  for i, xi in enumerate(coords)]
+        out = np.zeros(np.broadcast_shapes(*(np.shape(xi) for xi in coords)))
+        for e, c in self.terms.items():
+            monomial = functools.reduce(operator.mul, [powers[i][p] for i, p in enumerate(e)])
+            out += float(c) * monomial
+        return out
 
     # -- misc ----------------------------------------------------------------
     def degree(self) -> int:

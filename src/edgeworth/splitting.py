@@ -37,9 +37,9 @@ the probes) in 1-D, conservative in N >= 2.
 
 Both samplers draw through ``moments.rejection_sample``, the package's one
 rejection loop, with their own tallies (``SplitRep.counters``); its
-``ROUND_CAP``, ``RejectionStall`` and ``_round_size`` are importable from
-here as well.  ``log_psi_gradient`` and ``log_psi_radial_derivative`` apply
-one closed form of ``(ln psi)'`` to the band radii they select.
+``ROUND_CAP`` and ``RejectionStall`` are importable from here as well.
+``log_psi_gradient`` applies the closed form of ``(ln psi)'`` to the band
+radii it selects.
 """
 
 from __future__ import annotations
@@ -51,13 +51,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .moments import ROUND_CAP, Distribution, RejectionStall, rejection_sample
-from .moments import _round_size  # noqa: F401  (importable from here, beside the loop)
 
 __all__ = [
     "NoLowerBoundFound",
     "RejectionStall",
     "psi_loc",
-    "log_psi_radial_derivative",
     "psi_integral",
     "find_lower_bound",
     "split",
@@ -94,24 +92,11 @@ def _psi_radial(a: float, u: np.ndarray) -> np.ndarray:
     return u
 
 
-def log_psi_radial_derivative(a: float, u):
-    """``(d/du) ln psi_a(u)`` for radii ``u``; zero on the plateau.
-
-    On the decay band ``a < u < 2a`` the closed form is
-    ``-2 a^2 (u - a) / (a^2 - (u - a)^2)^2``; it blows up toward the
-    support edge, which is why it is evaluated analytically rather than by
-    finite differences.  Outside the support the localizer vanishes and the
-    value is never used; zero is returned for safety.
-    """
-    u = np.asarray(u, dtype=float)
-    out = np.zeros_like(u)
-    band = (u > a) & (u < 2 * a)
-    out[band] = _log_psi_band(a, u[band])
-    return out if out.shape else float(out)
-
-
 def _log_psi_band(a: float, u: np.ndarray) -> np.ndarray:
-    """``(d/du) ln psi_a(u)`` for radii ``u`` on the band ``a < u < 2a``."""
+    """``(d/du) ln psi_a(u)`` for radii ``u`` on the band ``a < u < 2a``:
+    ``-2 a^2 (u - a) / (a^2 - (u - a)^2)^2``.  It blows up toward the
+    support edge, which is why it is evaluated analytically rather than by
+    finite differences."""
     ub = u - a
     g = a * a - ub * ub
     return -2.0 * a * a * ub / (g * g)

@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from edgeworth.moments import rejection_sample
-from edgeworth.splitting import log_psi_radial_derivative, psi_integral
+from edgeworth.splitting import psi_integral
 
 
 def psi_loc_full(a: float, x):
@@ -55,6 +55,18 @@ def _psi_bump(rep, x):
         d = np.asarray(x, dtype=float) - np.asarray(rep.v0)
         radius = np.sqrt(np.sum(d * d, axis=-1))
     return psi_loc_full(rep.r0 / 2, radius)
+
+
+def log_psi_radial_derivative(a: float, u):
+    """``(d/du) ln psi_a(u)`` for radii ``u``: ``-2 a^2 (u - a) / (a^2 - (u - a)^2)^2``
+    on the band ``a < u < 2a``, zero elsewhere."""
+    u = np.asarray(u, dtype=float)
+    out = np.zeros_like(u)
+    band = (u > a) & (u < 2 * a)
+    ub = u[band] - a
+    g = a * a - ub * ub
+    out[band] = -2.0 * a * a * ub / (g * g)
+    return out
 
 
 def log_psi_gradient_two_branch(rep, x):

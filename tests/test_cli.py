@@ -321,6 +321,36 @@ def test_failed_verdict_exits_1_with_full_table(capsys, monkeypatch, command, ro
     assert len(out.splitlines()) == 1 + rows
 
 
+@pytest.mark.parametrize("command,fails", [
+    ("split", ["ks_p=0.0000 <= 0.01"]),
+    ("ibp", [r"f=\S+ z=\d+\.\d\d >= 4"] * 4),
+    ("sigtail", [r"n=10 z=\d+\.\d\d >= 4", r"n=50 z=\d+\.\d\d >= 4"]),
+    ("taylor", ["L=0 residual=1.0 != 0", "L=1 residual=1.0 != 0", "L=2 residual=1.0 != 0"]),
+])
+def test_failed_verdict_names_each_broken_gate(capsys, monkeypatch, command, fails):
+    _fail_verdict(monkeypatch, command)
+    code, _, err = run(capsys, *TABLES[command])
+    assert code == 1
+    lines = [line[len("# fail: "):] for line in err.splitlines() if line.startswith("# fail: ")]
+    assert len(lines) == len(fails)
+    assert all(re.fullmatch(want, line) for want, line in zip(fails, lines))
+
+
+def test_failed_rate_names_its_reason(capsys):
+    code, _, err = run(capsys, "rate", "--dist", "uniform", "--r", "2",
+                       "--n-list", "32,64,128,256")
+    assert code == 1
+    assert err.endswith("-> fail (slope -1.003 outside -0.5+-0.2)\n")
+
+
+def test_tv_counts_the_singular_mass_as_distance(capsys):
+    code, out, err = run(capsys, "tv", "--dist", "atom_mixture(p=1/10)", "--n", "32")
+    assert code == 0
+    n, r, raw, lo, hi = out.splitlines()[1].split(",")
+    assert raw == lo and float(hi) - float(lo) < 1e-9
+    assert re.search(r"# tail bounds: law \S+ corrected \S+; singular mass 3\.434e-02", err)
+
+
 def test_ibp_nan_z_fails(capsys, monkeypatch):
     # a NaN z-score compares false against every threshold: it must not pass
     battery = malliavin.ibp_battery

@@ -399,12 +399,32 @@ def test_2d_edgeworth_grid_matches_meshgrid_oracle(spec, n, points):
     assert np.max(np.abs(g.values - edgeworth_grid_2d(model, n, points, 16.0))) <= 1e-12
 
 
-def test_3d_edgeworth_grid_matches_pointwise_density():
-    model = EdgeworthModel.build(make_distribution("exponential*uniform*laplace"), 3)
-    g = edgeworth_grid(model, 8, 32, 8.0)
+def _grid_is_pointwise_density(spec, r, n, points, halfwidth):
+    model = EdgeworthModel.build(make_distribution(spec), r)
+    g = edgeworth_grid(model, n, points, halfwidth)
     pts = np.stack(np.meshgrid(*g.axes, indexing="ij"), axis=-1)
-    assert g.values.shape == (32, 32, 32)
-    assert np.max(np.abs(g.values - edgeworth_density(model, 8, pts))) <= 1e-12
+    assert g.values.shape == (points,) * model.dim
+    assert np.array_equal(g.values, edgeworth_density(model, n, pts))
+
+
+@pytest.mark.parametrize("n", [1, 32])
+def test_2d_edgeworth_grid_matches_pointwise_density(n):
+    # r = 8: two correctors, and 128^2 points is a block of TERM_BLOCK
+    _grid_is_pointwise_density("laplace*gamma", 8, n, 128, 16.0)
+
+
+def test_3d_edgeworth_grid_matches_pointwise_density():
+    _grid_is_pointwise_density("exponential*uniform*laplace", 3, 8, 32, 8.0)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_nd_gaussian_pdf_is_the_product_of_1d_densities(dim):
+    x = np.random.default_rng(dim).normal(scale=3.0, size=(257, dim))
+    want = gaussian_pdf(x[:, 0])
+    for i in range(1, dim):
+        want = want * gaussian_pdf(x[:, i])
+    assert np.array_equal(gaussian_pdf(x, dim), want)
+    assert gaussian_pdf(x[0], dim) == want[0]
 
 
 # --- per-model grid memo ------------------------------------------------------------

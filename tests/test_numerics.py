@@ -11,6 +11,7 @@ import pytest
 from scipy import stats
 
 from edgeworth.correctors import EdgeworthModel, edgeworth_grid, hermite_1d
+from edgeworth.harness import RateConfig, run_rate
 from edgeworth.moments import (
     AtomMixture,
     Distribution,
@@ -115,6 +116,19 @@ def test_atom_mixture_rate_tv_matches_closed_form():
         g, gam = law_of_sn(d, n), edgeworth_grid(model, n)
         exact = GridDensity(g.halfwidth, atom_mixture_sn(g.axes[0], n, raw))
         assert abs(tv_distance(g, gam).raw - tv_distance(exact, gam).raw) <= 1e-12, n
+
+
+def test_atom_mixture_singular_mass_counts_as_distance():
+    # Gamma_{n,r} has no atom, so mu_n's singular mass 0.9^n is distance, not
+    # slack; counted as slack it made the small-n intervals too wide
+    raw = AtomMixture(p=Fraction(1, 10))
+    report = run_rate(RateConfig(dist="atom_mixture(p=1/10)", r=3,
+                                 n_list=(32, 64, 128, 256, 512, 1024)))
+    assert (report.verdict, report.reason) == ("pass", "")
+    gam = edgeworth_grid(EdgeworthModel.build(standardize(raw), 3), 32)
+    exact = atom_mixture_sn(gam.axes[0], 32, raw)
+    want = float(np.abs(exact - gam.values).sum() * gam.cell_volume) + 0.9**32
+    assert abs(report.tv_values[0].raw - want) <= 1e-12
 
 
 @pytest.mark.parametrize("spec,points", [("uniform", None), ("exponential*uniform", None),
@@ -258,9 +272,10 @@ def test_tv_interval_accounting():
     p = _grid_from(normal_pdf, tail_mass_bound=1e-3, singular_mass=0.0)
     q = _grid_from(normal_pdf, tail_mass_bound=0.0, singular_mass=2e-3)
     tv = tv_distance(p, q)
-    assert tv.lo == tv.raw == 0.0
-    assert tv.width == pytest.approx(3e-3)
-    assert tv.mid == pytest.approx(1.5e-3)
+    # the singular mass q has and p lacks is distance, not uncertainty
+    assert tv.lo == tv.raw == 2e-3
+    assert tv.width == pytest.approx(1e-3)
+    assert tv.mid == pytest.approx(2.5e-3)
 
 
 @pytest.mark.parametrize("m", [2**12, 256])

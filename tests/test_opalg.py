@@ -425,3 +425,14 @@ def test_apply_is_compatible_with_compose_and_diff(data):
     assert (a + b).apply(f) == a.apply(f) + b.apply(f)
     gamma = tuple(data.draw(st.lists(st.integers(1, dim), max_size=4)))
     assert DiffOperator.partial(dim, gamma).apply(f) == f.diff(gamma)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_multipoly_on_the_open_mesh_is_its_pointwise_values(dim):
+    rng = np.random.default_rng(dim)
+    terms = {tuple(int(p) for p in rng.integers(0, 5, dim)): F(int(rng.integers(-9, 10)), 7)
+             for _ in range(12)}
+    poly = MultiPoly(dim, {**terms, (0,) * dim: F(3, 2)})
+    axes = [np.linspace(-6.0, 6.0, 16 + 3 * i) for i in range(dim)]
+    pts = axes[0] if dim == 1 else np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    assert np.array_equal(poly._on(np.ix_(*axes)), poly(pts))

@@ -383,8 +383,8 @@ def test_w_stall_round_is_capped():
 def test_every_sampler_draws_through_the_one_rejection_loop(monkeypatch):
     from edgeworth import moments
 
-    assert (splitting.RejectionStall, splitting.ROUND_CAP, splitting._round_size) == (
-        moments.RejectionStall, moments.ROUND_CAP, moments._round_size)
+    assert (splitting.RejectionStall, splitting.ROUND_CAP) == (
+        moments.RejectionStall, moments.ROUND_CAP)
     names = []
     loop = moments.rejection_sample
 
